@@ -12,16 +12,15 @@ from .morphisms import (BUILTIN_SIZES, FactorSet, MorphismFormatError,
 from .markability import (MarkabilityReport, PhaseConflict,
                           check_all_length_r_factors_markable, is_2markable)
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
-from .perms import (Permutation, PrefixPermutationTable, cycle_type,
-                    find_conjugator, is_kernel_word, prefix_table, step0,
-                    step1, word_permutation)
+from .perms import (Permutation, PrefixPermutationTable, find_conjugator,
+                    is_kernel_word, step0, step1, word_permutation)
 from .search import (classify_candidate, enumerate_legal, legal_length_counts,
                      search_convenient)
 from .verifier import (Bounds, CheckResult, VerificationReport, compute_bounds,
                        check_big_excess_free, check_iteration_bound,
                        check_kernel_free, check_power_free,
                        find_kernel_repetitions, probe_encoding, probe_word,
-                       verify)
+                       run_check, verify)
 from .words import (RepetitionOccurrence, SigmaWord, find_repetitions_exceeding,
                     find_repetitions_with_excess_at_least, has_period,
                     max_exponent, maximal_extension)
@@ -34,12 +33,12 @@ __all__ = [
     "WindowDistinctnessError", "builtin", "canonical_prefix",
     "check_all_length_r_factors_markable", "check_big_excess_free",
     "check_iteration_bound", "check_kernel_free", "check_power_free",
-    "classify_candidate", "compute_bounds", "cycle_type", "decode",
-    "emit_morphism_file", "encode", "enumerate_legal", "factor_closure",
-    "find_conjugator", "find_kernel_repetitions", "find_repetitions_exceeding",
+    "classify_candidate", "compute_bounds", "decode", "emit_morphism_file",
+    "encode", "enumerate_legal", "factor_closure", "find_conjugator",
+    "find_kernel_repetitions", "find_repetitions_exceeding",
     "find_repetitions_with_excess_at_least", "has_period", "is_2markable",
     "is_kernel_word", "iteration_bound", "legal_length_counts", "limit_prefix",
-    "max_exponent", "maximal_extension", "parse_morphism_file", "prefix_table",
-    "probe_encoding", "probe_word", "search_convenient", "step0", "step1",
-    "verify", "word_permutation",
+    "max_exponent", "maximal_extension", "parse_morphism_file",
+    "probe_encoding", "probe_word", "run_check", "search_convenient", "step0",
+    "step1", "verify", "word_permutation",
 ]

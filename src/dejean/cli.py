@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import __version__
 from .morphisms import (BUILTIN_SIZES, MorphismFormatError, UniformMorphism,
@@ -61,12 +62,14 @@ def _run_reports(morphs: list[UniformMorphism]) -> list[dict]:
     """Verify several morphisms, concurrently when possible, in input order."""
     payloads = [(h.n, h.image0, h.image1) for h in morphs]
     if len(payloads) > 1:
+        # Only the errors of a pool that cannot start or keep its workers
+        # fall back to serial; an error raised by verify propagates.
         try:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=min(len(payloads), os.cpu_count() or 1)) as pool:
                 return list(pool.map(_verify_one, payloads))
-        except Exception as exc:  # no usable worker pool; fall back to serial
+        except (ImportError, NotImplementedError, OSError, BrokenExecutor) as exc:
             print(f"note: running serially ({exc})", file=sys.stderr)
     return [_verify_one(p) for p in payloads]
 

@@ -80,10 +80,6 @@ class FactorSet:
         return len(self.members)
 
 
-def apply(h: UniformMorphism, w: str) -> str:
-    return h.apply(w)
-
-
 @lru_cache(maxsize=1)
 def _builtin_table() -> dict[int, UniformMorphism]:
     text = importlib.resources.files("dejean").joinpath("data/morphisms.txt").read_text()

@@ -120,10 +120,6 @@ def is_kernel_word(bits: str, n: int) -> bool:
     return _word_images(bits, n) == tuple(range(1, n + 1))
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    return p.cycle_type()
-
-
 def find_conjugator(a0: Permutation, a1: Permutation, n: int) -> Permutation | None:
     """A single t with t*a0*t^-1 = step0(n) and t*a1*t^-1 = step1(n), or None.
 
@@ -202,7 +198,3 @@ class PrefixPermutationTable:
         if not 0 <= i <= j <= len(self.bits):
             raise IndexError(f"factor [{i}, {j}) outside word of length {len(self.bits)}")
         return Permutation(_compose(_inverse(self._raw[i]), self._raw[j]))
-
-
-def prefix_table(bits: str, n: int) -> PrefixPermutationTable:
-    return PrefixPermutationTable(bits, n)

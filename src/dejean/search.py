@@ -136,15 +136,21 @@ def legal_length_counts(n: int, max_length: int) -> list[int]:
     return counts
 
 
-def classify_candidate(bits: str, n: int) -> str:
-    """"h0" when the permutation image has cycle type (n-1, 1), "h1" for an
+def _classify(sig: tuple, n: int) -> str:
+    """"h0" for a permutation image of cycle type (n-1, 1), "h1" for an
     n-cycle, else "neither"."""
-    ct = _cycle_type(_word_images(bits, n))
+    ct = _cycle_type(sig)
     if ct == (n,):
         return "h1"
     if ct == (1, n - 1):
         return "h0"
     return "neither"
+
+
+def classify_candidate(bits: str, n: int) -> str:
+    """Candidate role of a binary word, by the cycle type of its
+    permutation image: "h0", "h1" or "neither"."""
+    return _classify(_word_images(bits, n), n)
 
 
 def _compatible_h0_images(a1: tuple, n: int, s0: tuple, s1: tuple) -> list[tuple]:
@@ -235,12 +241,8 @@ class _Pairing:
         """Register a candidate; yield (h0, h1) pairs passing the conjugacy
         condition, oldest opposite candidate first."""
         n = self.n
-        ct = _cycle_type(sig)
-        if ct == (n,):
-            kind = "h1"
-        elif ct == (1, n - 1):
-            kind = "h0"
-        else:
+        kind = _classify(sig, n)
+        if kind == "neither":
             return
         if kind == "h1":
             for a0 in _compatible_h0_images(sig, n, self.s0, self.s1):
@@ -269,8 +271,7 @@ def _candidates_under_prefix(args: tuple[int, int, str]) -> list[tuple[str, tupl
     out: list[tuple[str, tuple]] = []
 
     def on_leaf(bits, sig):
-        ct = _cycle_type(sig)
-        if ct == (n,) or ct == (1, n - 1):
+        if _classify(sig, n) != "neither":
             out.append(("".join(bits), sig))
 
     _walk(n, length, on_leaf, prefix=prefix)

@@ -6,11 +6,18 @@ factor universe, 2-markability of all image-length factors, the bound
 arithmetic, kernel-freeness of the doubled probe encoding, and the two
 decisive repetition searches on its decoding.  All eight always run; a
 failing check never short-circuits the rest.
+
+The ordered table ``_CHECKS`` of (name, body) is the only list of the
+checks: ``CHECK_NAMES``, :func:`verify`, :func:`run_check` and the
+``check_*`` shortcuts all read it.  Each body takes a ``_Probe``, which
+builds the probe encoding and its decoding on first use, so one
+verification builds each word once.
 """
 
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .markability import check_all_length_r_factors_markable
@@ -20,17 +27,6 @@ from .perms import (PrefixPermutationTable, find_conjugator, step0, step1,
                     word_permutation)
 from .words import (RepetitionOccurrence, SigmaWord, find_repetitions_exceeding,
                     find_repetitions_with_excess_at_least, maximal_extension)
-
-CHECK_NAMES = (
-    "structure",
-    "algebraic_condition",
-    "factor_set_2",
-    "markability_r",
-    "iteration_bound",
-    "kernel_free",
-    "big_excess_free",
-    "power_free",
-)
 
 
 @dataclass(frozen=True)
@@ -171,20 +167,25 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) ->
     return occs
 
 
-def _result(name: str, started: float, passed: bool, witness: str) -> CheckResult:
-    return CheckResult(name, passed, witness, int((time.perf_counter() - started) * 1000))
+class _Probe:
+    """The morphism under test and the words its checks read, each built on
+    first use: the probe encoding, then its decoding."""
+
+    def __init__(self, h: UniformMorphism, bounded_kernel_scan: bool):
+        self.h = h
+        self.bounded_kernel_scan = bounded_kernel_scan
+
+    @cached_property
+    def bits(self) -> str:
+        return probe_encoding(self.h)
+
+    @cached_property
+    def word(self) -> SigmaWord:
+        return decode(self.bits, canonical_prefix(self.h.n))
 
 
-def _guarded(name: str, body) -> CheckResult:
-    started = time.perf_counter()
-    try:
-        passed, witness = body()
-    except Exception as exc:  # a failing construction is report content
-        return _result(name, started, False, f"error: {exc}")
-    return _result(name, started, passed, witness)
-
-
-def _check_structure(h: UniformMorphism) -> tuple[bool, str]:
+def _check_structure(p: _Probe) -> tuple[bool, str]:
+    h = p.h
     problems = []
     if h.image0[-1] == h.image1[-1]:
         problems.append(f"last letters agree ({h.image0[-1]})")
@@ -199,7 +200,8 @@ def _check_structure(h: UniformMorphism) -> tuple[bool, str]:
     return True, f"r={h.r}, last letters {h.image0[-1]}/{h.image1[-1]}, 011 in h(0), 110 in h(1)"
 
 
-def _check_algebraic(h: UniformMorphism) -> tuple[bool, str]:
+def _check_algebraic(p: _Probe) -> tuple[bool, str]:
+    h = p.h
     a0 = word_permutation(h.image0, h.n)
     a1 = word_permutation(h.image1, h.n)
     tau = find_conjugator(a0, a1, h.n)
@@ -211,103 +213,105 @@ def _check_algebraic(h: UniformMorphism) -> tuple[bool, str]:
     return True, f"conjugator {tau.one_line()}"
 
 
-def _check_factor_set_2(h: UniformMorphism) -> tuple[bool, str]:
-    members = factor_closure(h, 2).members
+def _check_factor_set_2(p: _Probe) -> tuple[bool, str]:
+    members = factor_closure(p.h, 2).members
     expected = {"01", "10", "11"}
     if members != expected:
         return False, f"length-2 factors {sorted(members)} != {sorted(expected)}"
     return True, "length-2 factors {01, 10, 11}"
 
 
-def _check_markability(h: UniformMorphism) -> tuple[bool, str]:
-    report = check_all_length_r_factors_markable(h)
+def _check_markability(p: _Probe) -> tuple[bool, str]:
+    report = check_all_length_r_factors_markable(p.h)
     return report.passed, report.describe()
 
 
-def _check_iteration_bound_value(h: UniformMorphism) -> tuple[bool, str]:
-    bounds = compute_bounds(h.n)
-    value = iteration_bound(bounds.kernel_bound, h.r)
+def _check_iteration_bound(p: _Probe) -> tuple[bool, str]:
+    bounds = compute_bounds(p.h.n)
+    value = iteration_bound(bounds.kernel_bound, p.h.r)
     ok = value == 2 and bounds.short_bound < bounds.kernel_bound
-    return ok, (f"I({bounds.kernel_bound}, {h.r}) = {value}; "
+    return ok, (f"I({bounds.kernel_bound}, {p.h.r}) = {value}; "
                 f"short bound {bounds.short_bound} < {bounds.kernel_bound}")
 
 
-def _check_kernel(h: UniformMorphism, bits: str, bounded: bool) -> tuple[bool, str]:
-    bound = compute_bounds(h.n).kernel_bound if bounded else None
-    occs = find_kernel_repetitions(bits, h.n, bound)
-    scope = f"periods <= {bound}" if bounded else "all periods"
+def _check_kernel(p: _Probe) -> tuple[bool, str]:
+    bound = compute_bounds(p.h.n).kernel_bound if p.bounded_kernel_scan else None
+    occs = find_kernel_repetitions(p.bits, p.h.n, bound)
+    scope = f"periods <= {bound}" if p.bounded_kernel_scan else "all periods"
     if occs:
         return False, f"{len(occs)} kernel repetitions ({scope}); first: {occs[0].describe()}"
-    return True, f"no kernel repetitions in {len(bits)} letters ({scope})"
+    return True, f"no kernel repetitions in {len(p.bits)} letters ({scope})"
 
 
-def _check_big_excess(h: UniformMorphism, v: SigmaWord) -> tuple[bool, str]:
-    occs = find_repetitions_with_excess_at_least(v, h.n - 1)
+def _check_big_excess(p: _Probe) -> tuple[bool, str]:
+    n, v = p.h.n, p.word
+    occs = find_repetitions_with_excess_at_least(v, n - 1)
     if occs:
-        return False, f"{len(occs)} repetitions with excess >= {h.n - 1}; first: {occs[0].describe()}"
-    return True, f"no repetition with excess >= {h.n - 1} in {len(v)} letters"
+        return False, f"{len(occs)} repetitions with excess >= {n - 1}; first: {occs[0].describe()}"
+    return True, f"no repetition with excess >= {n - 1} in {len(v)} letters"
 
 
-def _check_power(h: UniformMorphism, v: SigmaWord) -> tuple[bool, str]:
-    occs = find_repetitions_exceeding(v, h.n, h.n - 1)
+def _check_power(p: _Probe) -> tuple[bool, str]:
+    n, v = p.h.n, p.word
+    occs = find_repetitions_exceeding(v, n, n - 1)
     if occs:
-        return False, (f"{len(occs)} repetitions above {h.n}/{h.n - 1}; "
+        return False, (f"{len(occs)} repetitions above {n}/{n - 1}; "
                        f"first: {occs[0].describe()}")
-    return True, f"no repetition above {h.n}/{h.n - 1} in {len(v)} letters"
+    return True, f"no repetition above {n}/{n - 1} in {len(v)} letters"
+
+
+# The eight checks in report order; the only list of them.
+_CHECKS = (
+    ("structure", _check_structure),
+    ("algebraic_condition", _check_algebraic),
+    ("factor_set_2", _check_factor_set_2),
+    ("markability_r", _check_markability),
+    ("iteration_bound", _check_iteration_bound),
+    ("kernel_free", _check_kernel),
+    ("big_excess_free", _check_big_excess),
+    ("power_free", _check_power),
+)
+CHECK_NAMES = tuple(name for name, _ in _CHECKS)
+
+
+def _run(name: str, body, probe: _Probe) -> CheckResult:
+    started = time.perf_counter()
+    try:
+        passed, witness = body(probe)
+    except Exception as exc:  # a failing construction is report content
+        passed, witness = False, f"error: {exc}"
+    return CheckResult(name, passed, witness, int((time.perf_counter() - started) * 1000))
+
+
+def run_check(name: str, source, bounded_kernel_scan: bool = True) -> CheckResult:
+    """Run one check of the suite alone, with the verdict and witness that
+    :func:`verify` reports under that name."""
+    body = dict(_CHECKS).get(name)
+    if body is None:
+        raise ValueError(f"unknown check name {name!r}; expected one of {', '.join(CHECK_NAMES)}")
+    return _run(name, body, _Probe(_as_morphism(source), bounded_kernel_scan))
 
 
 def check_iteration_bound(source) -> CheckResult:
-    h = _as_morphism(source)
-    return _guarded("iteration_bound", lambda: _check_iteration_bound_value(h))
+    return run_check("iteration_bound", source)
 
 
 def check_kernel_free(source, bounded: bool = True) -> CheckResult:
-    h = _as_morphism(source)
-    return _guarded("kernel_free", lambda: _check_kernel(h, probe_encoding(h), bounded))
+    return run_check("kernel_free", source, bounded)
 
 
 def check_big_excess_free(source) -> CheckResult:
-    h = _as_morphism(source)
-    return _guarded("big_excess_free", lambda: _check_big_excess(h, probe_word(h)))
+    return run_check("big_excess_free", source)
 
 
 def check_power_free(source) -> CheckResult:
-    h = _as_morphism(source)
-    return _guarded("power_free", lambda: _check_power(h, probe_word(h)))
+    return run_check("power_free", source)
 
 
-def verify(source, bounded_kernel_scan: bool = True, skip=()) -> VerificationReport:
+def verify(source, bounded_kernel_scan: bool = True) -> VerificationReport:
     """Run the full check suite for a builtin alphabet size or a supplied
-    morphism.  ``skip`` (a set of check names, a test hook) omits checks
-    from the report; everything else still runs.
+    morphism.  Every check runs; a failing one never short-circuits the rest.
     """
-    h = _as_morphism(source)
-    skip = frozenset(skip)
-    unknown = skip - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check names: {sorted(unknown)}")
-
-    shared: dict = {}
-
-    def encoding() -> str:
-        if "bits" not in shared:
-            shared["bits"] = probe_encoding(h)
-        return shared["bits"]
-
-    def decoded() -> SigmaWord:
-        if "v" not in shared:
-            shared["v"] = decode(encoding(), canonical_prefix(h.n))
-        return shared["v"]
-
-    bodies = {
-        "structure": lambda: _check_structure(h),
-        "algebraic_condition": lambda: _check_algebraic(h),
-        "factor_set_2": lambda: _check_factor_set_2(h),
-        "markability_r": lambda: _check_markability(h),
-        "iteration_bound": lambda: _check_iteration_bound_value(h),
-        "kernel_free": lambda: _check_kernel(h, encoding(), bounded_kernel_scan),
-        "big_excess_free": lambda: _check_big_excess(h, decoded()),
-        "power_free": lambda: _check_power(h, decoded()),
-    }
-    checks = tuple(_guarded(name, bodies[name]) for name in CHECK_NAMES if name not in skip)
-    return VerificationReport(h.n, h.r, checks)
+    probe = _Probe(_as_morphism(source), bounded_kernel_scan)
+    checks = tuple(_run(name, body, probe) for name, body in _CHECKS)
+    return VerificationReport(probe.h.n, probe.h.r, checks)

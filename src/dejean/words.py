@@ -4,14 +4,21 @@ Binary words are plain ``str`` over ``"01"``; words over a numbered alphabet
 {1, ..., n} are :class:`SigmaWord` (any sequence of ints is also accepted by
 the scanning functions).  Every exponent comparison in this module is an
 integer cross-multiplication; no floating point is used anywhere.
+
+All repetition scans (``max_exponent`` and the ``find_``/``has_`` forms for
+an exponent threshold or a minimum excess) are calls into one generator of
+maximal runs, ``_runs``, which takes the least excess a run of each period
+must reach.  On long words it skips a period unless the bitmask of matching
+positions holds a long enough run.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-# Words at least this long get the bitmask fast path in the period scans.
-# Tests lower it to exercise both paths on the same inputs.
+# Words at least this long get the bitmask fast path in the period scans;
+# on shorter words building the masks costs more than it saves.  Tests
+# lower it to exercise both paths on the same inputs.
 _MASK_MIN_LENGTH = 2048
 
 
@@ -213,6 +220,52 @@ def _has_run(mask: int, t: int) -> bool:
     return mask != 0
 
 
+def _runs(w, min_run: Callable[[int], int]) -> Iterator[tuple[int, int, int]]:
+    """Maximal period-q intervals [i, j) whose excess j - i - q reaches
+    min_run(q), as (i, j, q) by increasing period, then left to right.
+
+    ``min_run`` must not decrease with q, so the scan stops at the first
+    period where even the whole word falls short.  It is read again after
+    each yield, so a caller may raise it as results arrive.  Long words
+    first test each period's match mask for a long enough run of matches.
+    """
+    sym = _symbols(w)
+    L = len(sym)
+    masks = _letter_masks(sym) if L >= _MASK_MIN_LENGTH else None
+    for q in range(1, L):
+        need = min_run(q)
+        if L - q < need:
+            break
+        if masks is not None and not _has_run(_match_mask(masks, q), need):
+            continue
+        for i, j in _period_match_runs(sym, q):
+            if j - i - q >= need:
+                yield i, j, q
+                need = min_run(q)
+
+
+def _exceeding(num: int, den: int) -> Callable[[int], int]:
+    """Excess rule for exponents above num/den: den*length > num*period
+    holds exactly when the excess is at least (num-den)*period//den + 1."""
+    if den < 1 or num < den:
+        raise ValueError(f"threshold {num}/{den} must be a rational >= 1")
+    return lambda q: (num - den) * q // den + 1
+
+
+def _at_least(min_excess: int) -> Callable[[int], int]:
+    """Excess rule for a fixed minimum excess."""
+    if min_excess < 1:
+        raise ValueError(f"min_excess must be >= 1, got {min_excess}")
+    return lambda q: min_excess
+
+
+def _occurrences(runs: Iterator[tuple[int, int, int]]) -> list[RepetitionOccurrence]:
+    """The runs as occurrences sorted by (start, period)."""
+    out = [RepetitionOccurrence(i, q, j - i) for i, j, q in runs]
+    out.sort(key=lambda occ: (occ.start, occ.period))
+    return out
+
+
 def max_exponent(w) -> tuple[Fraction, RepetitionOccurrence | None]:
     """Largest exact exponent length/period over factors with period < length.
 
@@ -222,24 +275,15 @@ def max_exponent(w) -> tuple[Fraction, RepetitionOccurrence | None]:
     then (1, None).
     """
     sym = _symbols(w)
-    L = len(sym)
-    if L == 0:
+    if not sym:
         raise ValueError("empty word")
-    best_num, best_den = 1, 1
-    best: RepetitionOccurrence | None = None
-    masks = _letter_masks(sym) if L >= _MASK_MIN_LENGTH else None
-    for q in range(1, L):
-        if L * best_den <= best_num * q:
-            break  # even a full-length factor cannot beat the current best
-        if masks is not None:
-            need = (best_num - best_den) * q // best_den + 1
-            m = _match_mask(masks, q)
-            if not m or not _has_run(m, need):
-                continue
-        for i, j in _period_match_runs(sym, q):
-            if (j - i) * best_den > best_num * q:
-                best_num, best_den = j - i, q
-                best = RepetitionOccurrence(i, q, j - i)
+    best_num, best_den, best = 1, 1, None
+
+    def beats_best(q: int) -> int:
+        return (best_num - best_den) * q // best_den + 1
+
+    for i, j, q in _runs(sym, beats_best):
+        best_num, best_den, best = j - i, q, RepetitionOccurrence(i, q, j - i)
     return Fraction(best_num, best_den), best
 
 
@@ -250,92 +294,22 @@ def find_repetitions_exceeding(w, num: int, den: int) -> list[RepetitionOccurren
     and sorted by (start, period).  The list is empty exactly when the word
     is (num/den)+-power free.  Comparison is den*length > num*period.
     """
-    if den < 1 or num < den:
-        raise ValueError(f"threshold {num}/{den} must be a rational >= 1")
-    sym = _symbols(w)
-    L = len(sym)
-    out = []
-    masks = _letter_masks(sym) if L >= _MASK_MIN_LENGTH else None
-    for q in range(1, L):
-        if L * den <= num * q:
-            break
-        min_run = (num - den) * q // den + 1
-        if min_run > L - q:
-            continue
-        if masks is not None:
-            m = _match_mask(masks, q)
-            if not m or not _has_run(m, min_run):
-                continue
-        for i, j in _period_match_runs(sym, q):
-            if (j - i) * den > num * q:
-                out.append(RepetitionOccurrence(i, q, j - i))
-    out.sort(key=lambda occ: (occ.start, occ.period))
-    return out
+    return _occurrences(_runs(w, _exceeding(num, den)))
 
 
 def has_repetition_exceeding(w, num: int, den: int) -> bool:
     """Early-exit form of :func:`find_repetitions_exceeding` emptiness."""
-    if den < 1 or num < den:
-        raise ValueError(f"threshold {num}/{den} must be a rational >= 1")
-    sym = _symbols(w)
-    L = len(sym)
-    masks = _letter_masks(sym) if L >= _MASK_MIN_LENGTH else None
-    for q in range(1, L):
-        if L * den <= num * q:
-            break
-        min_run = (num - den) * q // den + 1
-        if min_run > L - q:
-            continue
-        if masks is not None:
-            if _has_run(_match_mask(masks, q), min_run):
-                return True
-            continue
-        for i, j in _period_match_runs(sym, q):
-            if (j - i) * den > num * q:
-                return True
-    return False
+    return next(_runs(w, _exceeding(num, den)), None) is not None
 
 
 def find_repetitions_with_excess_at_least(w, min_excess: int) -> list[RepetitionOccurrence]:
     """All maximal occurrences whose excess (length - period) reaches min_excess."""
-    if min_excess < 1:
-        raise ValueError(f"min_excess must be >= 1, got {min_excess}")
-    sym = _symbols(w)
-    L = len(sym)
-    out = []
-    masks = _letter_masks(sym) if L >= _MASK_MIN_LENGTH else None
-    for q in range(1, L):
-        if L - q < min_excess:
-            break
-        if masks is not None:
-            m = _match_mask(masks, q)
-            if not m or not _has_run(m, min_excess):
-                continue
-        for i, j in _period_match_runs(sym, q):
-            if (j - i) - q >= min_excess:
-                out.append(RepetitionOccurrence(i, q, j - i))
-    out.sort(key=lambda occ: (occ.start, occ.period))
-    return out
+    return _occurrences(_runs(w, _at_least(min_excess)))
 
 
 def has_repetition_with_excess_at_least(w, min_excess: int) -> bool:
     """Early-exit form of :func:`find_repetitions_with_excess_at_least` emptiness."""
-    if min_excess < 1:
-        raise ValueError(f"min_excess must be >= 1, got {min_excess}")
-    sym = _symbols(w)
-    L = len(sym)
-    masks = _letter_masks(sym) if L >= _MASK_MIN_LENGTH else None
-    for q in range(1, L):
-        if L - q < min_excess:
-            break
-        if masks is not None:
-            if _has_run(_match_mask(masks, q), min_excess):
-                return True
-            continue
-        for i, j in _period_match_runs(sym, q):
-            if (j - i) - q >= min_excess:
-                return True
-    return False
+    return next(_runs(w, _at_least(min_excess)), None) is not None
 
 
 def parse_binary(text: str) -> str:

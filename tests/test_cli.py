@@ -1,10 +1,28 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import dejean.cli as cli
 from dejean.cli import main
 from dejean.morphisms import builtin, emit_morphism_file, parse_morphism_file
+
+CALLS_FILE_ENV = "DEJEAN_TEST_CALLS_FILE"
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def failing_verify_one(payload):
+    """Stand-in for cli._verify_one: logs the calling process, then fails.
+    Module level, so that a worker process can unpickle it."""
+    with open(os.environ[CALLS_FILE_ENV], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    raise WorkerFailure(f"verify failed for n={payload[0]}")
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -76,6 +94,19 @@ class TestVerifyCommand:
                 "markability_r", "iteration_bound", "kernel_free",
                 "big_excess_free", "power_free",
             ]
+
+
+class TestRunReports:
+    def test_worker_error_propagates_without_serial_rerun(self, tmp_path, capsys, monkeypatch):
+        calls = tmp_path / "calls.txt"
+        monkeypatch.setenv(CALLS_FILE_ENV, str(calls))
+        monkeypatch.setattr(cli, "_verify_one", failing_verify_one)
+        with pytest.raises(WorkerFailure):
+            cli._run_reports([builtin(15), builtin(16)])
+        assert "running serially" not in capsys.readouterr().err
+        callers = calls.read_text(encoding="utf-8").split()
+        assert len(callers) == 2  # once per morphism, in the pool
+        assert str(os.getpid()) not in callers
 
 
 class TestSearchCommand:

@@ -4,9 +4,8 @@ import random
 import pytest
 
 from dejean.pansiot import canonical_prefix, decode, encode
-from dejean.perms import (Permutation, PrefixPermutationTable, cycle_type,
-                          find_conjugator, is_kernel_word, prefix_table,
-                          step0, step1, word_permutation)
+from dejean.perms import (Permutation, PrefixPermutationTable, find_conjugator,
+                          is_kernel_word, step0, step1, word_permutation)
 from dejean.words import SigmaWord
 
 
@@ -33,8 +32,8 @@ class TestPermutation:
 
     def test_cycle_type_examples(self):
         assert Permutation.identity(5).cycle_type() == (1, 1, 1, 1, 1)
-        assert cycle_type(step1(7)) == (7,)
-        assert cycle_type(step0(7)) == (1, 6)
+        assert step1(7).cycle_type() == (7,)
+        assert step0(7).cycle_type() == (1, 6)
 
 
 class TestGenerators:
@@ -177,13 +176,13 @@ class TestFindConjugator:
 
 class TestPrefixTable:
     def test_empty_word(self):
-        table = prefix_table("", 4)
+        table = PrefixPermutationTable("", 4)
         assert len(table) == 1
         assert table.permutation(0).is_identity
 
     def test_full_word_consistency(self):
         bits = "0110101"
-        table = prefix_table(bits, 5)
+        table = PrefixPermutationTable(bits, 5)
         assert table.factor(0, len(bits)) == word_permutation(bits, 5)
 
     def test_factor_queries_match_recomputation(self):
@@ -197,7 +196,7 @@ class TestPrefixTable:
 
     def test_ids_mark_equal_prefixes(self):
         bits = "11" * 4  # step1(2) has order 2
-        table = prefix_table(bits, 2)
+        table = PrefixPermutationTable(bits, 2)
         ids = table.ids
         for i in range(len(bits) + 1):
             for j in range(len(bits) + 1):

@@ -9,7 +9,7 @@ from dejean.verifier import (CHECK_NAMES, check_big_excess_free,
                              check_iteration_bound, check_kernel_free,
                              check_power_free, compute_bounds,
                              find_kernel_repetitions, probe_encoding,
-                             probe_word, verify)
+                             probe_word, run_check, verify)
 
 
 class TestBounds:
@@ -131,17 +131,16 @@ class TestVerify:
         assert not report.check("structure").passed
         assert isinstance(report.check("power_free").passed, bool)
 
-    def test_check_independence_via_skip_hook(self):
+    def test_run_check_matches_verify(self):
         full = {c.name: (c.passed, c.witness) for c in verify(15).checks}
         for name in CHECK_NAMES:
-            partial = verify(15, skip={name})
-            assert [c.name for c in partial.checks] == [k for k in CHECK_NAMES if k != name]
-            for c in partial.checks:
-                assert (c.passed, c.witness) == full[c.name]
+            alone = run_check(name, 15)
+            assert alone.name == name
+            assert (alone.passed, alone.witness) == full[name]
 
-    def test_unknown_skip_name(self):
+    def test_run_check_unknown_name(self):
         with pytest.raises(ValueError):
-            verify(15, skip={"bogus"})
+            run_check("bogus", 15)
 
     def test_render_text_mentions_every_check(self):
         text = verify(15).render_text()

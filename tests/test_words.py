@@ -202,8 +202,16 @@ class TestMaskFastPath:
             w = "".join(rng.choice("01") for _ in range(rng.randint(1, 24)))
             assert occ_triples(find_repetitions_exceeding(w, 3, 2)) == brute_find_exceeding(w, 3, 2)
             assert occ_triples(find_repetitions_with_excess_at_least(w, 2)) == brute_find_excess(w, 2)
-            exp, _ = max_exponent(w)
-            assert exp == brute_max_exponent(w)[0]
+            assert has_repetition_exceeding(w, 3, 2) == bool(find_repetitions_exceeding(w, 3, 2))
+            assert (has_repetition_with_excess_at_least(w, 2)
+                    == bool(find_repetitions_with_excess_at_least(w, 2)))
+            exp, wit = max_exponent(w)
+            b_exp, b_wit = brute_max_exponent(w)
+            assert exp == b_exp
+            if b_wit is None:
+                assert wit is None
+            else:
+                assert (wit.start, wit.period, wit.length) == b_wit, w
 
     def test_masked_matches_oracle_ternary(self):
         rng = random.Random(12)
