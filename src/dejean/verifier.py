@@ -10,8 +10,22 @@ failing check never short-circuits the rest.
 The ordered table ``_CHECKS`` of (name, body) is the only list of the
 checks: ``CHECK_NAMES``, :func:`verify`, :func:`run_check` and the
 ``check_*`` shortcuts all read it.  Each body takes a ``_Probe``, which
-builds the probe encoding and its decoding on first use, so one
-verification builds each word once.
+builds the probe encoding, its decoding and the ids of its prefix
+permutations on first use, so one verification builds each of them once.
+
+Two checks scan a bounded range, each under a premise:
+
+* ``kernel_free`` scans periods up to 9n^2-6n+1 (``Bounds.kernel_bound``);
+  the ``markability_r`` and ``iteration_bound`` checks are what confine
+  kernel repetitions below it.  ``bounded_kernel_scan=False`` scans all.
+* ``power_free`` scans periods up to n^2-3n+1 (``Bounds.short_bound``) when
+  the probe word has no repetition of excess >= n-1, and all periods
+  otherwise.  That premise is computed, not assumed: the decoder state
+  after k code bits (the last n-1 letters plus the missing one) is the
+  k-th prefix permutation, so a repetition of period q and excess >= n-1
+  exists exactly when two prefix-permutation ids q apart are equal.  The
+  same test decides ``big_excess_free`` without a scan; only when it fails
+  do the unbounded scans of ``words`` run, and they give the witnesses.
 """
 
 import json
@@ -31,9 +45,14 @@ from .words import (RepetitionOccurrence, SigmaWord, find_repetitions_exceeding,
 
 @dataclass(frozen=True)
 class Bounds:
-    """Derived constants for one alphabet size: the period bound for kernel
-    repetitions, the codeword-length bound for short-excess repetitions, and
-    the repetition threshold itself."""
+    """Derived constants for one alphabet size and the premises they need.
+
+    ``kernel_bound`` = 9n^2-6n+1 bounds the period of a kernel repetition
+    once ``markability_r`` and ``iteration_bound`` hold.  ``short_bound`` =
+    n^2-3n+1 bounds the period of any repetition above n/(n-1) once no
+    repetition has excess >= n-1: an excess e <= n-2 above n/(n-1) forces
+    q < e(n-1) <= (n-1)(n-2).  ``threshold`` is n/(n-1) itself.
+    """
 
     kernel_bound: int
     short_bound: int
@@ -93,11 +112,17 @@ class VerificationReport:
         return json.dumps(self.to_json(), sort_keys=False)
 
     def render_text(self) -> str:
-        kb = compute_bounds(self.n).kernel_bound
+        bounds = compute_bounds(self.n)
+        if self.check("big_excess_free").passed:
+            power_scope = (f"power scan period bound {bounds.short_bound} = n^2-3n+1, "
+                           f"from big_excess_free")
+        else:
+            power_scope = "power scan: all periods"
         lines = [
             f"verification n={self.n} r={self.r}",
-            f"  kernel scan period bound {kb} = 9n^2-6n+1; the iteration_bound and",
+            f"  kernel scan period bound {bounds.kernel_bound} = 9n^2-6n+1; the iteration_bound and",
             f"  markability_r checks are what confine kernel repetitions below it",
+            f"  {power_scope}",
         ]
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"
@@ -127,7 +152,8 @@ def probe_word(source) -> SigmaWord:
     return decode(probe_encoding(h), canonical_prefix(h.n))
 
 
-def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) -> list[RepetitionOccurrence]:
+def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None,
+                            ids: list[int] | None = None) -> list[RepetitionOccurrence]:
     """Occurrences u = b[i:j] with a period q < j-i whose period word maps to
     the identity permutation, reported as maximal occurrences deduplicated
     by (start, period) and sorted.
@@ -135,10 +161,11 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) ->
     A kernel repetition of period q starts at some position a with
     b[a] == b[a+q] and identical prefix-permutations at a and a+q, so
     positions are bucketed by (prefix id, letter) and pairs within one
-    bucket are read off.  ``max_period`` caps the period scanned.
+    bucket are read off.  ``max_period`` caps the period scanned; ``ids``,
+    when given, must be ``PrefixPermutationTable(bits, n).ids``.
     """
-    table = PrefixPermutationTable(bits, n)
-    ids = table.ids
+    if ids is None:
+        ids = PrefixPermutationTable(bits, n).ids
     buckets: dict = {}
     for a in range(len(bits)):
         buckets.setdefault((ids[a], bits[a]), []).append(a)
@@ -168,8 +195,9 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) ->
 
 
 class _Probe:
-    """The morphism under test and the words its checks read, each built on
-    first use: the probe encoding, then its decoding."""
+    """The morphism under test and what its checks read, each built on
+    first use: the probe encoding, its decoding, and the ids of its prefix
+    permutations with the premise they decide."""
 
     def __init__(self, h: UniformMorphism, bounded_kernel_scan: bool):
         self.h = h
@@ -182,6 +210,16 @@ class _Probe:
     @cached_property
     def word(self) -> SigmaWord:
         return decode(self.bits, canonical_prefix(self.h.n))
+
+    @cached_property
+    def ids(self) -> list[int]:
+        return PrefixPermutationTable(self.bits, self.h.n).ids
+
+    @cached_property
+    def states_distinct(self) -> bool:
+        """No two decoder states are equal, so the decoding has no repetition
+        with excess >= n-1: the premise of the bounded power scan."""
+        return len(set(self.ids)) == len(self.ids)
 
 
 def _check_structure(p: _Probe) -> tuple[bool, str]:
@@ -236,7 +274,7 @@ def _check_iteration_bound(p: _Probe) -> tuple[bool, str]:
 
 def _check_kernel(p: _Probe) -> tuple[bool, str]:
     bound = compute_bounds(p.h.n).kernel_bound if p.bounded_kernel_scan else None
-    occs = find_kernel_repetitions(p.bits, p.h.n, bound)
+    occs = find_kernel_repetitions(p.bits, p.h.n, bound, p.ids)
     scope = f"periods <= {bound}" if p.bounded_kernel_scan else "all periods"
     if occs:
         return False, f"{len(occs)} kernel repetitions ({scope}); first: {occs[0].describe()}"
@@ -245,7 +283,9 @@ def _check_kernel(p: _Probe) -> tuple[bool, str]:
 
 def _check_big_excess(p: _Probe) -> tuple[bool, str]:
     n, v = p.h.n, p.word
-    occs = find_repetitions_with_excess_at_least(v, n - 1)
+    # Window k of length n-1 is decoder state k, so distinct states leave
+    # nothing to scan; otherwise the full scan finds the witnesses.
+    occs = [] if p.states_distinct else find_repetitions_with_excess_at_least(v, n - 1)
     if occs:
         return False, f"{len(occs)} repetitions with excess >= {n - 1}; first: {occs[0].describe()}"
     return True, f"no repetition with excess >= {n - 1} in {len(v)} letters"
@@ -253,7 +293,9 @@ def _check_big_excess(p: _Probe) -> tuple[bool, str]:
 
 def _check_power(p: _Probe) -> tuple[bool, str]:
     n, v = p.h.n, p.word
-    occs = find_repetitions_exceeding(v, n, n - 1)
+    # Bounded only under its own premise, never on another check's verdict.
+    bound = compute_bounds(n).short_bound if p.states_distinct else None
+    occs = find_repetitions_exceeding(v, n, n - 1, bound)
     if occs:
         return False, (f"{len(occs)} repetitions above {n}/{n - 1}; "
                        f"first: {occs[0].describe()}")

@@ -220,19 +220,22 @@ def _has_run(mask: int, t: int) -> bool:
     return mask != 0
 
 
-def _runs(w, min_run: Callable[[int], int]) -> Iterator[tuple[int, int, int]]:
+def _runs(w, min_run: Callable[[int], int],
+          max_period: int | None = None) -> Iterator[tuple[int, int, int]]:
     """Maximal period-q intervals [i, j) whose excess j - i - q reaches
     min_run(q), as (i, j, q) by increasing period, then left to right.
 
     ``min_run`` must not decrease with q, so the scan stops at the first
     period where even the whole word falls short.  It is read again after
-    each yield, so a caller may raise it as results arrive.  Long words
-    first test each period's match mask for a long enough run of matches.
+    each yield, so a caller may raise it as results arrive.  Periods above
+    ``max_period`` (when given) are not scanned.  Long words first test
+    each period's match mask for a long enough run of matches.
     """
     sym = _symbols(w)
     L = len(sym)
     masks = _letter_masks(sym) if L >= _MASK_MIN_LENGTH else None
-    for q in range(1, L):
+    last = L if max_period is None else min(L, max_period + 1)
+    for q in range(1, last):
         need = min_run(q)
         if L - q < need:
             break
@@ -287,14 +290,17 @@ def max_exponent(w) -> tuple[Fraction, RepetitionOccurrence | None]:
     return Fraction(best_num, best_den), best
 
 
-def find_repetitions_exceeding(w, num: int, den: int) -> list[RepetitionOccurrence]:
+def find_repetitions_exceeding(w, num: int, den: int,
+                               max_period: int | None = None) -> list[RepetitionOccurrence]:
     """All maximal occurrences with exponent strictly above num/den.
 
     Occurrences are maximal period-q intervals, deduplicated by construction
     and sorted by (start, period).  The list is empty exactly when the word
     is (num/den)+-power free.  Comparison is den*length > num*period.
+    ``max_period`` keeps only the periods up to it, and skips scanning the
+    rest; without it every period is scanned.
     """
-    return _occurrences(_runs(w, _exceeding(num, den)))
+    return _occurrences(_runs(w, _exceeding(num, den), max_period))
 
 
 def has_repetition_exceeding(w, num: int, den: int) -> bool:

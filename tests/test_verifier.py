@@ -1,15 +1,18 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
-from dejean.perms import word_permutation
+from dejean.pansiot import canonical_prefix, decode
+from dejean.perms import PrefixPermutationTable, word_permutation
 from dejean.verifier import (CHECK_NAMES, check_big_excess_free,
                              check_iteration_bound, check_kernel_free,
                              check_power_free, compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
+from dejean.words import find_repetitions_with_excess_at_least
 
 
 class TestBounds:
@@ -72,10 +75,46 @@ class TestKernelScan:
             # period word maps to the identity
             assert word_permutation("1" * o.period, 2).is_identity
 
+    def test_given_ids_are_reused(self):
+        rng = random.Random(3)
+        for n in (3, 5, 8):
+            bits = "".join(rng.choice("01") for _ in range(200))
+            ids = PrefixPermutationTable(bits, n).ids
+            assert find_kernel_repetitions(bits, n, ids=ids) == find_kernel_repetitions(bits, n)
+            assert (find_kernel_repetitions(bits, n, 20, ids)
+                    == find_kernel_repetitions(bits, n, 20))
+
     @pytest.mark.parametrize("n", [15, 21])
     def test_builtin_probe_is_kernel_free(self, n):
         bound = compute_bounds(n).kernel_bound
         assert find_kernel_repetitions(probe_encoding(n), n, bound) == []
+
+
+class TestDecoderStateIdentity:
+    """The identity behind the scan-free big_excess_free check: window k of
+    length n-1 of the decoding is decoder state k, the k-th prefix
+    permutation, so a repetition of period q with excess >= n-1 exists
+    exactly when two prefix-permutation ids q apart are equal."""
+
+    def test_repeated_ids_are_big_excess_periods(self):
+        rng = random.Random(99)
+        seen_distinct = seen_repeated = False
+        for n in range(3, 9):
+            for _ in range(40):
+                bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
+                ids = PrefixPermutationTable(bits, n).ids
+                first: dict = {}
+                id_periods = set()
+                for k, value in enumerate(ids):
+                    for earlier in first.setdefault(value, []):
+                        id_periods.add(k - earlier)
+                    first[value].append(k)
+                v = decode(bits, canonical_prefix(n))
+                scan_periods = {o.period for o in find_repetitions_with_excess_at_least(v, n - 1)}
+                assert id_periods == scan_periods, (n, bits)
+                seen_repeated |= bool(id_periods)
+                seen_distinct |= not id_periods
+        assert seen_distinct and seen_repeated
 
 
 class TestIndividualChecks:
@@ -147,6 +186,10 @@ class TestVerify:
         for name in CHECK_NAMES:
             assert name in text
         assert "overall: PASS" in text
+
+    def test_render_text_states_power_scan_scope(self):
+        text = verify(15).render_text()
+        assert "power scan period bound 181 = n^2-3n+1, from big_excess_free" in text
 
     def test_unbounded_kernel_scan_agrees_for_builtin(self):
         bounded = verify(15).check("kernel_free")

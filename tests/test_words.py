@@ -227,3 +227,24 @@ class TestMaskFastPath:
             t = rng.randint(1, 12)
             longest = max((len(run) for run in bin(mask)[2:].split("0")), default=0)
             assert words._has_run(mask, t) == (longest >= t)
+
+
+class TestMaxPeriod:
+    """A scan bounded by max_period is the unbounded list cut at that period,
+    on the plain path and on the bitmask path alike."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bounded_equals_filtered(self, monkeypatch, masked):
+        if masked:
+            monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 1)
+        rng = random.Random(21)
+        for _ in range(300):
+            if rng.randrange(2):
+                w, num, den = "".join(rng.choice("01") for _ in range(rng.randint(1, 40))), 3, 2
+            else:
+                w, num, den = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 40))), 4, 3
+            full = find_repetitions_exceeding(w, num, den)
+            for m in (0, 1, rng.randint(1, len(w)), len(w), len(w) + 3):
+                bounded = find_repetitions_exceeding(w, num, den, max_period=m)
+                assert bounded == [o for o in full if o.period <= m], (w, m)
+            assert find_repetitions_exceeding(w, num, den, max_period=None) == full
