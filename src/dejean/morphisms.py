@@ -8,6 +8,7 @@ format accepted from user files, so the parser is exercised on every load.
 import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 BUILTIN_SIZES = tuple(range(15, 27))
 
@@ -152,6 +153,11 @@ def limit_prefix(h: UniformMorphism, min_length: int) -> str:
 
 
 def _factors(s: str, k: int) -> set[str]:
+    """Length-k factors of a binary word.  When the word is much longer
+    than the 2^k binary k-words, testing each of those for membership is
+    cheaper than sliding a window, and gives the same set."""
+    if 2 ** k < len(s) // 8:
+        return {u for u in map("".join, product("01", repeat=k)) if u in s}
     return {s[i : i + k] for i in range(len(s) - k + 1)}
 
 

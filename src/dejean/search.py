@@ -2,38 +2,52 @@
 convenient morphisms.
 
 A binary word of a given length is legal when its decoding over the
-canonical prefix stays below the repetition threshold n/(n-1).  The search
-appends one bit at a time; only repetitions ending at the fresh letter can
-appear, and their run lengths per period are maintained sparsely, so a
-violated prefix is pruned the moment it arises.  Candidate images are
-filtered by the cycle type of their permutation image ((n-1,1) for h(0),
-(n,) for h(1)), pooled, and paired through the simultaneous-conjugacy
-condition; a pair is returned once the full verification suite passes.
+canonical prefix stays below the repetition threshold n/(n-1).  The walk
+appends one bit at a time in a loop over an explicit stack, so no
+recursion limit bounds its depth, and prunes a prefix the moment the
+fresh letter ends a repetition above the threshold (:func:`_repeats`).
+At a leaf, the permutation image of the code word is read off the decoder
+state, (last n-1 letters, missing letter), the identity the ``perms``
+docstring states.  Candidates are filtered by cycle type ((n-1,1) for
+h(0), (n,) for h(1)), pooled, and paired through the simultaneous-
+conjugacy condition, whose compatible images are found by splicing cycles
+(:func:`_compatible_h0_images`); a pair is returned once the full
+verification suite passes.
 """
 
-import sys
 from typing import Callable, Iterable
 
 from .markability import check_all_length_r_factors_markable
 from .morphisms import (PrefixStabilityError, UniformMorphism, factor_closure,
                         iteration_bound)
-from .perms import (_compose, _conjugators_onto_full_cycle, _cycle_type,
-                    _inverse, _step_images, _word_images)
+from .perms import word_permutation
 from .verifier import (compute_bounds, find_kernel_repetitions, probe_encoding,
                        probe_word, verify)
 from .words import has_repetition_exceeding, has_repetition_with_excess_at_least
 
 
-def _ensure_recursion_room(length: int) -> None:
-    need = length + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
+def _repeats(w: list[int], occurrences: list[int], M: int, nm1: int) -> bool:
+    """True when the letter found in w at the positions ``occurrences``,
+    placed at position M, ends a repetition of exponent above (nm1+1)/nm1.
+
+    At period q = M - j the shortest such run has L + 1 letters, with
+    L = q // nm1, so it exists exactly when the L letters before j and
+    before M agree.  The walk only places a letter absent from the last
+    nm1 - 1 positions, so L >= 1 and the letters before j and M are
+    compared first.
+    """
+    last = w[M - 1]
+    for j in occurrences:
+        L = (M - j) // nm1
+        if L <= j and w[j - 1] == last and w[j - L:j] == w[M - L:M]:
+            return True
+    return False
 
 
 def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> int:
     """Depth-first traversal of legal encodings of the given length.
 
-    ``on_leaf(bits, sigma)`` receives the bit list and the raw permutation
+    ``on_leaf(bits, sigma)`` receives the bit list and the permutation
     image of the word; returning False aborts the walk.  ``prefix`` replays
     fixed leading bits (the subtree is skipped when the prefix itself is
     illegal).  ``depth_counts[d]``, when given, accumulates the number of
@@ -41,77 +55,75 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    _ensure_recursion_room(length)
-    s0, s1 = _step_images(n)
+    if len(prefix) > length:
+        raise ValueError(f"prefix of length {len(prefix)} is longer than {length}")
     nm1 = n - 1
     w = list(range(1, n))
     pos: dict[int, list[int]] = {c: [c - 1] for c in range(1, n)}
     pos[n] = []
     bits: list[str] = []
-    leaves = 0
-    stop = False
-
-    def extend(x: int, runs: dict) -> dict | None:
-        # Run lengths only survive at periods matched by the fresh letter,
-        # so the positions of that letter enumerate every live period.
-        M = len(w)
-        new_runs = {}
-        for j in pos[x]:
-            q = M - j
-            run = runs.get(q, 0) + 1
-            if run * nm1 > q:
-                return None
-            new_runs[q] = run
-        return new_runs
-
-    def dfs(d: int, missing: int, runs: dict, sig: tuple) -> None:
-        nonlocal leaves, stop
-        if d == length:
-            leaves += 1
-            if on_leaf is not None and on_leaf(bits, sig) is False:
-                stop = True
-            return
-        M = len(w)
-        oldest = w[M - nm1]
-        for bit in ("0", "1"):
-            x = oldest if bit == "0" else missing
-            new_runs = extend(x, runs)
-            if new_runs is None:
-                continue
-            if depth_counts is not None:
-                depth_counts[d + 1] += 1
-            w.append(x)
-            pos[x].append(M)
-            bits.append(bit)
-            dfs(d + 1, missing if bit == "0" else oldest,
-                new_runs, _compose(sig, s1 if bit == "1" else s0))
-            bits.pop()
-            pos[x].pop()
-            w.pop()
-            if stop:
-                return
-
-    identity = tuple(range(1, n + 1))
+    missing = n
     if depth_counts is not None:
         depth_counts[0] += 1
     # Replay a fixed prefix, bailing out if it is itself illegal.
-    sig = identity
-    missing = n
-    runs: dict = {}
-    for d, bit in enumerate(prefix):
+    for bit in prefix:
         M = len(w)
         oldest = w[M - nm1]
         x = oldest if bit == "0" else missing
-        runs = extend(x, runs)
-        if runs is None:
+        if _repeats(w, pos[x], M, nm1):
             return 0
         w.append(x)
         pos[x].append(M)
         bits.append(bit)
-        missing = missing if bit == "0" else oldest
-        sig = _compose(sig, s1 if bit == "1" else s0)
-    dfs(len(prefix), missing, runs, sig)
-    return leaves
+        if bit != "0":
+            missing = oldest
+    if len(prefix) == length:
+        if on_leaf is not None:
+            on_leaf(bits, tuple(w[-nm1:]) + (missing,))
+        return 1
+
+    # The path in bits is the whole stack: b is the next bit to try below
+    # it (2 when both are done), and backing out of a 1 restores the
+    # missing letter it consumed.
+    base = len(prefix)
+    leaves = 0
+    b = 0
+    while True:
+        if b == 2:
+            if len(bits) == base:
+                return leaves
+            x = w.pop()
+            pos[x].pop()
+            if bits.pop() == "1":
+                missing = x
+                continue
+            b = 1
+        M = len(w)
+        oldest = w[M - nm1]
+        x = missing if b else oldest
+        if _repeats(w, pos[x], M, nm1):
+            b += 1
+            continue
+        d = M - nm1 + 1
+        if depth_counts is not None:
+            depth_counts[d] += 1
+        if d == length:
+            leaves += 1
+            if on_leaf is not None:
+                bits.append("1" if b else "0")
+                sig = tuple(w[M - nm1 + 1:]) + (x, oldest if b else missing)
+                stop = on_leaf(bits, sig) is False
+                bits.pop()
+                if stop:
+                    return leaves
+            b += 1
+            continue
+        w.append(x)
+        pos[x].append(M)
+        bits.append("1" if b else "0")
+        if b:
+            missing = oldest
+        b = 0
 
 
 def enumerate_legal(n: int, length: int, visitor: Callable[[str], object] | None = None) -> int:
@@ -132,17 +144,31 @@ def legal_length_counts(n: int, max_length: int) -> list[int]:
     0 <= d <= max_length, measured in a single traversal (legality is
     closed under prefixes)."""
     counts = [0] * (max_length + 1)
-    _walk(n, max_length, lambda bits, sig: None, depth_counts=counts)
+    _walk(n, max_length, None, depth_counts=counts)
     return counts
+
+
+def _cycle_from(p: tuple, start: int) -> list[int]:
+    """The cycle of p through start, read from start."""
+    cyc = [start]
+    point = p[start - 1]
+    while point != start:
+        cyc.append(point)
+        point = p[point - 1]
+    return cyc
 
 
 def _classify(sig: tuple, n: int) -> str:
     """"h0" for a permutation image of cycle type (n-1, 1), "h1" for an
-    n-cycle, else "neither"."""
-    ct = _cycle_type(sig)
-    if ct == (n,):
+    n-cycle, else "neither".
+
+    Only one cycle is followed: the one through 1, or through 2 when 1 is
+    fixed.  A cycle of n-1 points leaves one point, which must be fixed.
+    """
+    length = len(_cycle_from(sig, 2 if sig[0] == 1 else 1))
+    if length == n:
         return "h1"
-    if ct == (1, n - 1):
+    if length == n - 1:
         return "h0"
     return "neither"
 
@@ -150,42 +176,43 @@ def _classify(sig: tuple, n: int) -> str:
 def classify_candidate(bits: str, n: int) -> str:
     """Candidate role of a binary word, by the cycle type of its
     permutation image: "h0", "h1" or "neither"."""
-    return _classify(_word_images(bits, n), n)
+    return _classify(word_permutation(bits, n).images, n)
 
 
-def _compatible_h0_images(a1: tuple, n: int, s0: tuple, s1: tuple) -> list[tuple]:
+def _compatible_h0_images(a1: tuple, n: int) -> list[tuple]:
     """Permutations a0 for which some single tau conjugates (a0, a1) onto
-    (s0, s1): tau ranges over the n alignments of a1 onto s1."""
+    (step0, step1), for an n-cycle a1.
+
+    tau ranges over the n alignments of a1's cycle onto step1's.  step0 is
+    step1 with n cut out of its cycle, so each a0 is a1 with the point
+    x = tau^-1(n) cut out: x becomes fixed and a1^-1(x) maps to a1(x).
+    The list follows the alignments in the order of
+    ``perms.find_conjugator``.
+    """
+    cyc = _cycle_from(a1, 1)
     out = []
-    for tau in _conjugators_onto_full_cycle(a1, n):
-        out.append(_compose(_compose(_inverse(tau), s0), tau))
+    for k in range(n - 1, -1, -1):
+        x = cyc[k]
+        img = list(a1)
+        img[cyc[k - 1] - 1] = a1[x - 1]
+        img[x - 1] = x
+        out.append(tuple(img))
     return out
 
 
-def _compatible_h1_images(a0: tuple, n: int, s0: tuple, s1: tuple) -> list[tuple]:
-    """Mirror image of :func:`_compatible_h0_images` for a new h0 candidate:
-    tau must align a0's long cycle onto s0's and send its fixed point to n."""
-    fixed = [i for i in range(1, n + 1) if a0[i - 1] == i]
-    if len(fixed) != 1:
-        return []
-    fix = fixed[0]
-    start = 1 if fix != 1 else 2
-    cyc = [start]
-    while True:
-        nxt = a0[cyc[-1] - 1]
-        if nxt == start:
-            break
-        cyc.append(nxt)
-    if len(cyc) != n - 1:
-        return []
+def _compatible_h1_images(a0: tuple, n: int) -> list[tuple]:
+    """Mirror image of :func:`_compatible_h0_images` for a0 of cycle type
+    (n-1, 1): tau aligns a0's long cycle onto step0's and sends its fixed
+    point to n, so each alignment inserts the fixed point after one point
+    of the long cycle."""
+    cyc = _cycle_from(a0, 2 if a0[0] == 1 else 1)
+    fix = n * (n + 1) // 2 - sum(cyc)
     out = []
-    for t in range(1, n):
-        tau = [0] * n
-        tau[fix - 1] = n
-        for k, e in enumerate(cyc):
-            tau[e - 1] = (t - 1 + k) % (n - 1) + 1
-        tau = tuple(tau)
-        out.append(_compose(_compose(_inverse(tau), s1), tau))
+    for y in reversed(cyc):
+        img = list(a0)
+        img[fix - 1] = a0[y - 1]
+        img[y - 1] = fix
+        out.append(tuple(img))
     return out
 
 
@@ -227,7 +254,6 @@ class _Pairing:
 
     def __init__(self, n: int):
         self.n = n
-        self.s0, self.s1 = _step_images(n)
         self.h0_by_perm: dict[tuple, list[str]] = {}
         self.h1_by_perm: dict[tuple, list[str]] = {}
         self.seen: set[tuple[str, str]] = set()
@@ -245,12 +271,12 @@ class _Pairing:
         if kind == "neither":
             return
         if kind == "h1":
-            for a0 in _compatible_h0_images(sig, n, self.s0, self.s1):
+            for a0 in _compatible_h0_images(sig, n):
                 for other in self.h0_by_perm.get(a0, ()):
                     yield self._fresh(other, bits)
             self.h1_by_perm.setdefault(sig, []).append(bits)
         else:
-            for a1 in _compatible_h1_images(sig, n, self.s0, self.s1):
+            for a1 in _compatible_h1_images(sig, n):
                 for other in self.h1_by_perm.get(a1, ()):
                     yield self._fresh(bits, other)
             self.h0_by_perm.setdefault(sig, []).append(bits)
@@ -328,7 +354,7 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
 
     done = False
     for seed_bits in list(seed_h0) + list(seed_h1):
-        if drain(seed_bits, _word_images(seed_bits, n)):
+        if drain(seed_bits, word_permutation(seed_bits, n).images):
             done = True
             break
 
@@ -373,7 +399,7 @@ def _search_parallel(n: int, length: int, workers: int, drain, note, state) -> b
     if depth >= length:
         for bits in shards:
             state["leaves"] += 1
-            if drain(bits, _word_images(bits, n)):
+            if drain(bits, word_permutation(bits, n).images):
                 return True
         return False
     ctx = multiprocessing.get_context()

@@ -39,11 +39,14 @@ def brute_repetition_triples(w):
     return out
 
 
-def brute_max_exponent(w):
-    """(exponent, witness or None) over all repetition triples."""
+def brute_max_exponent(w, triples=None):
+    """(exponent, witness or None) over all repetition triples; pass
+    ``triples`` when brute_repetition_triples(w) is already at hand."""
     best = Fraction(1)
     witness = None
-    for i, q, length in brute_repetition_triples(w):
+    if triples is None:
+        triples = brute_repetition_triples(w)
+    for i, q, length in triples:
         exp = Fraction(length, q)
         if exp > best:
             best = exp
@@ -55,10 +58,13 @@ def brute_max_exponent(w):
     return best, witness
 
 
-def brute_find_exceeding(w, num, den):
-    """Maximal occurrences above num/den, deduplicated, sorted."""
+def brute_find_exceeding(w, num, den, triples=None):
+    """Maximal occurrences above num/den, deduplicated, sorted; ``triples``
+    as in brute_max_exponent."""
     found = set()
-    for i, q, length in brute_repetition_triples(w):
+    if triples is None:
+        triples = brute_repetition_triples(w)
+    for i, q, length in triples:
         if length * den > num * q:
             i2, j2 = brute_maximal_extension(w, i, i + length, q)
             found.add((i2, q, j2 - i2))

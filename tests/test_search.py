@@ -1,11 +1,18 @@
 import random
+import sys
+from itertools import permutations
 
 import pytest
 
-from dejean.morphisms import builtin
+from dejean.morphisms import _factors, builtin, limit_prefix
 from dejean.pansiot import canonical_prefix, decode
-from dejean.search import (classify_candidate, enumerate_legal,
-                           legal_length_counts, search_convenient)
+from dejean.perms import (Permutation, find_conjugator, step0, step1,
+                          word_permutation)
+from dejean.search import (_candidates_under_prefix, _classify,
+                           _compatible_h0_images, _compatible_h1_images,
+                           _shard_prefixes, _walk, classify_candidate,
+                           enumerate_legal, legal_length_counts,
+                           search_convenient)
 from dejean.verifier import verify
 from dejean.words import find_repetitions_exceeding
 
@@ -77,6 +84,14 @@ class TestEnumerateLegal:
         with pytest.raises(ValueError):
             enumerate_legal(15, 0)
 
+    def test_walk_deeper_than_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        seen = []
+        count = enumerate_legal(15, 3 * limit, lambda bits: seen.append(bits) or False)
+        assert count == 1
+        assert len(seen) == 1 and len(seen[0]) == 3 * limit
+        assert sys.getrecursionlimit() == limit
+
 
 class TestLegalLengthCounts:
     def test_profile_matches_per_length_enumeration(self):
@@ -89,6 +104,133 @@ class TestLegalLengthCounts:
         counts = legal_length_counts(15, 20)
         assert all(c > 0 for c in counts)
         assert counts[20] > counts[10]
+
+
+def _leaves(n, length, prefix=""):
+    out = []
+    _walk(n, length, lambda bits, sig: out.append(("".join(bits), sig)), prefix=prefix)
+    return out
+
+
+def _random_cycle(rng, points):
+    """Images of a single cycle through the given points, in random order."""
+    order = list(points)
+    rng.shuffle(order)
+    return {a: b for a, b in zip(order, order[1:] + order[:1])}
+
+
+def _random_full_cycle(rng, n):
+    images = _random_cycle(rng, range(1, n + 1))
+    return tuple(images[i] for i in range(1, n + 1))
+
+
+def _random_h0_image(rng, n):
+    fix = rng.randint(1, n)
+    images = _random_cycle(rng, [i for i in range(1, n + 1) if i != fix])
+    images[fix] = fix
+    return tuple(images[i] for i in range(1, n + 1))
+
+
+def _cycle_alignments(cyc, size, n, fixed=None):
+    """The size alignments tau of the cycle cyc onto 1 -> 2 -> ... -> size,
+    t = 1..size, sending cyc[k] to (t-1+k) mod size + 1 (and fixed to n)."""
+    out = []
+    for t in range(1, size + 1):
+        images = {e: (t - 1 + k) % size + 1 for k, e in enumerate(cyc)}
+        if fixed is not None:
+            images[fixed] = n
+        out.append(Permutation(tuple(images[i] for i in range(1, n + 1))))
+    return out
+
+
+def _cycle_through(p, start):
+    cyc = [start]
+    while p(cyc[-1]) != start:
+        cyc.append(p(cyc[-1]))
+    return cyc
+
+
+class TestHotPathIdentities:
+    """The search's shortcuts against the permutation algebra they replace."""
+
+    @pytest.mark.parametrize("n,max_length", [(4, 12), (5, 12), (6, 12), (7, 12), (15, 14)])
+    def test_leaf_sig_is_word_permutation(self, n, max_length):
+        for length in range(1, max_length + 1):
+            for bits, sig in _leaves(n, length):
+                assert sig == word_permutation(bits, n).images, (n, bits)
+
+    @pytest.mark.parametrize("n", [4, 7, 15])
+    def test_leaf_sig_under_prefix(self, n):
+        length = 12
+        for prefix in _shard_prefixes(n, length, 4):
+            leaves = _leaves(n, length, prefix)
+            assert leaves and all(bits.startswith(prefix) for bits, _ in leaves)
+            for bits, sig in leaves:
+                assert sig == word_permutation(bits, n).images, (n, bits)
+
+    def test_prefix_longer_than_length(self):
+        with pytest.raises(ValueError):
+            _walk(15, 3, None, prefix="0000")
+
+    def test_prefix_as_long_as_length_is_one_leaf(self):
+        for leaf in _leaves(15, 6):
+            assert _leaves(15, 6, prefix=leaf[0]) == [leaf]
+
+    @pytest.mark.parametrize("n", range(3, 27))
+    def test_splice_lists_match_conjugation(self, n):
+        rng = random.Random(n)
+        s0, s1 = step0(n), step1(n)
+        for _ in range(8):
+            a1 = Permutation(_random_full_cycle(rng, n))
+            expected = [tau.inverse() * s0 * tau
+                        for tau in _cycle_alignments(_cycle_through(a1, 1), n, n)]
+            got = _compatible_h0_images(a1.images, n)
+            assert got == [p.images for p in expected]
+            for a0 in got:
+                assert find_conjugator(Permutation(a0), a1, n) is not None
+
+            a0 = Permutation(_random_h0_image(rng, n))
+            fixed = next(i for i in range(1, n + 1) if a0(i) == i)
+            cyc = _cycle_through(a0, 2 if fixed == 1 else 1)
+            expected = [tau.inverse() * s1 * tau
+                        for tau in _cycle_alignments(cyc, n - 1, n, fixed)]
+            got = _compatible_h1_images(a0.images, n)
+            assert got == [p.images for p in expected]
+            for a1 in got:
+                assert find_conjugator(a0, Permutation(a1), n) is not None
+
+    @staticmethod
+    def _by_cycle_type(images, n):
+        ct = Permutation(images).cycle_type()
+        return "h1" if ct == (n,) else "h0" if ct == (1, n - 1) else "neither"
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_classify_matches_cycle_type_exhaustively(self, n):
+        for images in permutations(range(1, n + 1)):
+            assert _classify(images, n) == self._by_cycle_type(images, n), images
+
+    @pytest.mark.parametrize("n", range(15, 27))
+    def test_classify_matches_cycle_type_at_random(self, n):
+        rng = random.Random(n)
+        samples = [_random_full_cycle(rng, n), _random_h0_image(rng, n)]
+        for _ in range(300):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            samples.append(tuple(images))
+        for images in samples:
+            assert _classify(images, n) == self._by_cycle_type(images, n), images
+
+    def test_factors_match_sliding_window(self):
+        rng = random.Random(7)
+        words = [limit_prefix(builtin(n), 3000) for n in (15, 20, 26)]
+        for length in (0, 1, 5, 40, 300, 2100, 4000):
+            for p_one in (0.05, 0.5):
+                words.append("".join("1" if rng.random() < p_one else "0"
+                                     for _ in range(length)))
+        for s in words:
+            for k in range(1, 9):
+                window = {s[i:i + k] for i in range(len(s) - k + 1)}
+                assert _factors(s, k) == window, (len(s), k)
 
 
 class TestClassifyCandidate:
@@ -128,6 +270,21 @@ class TestWorkers:
         serial = search_convenient(15, 10, limit=3)
         parallel = search_convenient(15, 10, limit=3, workers=2)
         assert serial == parallel == []
+
+    def test_parallel_shallow_space_is_walked_in_process(self):
+        # length 3 is no deeper than the shard prefixes: no pool is started
+        assert search_convenient(15, 3, limit=1, workers=2) == []
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_shards_concatenate_to_serial_candidates(self, depth):
+        # length 18: the shortest even length above 12 with candidates at n=15
+        n, length = 15, 18
+        serial = [(bits, sig) for bits, sig in _leaves(n, length)
+                  if _classify(sig, n) != "neither"]
+        sharded = []
+        for prefix in _shard_prefixes(n, length, depth):
+            sharded.extend(_candidates_under_prefix((n, length, prefix)))
+        assert serial and sharded == serial
 
     def test_parallel_seeded(self):
         h = builtin(15)

@@ -12,7 +12,7 @@ from dejean.words import (RepetitionOccurrence, SigmaWord,
                           maximal_extension)
 
 from helpers import (all_words, brute_find_exceeding, brute_find_excess,
-                     brute_max_exponent, occ_triples)
+                     brute_max_exponent, brute_repetition_triples, occ_triples)
 
 
 class TestSigmaWord:
@@ -170,9 +170,10 @@ class TestFindRepetitions:
     def test_oracle_ternary_full(self):
         for length in range(1, 11):
             for w in all_words((1, 2, 3), length):
-                assert max_exponent(w)[0] == brute_max_exponent(w)[0], w
+                triples = brute_repetition_triples(w)
+                assert max_exponent(w)[0] == brute_max_exponent(w, triples)[0], w
                 got = occ_triples(find_repetitions_exceeding(w, 4, 3))
-                assert got == brute_find_exceeding(w, 4, 3), w
+                assert got == brute_find_exceeding(w, 4, 3, triples), w
 
     def test_oracle_excess_ternary(self):
         for length in range(1, 8):
