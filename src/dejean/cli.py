@@ -8,7 +8,6 @@ came up empty, 2 usage or input errors.
 """
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import BrokenExecutor
@@ -18,8 +17,7 @@ from .morphisms import (BUILTIN_SIZES, MorphismFormatError, UniformMorphism,
                         builtin, emit_morphism_file, parse_morphism_file)
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
 from .search import search_convenient
-from .verifier import (CheckResult, VerificationReport, find_kernel_repetitions,
-                       verify)
+from .verifier import VerificationReport, find_kernel_repetitions, verify
 from .words import SigmaWord, max_exponent, parse_binary
 
 MORPHISM_FILE_ENV = "DEJEAN_MORPHISMS"
@@ -53,34 +51,19 @@ def _morphism_sources(args) -> list[UniformMorphism] | None:
     return [builtin(n) for n in BUILTIN_SIZES]
 
 
-def _verify_one(payload) -> dict:
-    n, image0, image1 = payload
-    return verify(UniformMorphism(n, image0, image1)).to_json()
-
-
-def _run_reports(morphs: list[UniformMorphism]) -> list[dict]:
+def _run_reports(morphs: list[UniformMorphism]) -> list[VerificationReport]:
     """Verify several morphisms, concurrently when possible, in input order."""
-    payloads = [(h.n, h.image0, h.image1) for h in morphs]
-    if len(payloads) > 1:
+    if len(morphs) > 1:
         # Only the errors of a pool that cannot start or keep its workers
         # fall back to serial; an error raised by verify propagates.
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(len(payloads), os.cpu_count() or 1)) as pool:
-                return list(pool.map(_verify_one, payloads))
+            with ProcessPoolExecutor(max_workers=min(len(morphs), os.cpu_count() or 1)) as pool:
+                return list(pool.map(verify, morphs))
         except (ImportError, NotImplementedError, OSError, BrokenExecutor) as exc:
             print(f"note: running serially ({exc})", file=sys.stderr)
-    return [_verify_one(p) for p in payloads]
-
-
-def _render_report(data: dict) -> str:
-    report = VerificationReport(
-        data["n"], data["r"],
-        tuple(CheckResult(c["name"], c["pass"], c["witness"], c["ms"])
-              for c in data["checks"]),
-    )
-    return report.render_text()
+    return [verify(h) for h in morphs]
 
 
 def _cmd_verify(args) -> int:
@@ -101,12 +84,9 @@ def _cmd_verify(args) -> int:
             return _fail(f"n={n} is outside the embedded range "
                          f"{BUILTIN_SIZES[0]}..{BUILTIN_SIZES[-1]}; supply --morphism-file")
     reports = _run_reports(selected)
-    for data in reports:
-        if args.json:
-            print(json.dumps(data))
-        else:
-            print(_render_report(data))
-    return 0 if all(data["overall"] for data in reports) else 1
+    for report in reports:
+        print(report.to_json_text() if args.json else report.render_text())
+    return 0 if all(report.overall for report in reports) else 1
 
 
 def _cmd_search(args) -> int:

@@ -7,11 +7,16 @@ product of its letters' generators, so word_permutation(u + v) equals
 word_permutation(u) * word_permutation(v).  This orientation is the one
 under which the codeword of a window-distinct word starting 1 2 ... n-1
 maps i to the i-th entry of (last n-1 letters, missing letter); the
-property suite pins it.
+property suite pins it.  ``PrefixPermutationTable`` rests on that identity:
+it numbers the prefix permutations of a word by the windows of its
+decoding and composes nothing.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .pansiot import canonical_prefix, decode
+from .words import check_binary
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ def step1(n: int) -> Permutation:
 def _word_images(bits: str, n: int) -> tuple[int, ...]:
     s0, s1 = _step_images(n)
     p = tuple(range(1, n + 1))
-    for ch in bits:
+    for ch in check_binary(bits):
         p = _compose(p, s1 if ch == "1" else s0)
     return p
 
@@ -160,41 +165,21 @@ def _conjugators_onto_full_cycle(a1: tuple[int, ...], n: int) -> list[tuple[int,
 
 
 class PrefixPermutationTable:
-    """Images of all prefixes of a binary word, for O(n) factor queries.
+    """Decoder-state ids of a binary word, read off its decoding.
 
-    ``ids`` assigns equal integers exactly to equal prefix permutations,
-    which makes "does this factor map to the identity" a pair comparison:
+    ``word`` is the decoding of ``bits`` over ``canonical_prefix(n)``.  Its
+    window word[k:k+n-1] is decoder state k: with the missing letter it is
+    the image of the length-k prefix (the module identity), and the window
+    alone fixes the missing letter.  ``ids[k]`` numbers that window in order
+    of first appearance, so equal ids mark equal prefix permutations and
     the factor bits[i:j] maps to the identity iff ids[i] == ids[j].
     """
 
     def __init__(self, bits: str, n: int):
-        self.bits = bits
+        self.bits = check_binary(bits)
         self.n = n
-        s0, s1 = _step_images(n)
-        p = tuple(range(1, n + 1))
-        raw = [p]
-        intern: dict = {p: 0}
-        ids = [0]
-        for ch in bits:
-            p = _compose(p, s1 if ch == "1" else s0)
-            raw.append(p)
-            ids.append(intern.setdefault(p, len(intern)))
-        self._raw = raw
-        self.ids = ids
-
-    def __len__(self) -> int:
-        return len(self._raw)
-
-    def permutation(self, k: int) -> Permutation:
-        """Image of the length-k prefix."""
-        return Permutation(self._raw[k])
-
-    @property
-    def table(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(t) for t in self._raw)
-
-    def factor(self, i: int, j: int) -> Permutation:
-        """Image of bits[i:j], recovered as table[i]^-1 * table[j]."""
-        if not 0 <= i <= j <= len(self.bits):
-            raise IndexError(f"factor [{i}, {j}) outside word of length {len(self.bits)}")
-        return Permutation(_compose(_inverse(self._raw[i]), self._raw[j]))
+        self.word = decode(bits, canonical_prefix(n))
+        letters, width = self.word.letters, n - 1
+        intern: dict = {}
+        self.ids = [intern.setdefault(letters[k:k + width], len(intern))
+                    for k in range(len(bits) + 1)]

@@ -10,22 +10,24 @@ failing check never short-circuits the rest.
 The ordered table ``_CHECKS`` of (name, body) is the only list of the
 checks: ``CHECK_NAMES``, :func:`verify`, :func:`run_check` and the
 ``check_*`` shortcuts all read it.  Each body takes a ``_Probe``, which
-builds the probe encoding, its decoding and the ids of its prefix
-permutations on first use, so one verification builds each of them once.
+builds the probe encoding and then one ``PrefixPermutationTable`` on first
+use: the decoding, and the ids of its decoder states read off its windows.
+So one verification decodes the probe encoding once.
 
 Two checks scan a bounded range, each under a premise:
 
 * ``kernel_free`` scans periods up to 9n^2-6n+1 (``Bounds.kernel_bound``);
   the ``markability_r`` and ``iteration_bound`` checks are what confine
-  kernel repetitions below it.  ``bounded_kernel_scan=False`` scans all.
+  kernel repetitions below it.  Without ``max_period``,
+  :func:`find_kernel_repetitions` scans every period (``dejean kernel-scan``).
 * ``power_free`` scans periods up to n^2-3n+1 (``Bounds.short_bound``) when
   the probe word has no repetition of excess >= n-1, and all periods
-  otherwise.  That premise is computed, not assumed: the decoder state
-  after k code bits (the last n-1 letters plus the missing one) is the
-  k-th prefix permutation, so a repetition of period q and excess >= n-1
-  exists exactly when two prefix-permutation ids q apart are equal.  The
-  same test decides ``big_excess_free`` without a scan; only when it fails
-  do the unbounded scans of ``words`` run, and they give the witnesses.
+  otherwise.  That premise is computed, not assumed: window k of length
+  n-1 of the decoding is decoder state k, so a repetition of period q and
+  excess >= n-1 exists exactly when two decoder-state ids q apart are
+  equal.  The same test decides ``big_excess_free`` without a scan; only
+  when it fails do the unbounded scans of ``words`` run, and they give the
+  witnesses.
 """
 
 import json
@@ -196,30 +198,26 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None,
 
 class _Probe:
     """The morphism under test and what its checks read, each built on
-    first use: the probe encoding, its decoding, and the ids of its prefix
-    permutations with the premise they decide."""
+    first use: the probe encoding, its table (the decoding and the
+    decoder-state ids), and the premise the ids decide."""
 
-    def __init__(self, h: UniformMorphism, bounded_kernel_scan: bool):
+    def __init__(self, h: UniformMorphism):
         self.h = h
-        self.bounded_kernel_scan = bounded_kernel_scan
 
     @cached_property
     def bits(self) -> str:
         return probe_encoding(self.h)
 
     @cached_property
-    def word(self) -> SigmaWord:
-        return decode(self.bits, canonical_prefix(self.h.n))
-
-    @cached_property
-    def ids(self) -> list[int]:
-        return PrefixPermutationTable(self.bits, self.h.n).ids
+    def table(self) -> PrefixPermutationTable:
+        return PrefixPermutationTable(self.bits, self.h.n)
 
     @cached_property
     def states_distinct(self) -> bool:
         """No two decoder states are equal, so the decoding has no repetition
         with excess >= n-1: the premise of the bounded power scan."""
-        return len(set(self.ids)) == len(self.ids)
+        ids = self.table.ids
+        return len(set(ids)) == len(ids)
 
 
 def _check_structure(p: _Probe) -> tuple[bool, str]:
@@ -273,16 +271,16 @@ def _check_iteration_bound(p: _Probe) -> tuple[bool, str]:
 
 
 def _check_kernel(p: _Probe) -> tuple[bool, str]:
-    bound = compute_bounds(p.h.n).kernel_bound if p.bounded_kernel_scan else None
-    occs = find_kernel_repetitions(p.bits, p.h.n, bound, p.ids)
-    scope = f"periods <= {bound}" if p.bounded_kernel_scan else "all periods"
+    bound = compute_bounds(p.h.n).kernel_bound
+    occs = find_kernel_repetitions(p.bits, p.h.n, bound, p.table.ids)
     if occs:
-        return False, f"{len(occs)} kernel repetitions ({scope}); first: {occs[0].describe()}"
-    return True, f"no kernel repetitions in {len(p.bits)} letters ({scope})"
+        return False, (f"{len(occs)} kernel repetitions (periods <= {bound}); "
+                       f"first: {occs[0].describe()}")
+    return True, f"no kernel repetitions in {len(p.bits)} letters (periods <= {bound})"
 
 
 def _check_big_excess(p: _Probe) -> tuple[bool, str]:
-    n, v = p.h.n, p.word
+    n, v = p.h.n, p.table.word
     # Window k of length n-1 is decoder state k, so distinct states leave
     # nothing to scan; otherwise the full scan finds the witnesses.
     occs = [] if p.states_distinct else find_repetitions_with_excess_at_least(v, n - 1)
@@ -292,7 +290,7 @@ def _check_big_excess(p: _Probe) -> tuple[bool, str]:
 
 
 def _check_power(p: _Probe) -> tuple[bool, str]:
-    n, v = p.h.n, p.word
+    n, v = p.h.n, p.table.word
     # Bounded only under its own premise, never on another check's verdict.
     bound = compute_bounds(n).short_bound if p.states_distinct else None
     occs = find_repetitions_exceeding(v, n, n - 1, bound)
@@ -325,21 +323,21 @@ def _run(name: str, body, probe: _Probe) -> CheckResult:
     return CheckResult(name, passed, witness, int((time.perf_counter() - started) * 1000))
 
 
-def run_check(name: str, source, bounded_kernel_scan: bool = True) -> CheckResult:
+def run_check(name: str, source) -> CheckResult:
     """Run one check of the suite alone, with the verdict and witness that
     :func:`verify` reports under that name."""
     body = dict(_CHECKS).get(name)
     if body is None:
         raise ValueError(f"unknown check name {name!r}; expected one of {', '.join(CHECK_NAMES)}")
-    return _run(name, body, _Probe(_as_morphism(source), bounded_kernel_scan))
+    return _run(name, body, _Probe(_as_morphism(source)))
 
 
 def check_iteration_bound(source) -> CheckResult:
     return run_check("iteration_bound", source)
 
 
-def check_kernel_free(source, bounded: bool = True) -> CheckResult:
-    return run_check("kernel_free", source, bounded)
+def check_kernel_free(source) -> CheckResult:
+    return run_check("kernel_free", source)
 
 
 def check_big_excess_free(source) -> CheckResult:
@@ -350,10 +348,10 @@ def check_power_free(source) -> CheckResult:
     return run_check("power_free", source)
 
 
-def verify(source, bounded_kernel_scan: bool = True) -> VerificationReport:
+def verify(source) -> VerificationReport:
     """Run the full check suite for a builtin alphabet size or a supplied
     morphism.  Every check runs; a failing one never short-circuits the rest.
     """
-    probe = _Probe(_as_morphism(source), bounded_kernel_scan)
+    probe = _Probe(_as_morphism(source))
     checks = tuple(_run(name, body, probe) for name, body in _CHECKS)
     return VerificationReport(probe.h.n, probe.h.r, checks)

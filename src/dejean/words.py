@@ -318,10 +318,15 @@ def has_repetition_with_excess_at_least(w, min_excess: int) -> bool:
     return next(_runs(w, _at_least(min_excess)), None) is not None
 
 
-def parse_binary(text: str) -> str:
-    """Validate a binary word given as a string of 0s and 1s."""
-    text = text.strip()
-    for k, ch in enumerate(text):
+def check_binary(bits: str) -> str:
+    """``bits`` itself once every symbol is 0 or 1; whitespace is a bad symbol."""
+    for k, ch in enumerate(bits):
         if ch not in "01":
             raise ValueError(f"non-binary symbol {ch!r} at position {k}")
-    return text
+    return bits
+
+
+def parse_binary(text: str) -> str:
+    """Validate a binary word given as a string of 0s and 1s, ignoring
+    surrounding whitespace."""
+    return check_binary(text.strip())

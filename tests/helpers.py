@@ -7,6 +7,8 @@ loops, independently of the library's scanning strategies.
 from fractions import Fraction
 from itertools import product
 
+from dejean.perms import word_permutation
+
 
 def brute_has_period(w, i, j, q):
     return all(w[k] == w[k + q] for k in range(i, j - q))
@@ -42,20 +44,21 @@ def brute_repetition_triples(w):
 def brute_max_exponent(w, triples=None):
     """(exponent, witness or None) over all repetition triples; pass
     ``triples`` when brute_repetition_triples(w) is already at hand."""
-    best = Fraction(1)
+    # The best exponent so far is best_len/best_q; compare by integer
+    # cross-multiplication and build one Fraction at the end.
+    best_len, best_q = 1, 1
     witness = None
     if triples is None:
         triples = brute_repetition_triples(w)
     for i, q, length in triples:
-        exp = Fraction(length, q)
-        if exp > best:
-            best = exp
+        if length * best_q > best_len * q:
+            best_len, best_q = length, q
             witness = (i, q, length)
-        elif witness is not None and exp == best:
+        elif witness is not None and length * best_q == best_len * q:
             # prefer the smallest period, then the smallest start
             if (q, i) < (witness[1], witness[0]):
                 witness = (i, q, length)
-    return best, witness
+    return Fraction(best_len, best_q), witness
 
 
 def brute_find_exceeding(w, num, den, triples=None):
@@ -78,6 +81,23 @@ def brute_find_excess(w, min_excess):
             i2, j2 = brute_maximal_extension(w, i, i + length, q)
             found.add((i2, q, j2 - i2))
     return sorted(found)
+
+
+def prefix_permutations(bits, n):
+    """The image of every prefix of ``bits``, each the image of the previous
+    prefix times the image of one more bit: the composition oracle of the
+    decoder-state ids."""
+    p = word_permutation("", n)
+    out = [p]
+    for ch in bits:
+        p = p * word_permutation(ch, n)
+        out.append(p)
+    return out
+
+
+def same_partition(a, b):
+    """True when a[i] == a[j] exactly where b[i] == b[j], for all i, j."""
+    return len(a) == len(b) and len(set(a)) == len(set(b)) == len(set(zip(a, b)))
 
 
 def all_words(alphabet, length):

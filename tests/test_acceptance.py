@@ -97,7 +97,8 @@ def test_criterion_06_decisive_searches():
 
 def test_criterion_07_kernel_freeness():
     started = time.perf_counter()
-    ok = all(check_kernel_free(n, bounded=True).passed for n in BUILTIN_SIZES)
+    results = [check_kernel_free(n) for n in BUILTIN_SIZES]
+    ok = all(res.passed and "periods <= " in res.witness for res in results)
     elapsed = time.perf_counter() - started
     report(7, "kernel freeness", ok and elapsed < 600.0, elapsed)
 
@@ -113,19 +114,18 @@ def test_criterion_08_search_rediscovery():
 
 def _oracle_max_exponent(w):
     """Independent oracle: extend every (start, period) pair directly by the
-    period definition and keep the largest length/period ratio."""
+    period definition and keep the largest length/period ratio, compared by
+    integer cross-multiplication as best_len/best_q."""
     L = len(w)
-    best = Fraction(1)
+    best_len, best_q = 1, 1
     for i in range(L):
         for q in range(1, L - i):
             j = i + q
             while j < L and w[j] == w[j - q]:
                 j += 1
-            if j - i > q:
-                exp = Fraction(j - i, q)
-                if exp > best:
-                    best = exp
-    return best
+            if (j - i) * best_q > best_len * q:
+                best_len, best_q = j - i, q
+    return Fraction(best_len, best_q)
 
 
 def test_criterion_09_property_suites():

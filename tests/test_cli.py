@@ -17,12 +17,13 @@ class WorkerFailure(Exception):
     pass
 
 
-def failing_verify_one(payload):
-    """Stand-in for cli._verify_one: logs the calling process, then fails.
-    Module level, so that a worker process can unpickle it."""
+def failing_verify(h):
+    """Stand-in for the verify that cli maps over the pool: logs the calling
+    process, then fails.  Module level, so that a worker process can
+    unpickle it."""
     with open(os.environ[CALLS_FILE_ENV], "a", encoding="utf-8") as fh:
         fh.write(f"{os.getpid()}\n")
-    raise WorkerFailure(f"verify failed for n={payload[0]}")
+    raise WorkerFailure(f"verify failed for n={h.n}")
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -100,7 +101,7 @@ class TestRunReports:
     def test_worker_error_propagates_without_serial_rerun(self, tmp_path, capsys, monkeypatch):
         calls = tmp_path / "calls.txt"
         monkeypatch.setenv(CALLS_FILE_ENV, str(calls))
-        monkeypatch.setattr(cli, "_verify_one", failing_verify_one)
+        monkeypatch.setattr(cli, "verify", failing_verify)
         with pytest.raises(WorkerFailure):
             cli._run_reports([builtin(15), builtin(16)])
         assert "running serially" not in capsys.readouterr().err

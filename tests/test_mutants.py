@@ -1,9 +1,11 @@
 """Seeded mutants of the builtin morphisms against the unbounded scanners.
 
-The verifier decides ``big_excess_free`` from the prefix-permutation ids and
-bounds the ``power_free`` scan by n^2-3n+1 when those ids are distinct.  The
-unbounded ``words`` scans are the oracle: on every mutant both checks must
-report the count and the first witness that the oracle finds.  The mutants
+The verifier decides ``big_excess_free`` from the decoder-state ids, bounds
+the ``power_free`` scan by n^2-3n+1 when those ids are distinct, and always
+bounds the ``kernel_free`` scan by 9n^2-6n+1.  The unbounded scans are the
+oracle: on every mutant each of the three checks must report the count and
+the first witness that the oracle finds, the kernel oracle cut to periods
+within the bound.  The mutants
 are fixed by the seed: one bit flip and one swap of adjacent unequal bits at
 n = 15 and n = 16, and one window of 2n zeros at n = 15.  0^(n-1) maps to the
 identity, so the window breaks the premise of the bounded power scan.
@@ -15,12 +17,14 @@ import re
 import pytest
 
 from dejean.morphisms import UniformMorphism, builtin
-from dejean.verifier import (check_big_excess_free, check_power_free,
-                             compute_bounds, probe_word, run_check, verify)
+from dejean.verifier import (check_big_excess_free, check_kernel_free,
+                             check_power_free, compute_bounds,
+                             find_kernel_repetitions, probe_encoding,
+                             probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
 
 SEED = 20261018
-_COUNT_AND_FIRST = re.compile(r"^(\d+) repetitions .*; first: (.*)$")
+_COUNT_AND_FIRST = re.compile(r"^(\d+) (?:kernel )?repetitions .*; first: (.*)$")
 
 
 def _mutate(rng: random.Random, n: int, kind: str) -> UniformMorphism:
@@ -54,12 +58,14 @@ MUTANTS = _mutants()
 
 @pytest.fixture(scope="module")
 def results():
-    """Per mutant: its report and the unbounded scans of its probe word."""
+    """Per mutant: its report, the unbounded scans of its probe word, and
+    the unbounded kernel scan of its probe encoding."""
     out = {}
     for label, h in MUTANTS:
         v = probe_word(h)
         out[label] = (h, verify(h), find_repetitions_with_excess_at_least(v, h.n - 1),
-                      find_repetitions_exceeding(v, h.n, h.n - 1))
+                      find_repetitions_exceeding(v, h.n, h.n - 1),
+                      find_kernel_repetitions(probe_encoding(h), h.n))
     return out
 
 
@@ -83,9 +89,30 @@ def test_mutant_fails_some_check(results, label):
 
 @pytest.mark.parametrize("label", [label for label, _ in MUTANTS])
 def test_decisive_checks_match_unbounded_scans(results, label):
-    h, report, excess, power = results[label]
+    h, report, excess, power, _ = results[label]
     _assert_matches_oracle(report.check("big_excess_free"), excess)
     _assert_matches_oracle(report.check("power_free"), power)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in MUTANTS])
+def test_kernel_check_matches_unbounded_kernel_scan(results, label):
+    h, report, _, _, kernel = results[label]
+    bound = compute_bounds(h.n).kernel_bound
+    check = report.check("kernel_free")
+    assert f"(periods <= {bound})" in check.witness
+    _assert_matches_oracle(check, [o for o in kernel if o.period <= bound])
+
+
+def test_kernel_scan_cut_keeps_periods_up_to_the_bound(results):
+    """Bounded at each kernel period q the unbounded scan finds, and at q-1,
+    the scan keeps exactly the periods <= the bound."""
+    label = next(label for label, _ in MUTANTS if results[label][4])
+    h, kernel = results[label][0], results[label][4]
+    bits = probe_encoding(h)
+    for q in sorted({o.period for o in kernel})[:3]:
+        for bound in (q - 1, q):
+            assert (find_kernel_repetitions(bits, h.n, bound)
+                    == [o for o in kernel if o.period <= bound]), (label, bound)
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -93,10 +120,12 @@ def test_builtin_decisive_checks_match_unbounded_scans(n):
     v = probe_word(n)
     _assert_matches_oracle(check_big_excess_free(n), find_repetitions_with_excess_at_least(v, n - 1))
     _assert_matches_oracle(check_power_free(n), find_repetitions_exceeding(v, n, n - 1))
+    assert find_kernel_repetitions(probe_encoding(n), n) == []
+    _assert_matches_oracle(check_kernel_free(n), [])
 
 
 def test_window_mutant_power_scan_falls_back_to_all_periods(results):
-    h, report, excess, power = results["window-15"]
+    h, report, excess, power, _ = results["window-15"]
     short_bound = compute_bounds(h.n).short_bound
     assert excess, "the window must leave a repetition with excess >= n-1"
     assert any(o.period > short_bound for o in power)

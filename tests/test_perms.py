@@ -1,12 +1,16 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from dejean.pansiot import canonical_prefix, decode, encode
 from dejean.perms import (Permutation, PrefixPermutationTable, find_conjugator,
                           is_kernel_word, step0, step1, word_permutation)
+from dejean.search import classify_candidate
+from dejean.verifier import find_kernel_repetitions, probe_encoding
 from dejean.words import SigmaWord
+from helpers import prefix_permutations, same_partition
 
 
 class TestPermutation:
@@ -175,30 +179,70 @@ class TestFindConjugator:
 
 
 class TestPrefixTable:
+    """The ids read off the windows of the decoding against the composition
+    oracle: equal ids exactly where the prefix permutations are equal."""
+
     def test_empty_word(self):
         table = PrefixPermutationTable("", 4)
-        assert len(table) == 1
-        assert table.permutation(0).is_identity
+        assert table.ids == [0]
+        assert table.word == canonical_prefix(4)
 
     def test_full_word_consistency(self):
         bits = "0110101"
         table = PrefixPermutationTable(bits, 5)
-        assert table.factor(0, len(bits)) == word_permutation(bits, 5)
+        assert table.word == decode(bits, canonical_prefix(5))
+        window = table.word.letters[-4:]
+        assert window + (15 - sum(window),) == word_permutation(bits, 5).images
 
     def test_factor_queries_match_recomputation(self):
         rng = random.Random(99)
-        bits = "".join(rng.choice("01") for _ in range(100))
-        table = PrefixPermutationTable(bits, 7)
-        for _ in range(50):
-            i = rng.randint(0, len(bits))
-            j = rng.randint(i, len(bits))
-            assert table.factor(i, j) == word_permutation(bits[i:j], 7)
+        outcomes = set()
+        for n in (3, 4):
+            bits = "".join(rng.choice("01") for _ in range(80))
+            ids = PrefixPermutationTable(bits, n).ids
+            for i in range(len(bits) + 1):
+                for j in range(i, len(bits) + 1):
+                    in_kernel = is_kernel_word(bits[i:j], n)
+                    assert (ids[i] == ids[j]) == in_kernel, (n, i, j)
+                    outcomes.add(in_kernel)
+        assert outcomes == {False, True}
 
     def test_ids_mark_equal_prefixes(self):
         bits = "11" * 4  # step1(2) has order 2
-        table = PrefixPermutationTable(bits, 2)
-        ids = table.ids
+        ids = PrefixPermutationTable(bits, 2).ids
+        perms = prefix_permutations(bits, 2)
         for i in range(len(bits) + 1):
             for j in range(len(bits) + 1):
-                same = table.permutation(i) == table.permutation(j)
-                assert (ids[i] == ids[j]) == same
+                assert (ids[i] == ids[j]) == (perms[i] == perms[j])
+        occs = find_kernel_repetitions(bits, 2, ids=ids)
+        assert occs == find_kernel_repetitions(bits, 2)
+        assert {o.period for o in occs} == {2, 4, 6}
+
+    def test_ids_match_composition_oracle_random(self):
+        rng = random.Random(2026)
+        for n in range(2, 9):
+            for _ in range(30):
+                bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
+                table = PrefixPermutationTable(bits, n)
+                assert table.word == decode(bits, canonical_prefix(n))
+                assert same_partition(table.ids, prefix_permutations(bits, n)), (n, bits)
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_ids_match_composition_oracle_builtin_probe(self, n):
+        bits = probe_encoding(n)
+        assert same_partition(PrefixPermutationTable(bits, n).ids, prefix_permutations(bits, n))
+
+
+class TestNonBinaryInput:
+    """Every symbol other than 0 and 1 is rejected, whitespace included,
+    with its position."""
+
+    CASES = [("0x1", 5, "'x' at position 1"), ("22", 2, "'2' at position 0"),
+             ("01 ", 3, "' ' at position 2"), ("\n11", 4, "'\\n' at position 0")]
+
+    @pytest.mark.parametrize("bits,n,message", CASES)
+    def test_rejected_everywhere(self, bits, n, message):
+        for call in (word_permutation, is_kernel_word, classify_candidate,
+                     PrefixPermutationTable, find_kernel_repetitions):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(bits, n)

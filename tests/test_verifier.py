@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import dejean.perms
+import dejean.verifier
 from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.pansiot import canonical_prefix, decode
 from dejean.perms import PrefixPermutationTable, word_permutation
@@ -191,8 +193,14 @@ class TestVerify:
         text = verify(15).render_text()
         assert "power scan period bound 181 = n^2-3n+1, from big_excess_free" in text
 
-    def test_unbounded_kernel_scan_agrees_for_builtin(self):
-        bounded = verify(15).check("kernel_free")
-        unbounded = verify(15, bounded_kernel_scan=False).check("kernel_free")
-        assert bounded.passed and unbounded.passed
-        assert "all periods" in unbounded.witness
+    def test_verify_decodes_once(self, monkeypatch):
+        calls = []
+
+        def counting_decode(bits, prefix):
+            calls.append(len(bits))
+            return decode(bits, prefix)
+
+        for module in (dejean.perms, dejean.verifier):
+            monkeypatch.setattr(module, "decode", counting_decode)
+        assert verify(15).overall
+        assert calls == [len(probe_encoding(15))]
