@@ -193,6 +193,12 @@ class TestVerify:
         text = verify(15).render_text()
         assert "power scan period bound 181 = n^2-3n+1, from big_excess_free" in text
 
+    def test_unbounded_kernel_scan_agrees_for_builtin(self):
+        bounded = verify(15).check("kernel_free")
+        assert bounded.passed, bounded.witness
+        assert f"(periods <= {compute_bounds(15).kernel_bound})" in bounded.witness
+        assert find_kernel_repetitions(probe_encoding(15), 15) == []
+
     def test_verify_decodes_once(self, monkeypatch):
         calls = []
 
