@@ -99,6 +99,8 @@ def _cmd_search(args) -> int:
         return _fail(f"length must be >= 1, got {length}")
     if args.limit < 1:
         return _fail(f"limit must be >= 1, got {args.limit}")
+    if args.workers < 1:
+        return _fail(f"workers must be >= 1, got {args.workers}")
     found = search_convenient(
         args.n, length, args.limit, workers=args.workers,
         progress=lambda msg: print(f"search: {msg}", file=sys.stderr),

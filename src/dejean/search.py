@@ -1,18 +1,18 @@
 """Backtracking search over legal Pansiot encodings and rediscovery of
 convenient morphisms.
 
-A binary word of a given length is legal when its decoding over the
-canonical prefix stays below the repetition threshold n/(n-1).  The walk
-appends one bit at a time in a loop over an explicit stack, so no
-recursion limit bounds its depth, and prunes a prefix the moment the
-fresh letter ends a repetition above the threshold (:func:`_repeats`).
+A binary word is legal when its decoding over the canonical prefix stays
+below the repetition threshold n/(n-1).  The walk is one loop over an
+explicit stack, so no recursion limit bounds its depth; it tests legality
+inline as each letter is placed and replays a fixed prefix as forced bits.
 At a leaf, the permutation image of the code word is read off the decoder
-state, (last n-1 letters, missing letter), the identity the ``perms``
-docstring states.  Candidates are filtered by cycle type ((n-1,1) for
-h(0), (n,) for h(1)), pooled, and paired through the simultaneous-
-conjugacy condition, whose compatible images are found by splicing cycles
-(:func:`_compatible_h0_images`); a pair is returned once the full
-verification suite passes.
+state (the identity the ``perms`` docstring states) and classified by
+cycle type, (n-1,1) for h(0) and (n,) for h(1), before any string is
+built.  Candidates are pooled and paired through the simultaneous-
+conjugacy condition by splicing cycles (:func:`_compatible_h0_images`).
+Each pair is screened cheapest stage first, one stage scanning only the
+decoding of the probe encoding's first 4r bits, a prefix of the probe
+word; a pair is returned once the full verification suite passes.
 """
 
 from typing import Callable, Iterable
@@ -20,38 +20,22 @@ from typing import Callable, Iterable
 from .markability import check_all_length_r_factors_markable
 from .morphisms import (PrefixStabilityError, UniformMorphism, factor_closure,
                         iteration_bound)
+from .pansiot import canonical_prefix, decode
 from .perms import word_permutation
 from .verifier import (compute_bounds, find_kernel_repetitions, probe_encoding,
                        probe_word, verify)
 from .words import has_repetition_exceeding, has_repetition_with_excess_at_least
 
 
-def _repeats(w: list[int], occurrences: list[int], M: int, nm1: int) -> bool:
-    """True when the letter found in w at the positions ``occurrences``,
-    placed at position M, ends a repetition of exponent above (nm1+1)/nm1.
-
-    At period q = M - j the shortest such run has L + 1 letters, with
-    L = q // nm1, so it exists exactly when the L letters before j and
-    before M agree.  The walk only places a letter absent from the last
-    nm1 - 1 positions, so L >= 1 and the letters before j and M are
-    compared first.
-    """
-    last = w[M - 1]
-    for j in occurrences:
-        L = (M - j) // nm1
-        if L <= j and w[j - 1] == last and w[j - L:j] == w[M - L:M]:
-            return True
-    return False
-
-
 def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> int:
     """Depth-first traversal of legal encodings of the given length.
 
     ``on_leaf(bits, sigma)`` receives the bit list and the permutation
-    image of the word; returning False aborts the walk.  ``prefix`` replays
-    fixed leading bits (the subtree is skipped when the prefix itself is
-    illegal).  ``depth_counts[d]``, when given, accumulates the number of
-    legal words of each length d <= length.  Returns leaves visited.
+    image of the word; returning False aborts the walk.  ``prefix`` fixes
+    the leading bits: below its length only the prefix's bit is tried, so
+    an illegal prefix visits nothing.  ``depth_counts[d]``, when given,
+    accumulates the number of legal words of each length d <= length that
+    extend the prefix or are prefixes of it.  Returns leaves visited.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -59,55 +43,61 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
         raise ValueError(f"prefix of length {len(prefix)} is longer than {length}")
     nm1 = n - 1
     w = list(range(1, n))
-    pos: dict[int, list[int]] = {c: [c - 1] for c in range(1, n)}
-    pos[n] = []
+    pos = [[]] + [[c - 1] for c in range(1, n)] + [[]]  # positions of each letter
     bits: list[str] = []
     missing = n
     if depth_counts is not None:
         depth_counts[0] += 1
-    # Replay a fixed prefix, bailing out if it is itself illegal.
-    for bit in prefix:
-        M = len(w)
-        oldest = w[M - nm1]
-        x = oldest if bit == "0" else missing
-        if _repeats(w, pos[x], M, nm1):
-            return 0
-        w.append(x)
-        pos[x].append(M)
-        bits.append(bit)
-        if bit != "0":
-            missing = oldest
-    if len(prefix) == length:
-        if on_leaf is not None:
-            on_leaf(bits, tuple(w[-nm1:]) + (missing,))
-        return 1
 
     # The path in bits is the whole stack: b is the next bit to try below
-    # it (2 when both are done), and backing out of a 1 restores the
-    # missing letter it consumed.
-    base = len(prefix)
+    # it (2 when both are done), M = len(w) is where its letter goes, and
+    # backing out of a 1 restores the missing letter it consumed.  Below
+    # the prefix's length, that is while M < fence, only the prefix's bit
+    # is tried, and the walk ends when it backs out to such a position.
+    forced = [int(bit) for bit in prefix]
+    base = len(forced)
+    fence = nm1 + base
     leaves = 0
-    b = 0
+    M = nm1
+    b = forced[0] if base else 0
     while True:
         if b == 2:
-            if len(bits) == base:
+            if M <= fence:
                 return leaves
+            M -= 1
             x = w.pop()
             pos[x].pop()
             if bits.pop() == "1":
                 missing = x
                 continue
             b = 1
-        M = len(w)
         oldest = w[M - nm1]
         x = missing if b else oldest
-        if _repeats(w, pos[x], M, nm1):
-            b += 1
-            continue
-        d = M - nm1 + 1
-        if depth_counts is not None:
-            depth_counts[d] += 1
-        if d == length:
+        # Legality: x at position M must not end a repetition of exponent
+        # above n/(n-1).  At period q = M - j, for an earlier occurrence j
+        # of x, the shortest such run has L + 1 letters, with L = q // nm1,
+        # so it exists exactly when the L letters before j and before M
+        # agree.  Only a letter absent from the last nm1 - 1 positions is
+        # placed, so L >= 1 and the letters before j and M are compared
+        # first.
+        last = w[M - 1]
+        for j in pos[x]:
+            L = (M - j) // nm1
+            if L <= j and w[j - 1] == last and w[j - L:j] == w[M - L:M]:
+                break
+        else:
+            d = M - nm1 + 1
+            if depth_counts is not None:
+                depth_counts[d] += 1
+            if d < length:
+                w.append(x)
+                pos[x].append(M)
+                M += 1
+                bits.append("1" if b else "0")
+                if b:
+                    missing = oldest
+                b = forced[d] if d < base else 0
+                continue
             leaves += 1
             if on_leaf is not None:
                 bits.append("1" if b else "0")
@@ -116,14 +106,7 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
                 bits.pop()
                 if stop:
                     return leaves
-            b += 1
-            continue
-        w.append(x)
-        pos[x].append(M)
-        bits.append("1" if b else "0")
-        if b:
-            missing = oldest
-        b = 0
+        b = b + 1 if M >= fence else 2
 
 
 def enumerate_legal(n: int, length: int, visitor: Callable[[str], object] | None = None) -> int:
@@ -165,7 +148,12 @@ def _classify(sig: tuple, n: int) -> str:
     Only one cycle is followed: the one through 1, or through 2 when 1 is
     fixed.  A cycle of n-1 points leaves one point, which must be fixed.
     """
-    length = len(_cycle_from(sig, 2 if sig[0] == 1 else 1))
+    start = 2 if sig[0] == 1 else 1
+    length = 1
+    point = sig[start - 1]
+    while point != start:
+        length += 1
+        point = sig[point - 1]
     if length == n:
         return "h1"
     if length == n - 1:
@@ -235,6 +223,12 @@ def _screen_pair(n: int, h0: str, h1: str) -> str | None:
             return "factor_set_2"
     except PrefixStabilityError:
         return "factor_set_2"
+    # h(h0[:4]) is a prefix of the probe encoding h(h(0110)), and a prefix
+    # of an encoding decodes to a prefix of its decoding, so a repetition
+    # found in this decoding is one of the whole probe word.
+    head = decode(h.apply(h0[:4]), canonical_prefix(n))
+    if has_repetition_exceeding(head, n, n - 1):
+        return "power_free"
     v = probe_word(h)
     if has_repetition_exceeding(v, n, n - 1):
         return "power_free"
@@ -263,19 +257,17 @@ class _Pairing:
         return (sum(len(v) for v in self.h0_by_perm.values()),
                 sum(len(v) for v in self.h1_by_perm.values()))
 
-    def add(self, bits: str, sig: tuple) -> Iterable[tuple[str, str]]:
-        """Register a candidate; yield (h0, h1) pairs passing the conjugacy
+    def add(self, bits: str, sig: tuple, kind: str) -> Iterable[tuple[str, str]]:
+        """Register a candidate of the given kind (:func:`_classify`; a
+        "neither" is ignored); yield (h0, h1) pairs passing the conjugacy
         condition, oldest opposite candidate first."""
         n = self.n
-        kind = _classify(sig, n)
-        if kind == "neither":
-            return
         if kind == "h1":
             for a0 in _compatible_h0_images(sig, n):
                 for other in self.h0_by_perm.get(a0, ()):
                     yield self._fresh(other, bits)
             self.h1_by_perm.setdefault(sig, []).append(bits)
-        else:
+        elif kind == "h0":
             for a1 in _compatible_h1_images(sig, n):
                 for other in self.h1_by_perm.get(a1, ()):
                     yield self._fresh(bits, other)
@@ -321,6 +313,8 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     pairing = _Pairing(n)
     found: list[UniformMorphism] = []
     state = {"leaves": 0, "exhausted": False}
@@ -346,26 +340,28 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
             return len(found) >= limit
         return False
 
-    def drain(bits: str, sig: tuple) -> bool:
-        for pair in pairing.add(bits, sig):
+    def drain(bits: str, sig: tuple, kind: str) -> bool:
+        for pair in pairing.add(bits, sig, kind):
             if consider(pair):
                 return True
         return False
 
     done = False
     for seed_bits in list(seed_h0) + list(seed_h1):
-        if drain(seed_bits, word_permutation(seed_bits, n).images):
+        sig = word_permutation(seed_bits, n).images
+        if drain(seed_bits, sig, _classify(sig, n)):
             done = True
             break
 
-    if not done and workers <= 1:
+    if not done and workers == 1:
         def on_leaf(bits, sig):
             state["leaves"] += 1
             if state["leaves"] % 200_000 == 0:
                 p0, p1 = pairing.pool_sizes()
                 note(f"{state['leaves']} words visited, pools h0={p0} h1={p1}, "
                      f"{pairing.pairs_tried} pairs tried")
-            if drain("".join(bits), sig):
+            kind = _classify(sig, n)
+            if kind != "neither" and drain("".join(bits), sig, kind):
                 return False
             return None
 
@@ -399,7 +395,8 @@ def _search_parallel(n: int, length: int, workers: int, drain, note, state) -> b
     if depth >= length:
         for bits in shards:
             state["leaves"] += 1
-            if drain(bits, word_permutation(bits, n).images):
+            sig = word_permutation(bits, n).images
+            if drain(bits, sig, _classify(sig, n)):
                 return True
         return False
     ctx = multiprocessing.get_context()
@@ -408,7 +405,7 @@ def _search_parallel(n: int, length: int, workers: int, drain, note, state) -> b
         done_shards = 0
         for shard_out in pool.imap(_candidates_under_prefix, jobs):
             for bits, sig in shard_out:
-                if drain(bits, sig):
+                if drain(bits, sig, _classify(sig, n)):
                     pool.terminate()
                     return True
             done_shards += 1

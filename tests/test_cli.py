@@ -129,6 +129,13 @@ class TestSearchCommand:
     def test_small_alphabet_argument_validation(self):
         assert main(["search", "1"]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_exits_2(self, workers, capsys):
+        assert main(["search", "15", "--length", "8", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"workers must be >= 1, got {workers}" in captured.err
+
 
 class TestWordCommands:
     def test_encode(self, capsys, monkeypatch):

@@ -4,17 +4,18 @@ from itertools import permutations
 
 import pytest
 
-from dejean.morphisms import _factors, builtin, limit_prefix
+from dejean import search
+from dejean.morphisms import UniformMorphism, _factors, builtin, limit_prefix
 from dejean.pansiot import canonical_prefix, decode
 from dejean.perms import (Permutation, find_conjugator, step0, step1,
                           word_permutation)
 from dejean.search import (_candidates_under_prefix, _classify,
                            _compatible_h0_images, _compatible_h1_images,
-                           _shard_prefixes, _walk, classify_candidate,
-                           enumerate_legal, legal_length_counts,
-                           search_convenient)
-from dejean.verifier import verify
-from dejean.words import find_repetitions_exceeding
+                           _screen_pair, _shard_prefixes, _walk,
+                           classify_candidate, enumerate_legal,
+                           legal_length_counts, search_convenient)
+from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, verify
+from dejean.words import find_repetitions_exceeding, has_repetition_exceeding
 
 from helpers import all_words
 
@@ -168,6 +169,24 @@ class TestHotPathIdentities:
             for bits, sig in leaves:
                 assert sig == word_permutation(bits, n).images, (n, bits)
 
+    @pytest.mark.parametrize("n,length", [(4, 10), (5, 10), (6, 10), (7, 10), (15, 12)])
+    def test_prefix_walks_exactly_its_subtree(self, n, length):
+        # every prefix of length <= 4, legal or not, against the unprefixed walk
+        everything = _leaves(n, length)
+        illegal_seen = False
+        for k in range(5):
+            for prefix in all_words("01", k):
+                expected = [leaf for leaf in everything if leaf[0].startswith(prefix)]
+                got = []
+                count = _walk(n, length, lambda bits, sig: got.append(("".join(bits), sig)),
+                              prefix=prefix)
+                assert got == expected, (n, prefix)
+                assert count == len(expected)
+                if find_repetitions_exceeding(decode(prefix, canonical_prefix(n)), n, n - 1):
+                    illegal_seen = True
+                    assert count == 0, (n, prefix)
+        assert illegal_seen
+
     def test_prefix_longer_than_length(self):
         with pytest.raises(ValueError):
             _walk(15, 3, None, prefix="0000")
@@ -265,6 +284,58 @@ class TestSearchConvenient:
         assert search_convenient(5, 6, limit=2) == []
 
 
+def _mutant(rng, word):
+    """word with one seeded bit flip or swap of two adjacent bits."""
+    k = rng.randrange(len(word) - 1)
+    if rng.random() < 0.5:
+        return word[:k] + ("1" if word[k] == "0" else "0") + word[k + 1:]
+    return word[:k] + word[k + 1] + word[k] + word[k + 2:]
+
+
+class TestScreen:
+    def test_screen_rejects_only_by_failing_checks(self, monkeypatch):
+        # builtins 15 and 16 and 20 seeded mutants of either image at each n
+        scanned = []
+
+        def recording(w, num, den):
+            scanned.append(w)
+            return has_repetition_exceeding(w, num, den)
+
+        monkeypatch.setattr(search, "has_repetition_exceeding", recording)
+        prefix_rejections = 0
+        for n in (15, 16):
+            h = builtin(n)
+            rng = random.Random(n)
+            pairs = {(h.image0, h.image1)}
+            while len(pairs) < 21:
+                if rng.random() < 0.5:
+                    pairs.add((_mutant(rng, h.image0), h.image1))
+                else:
+                    pairs.add((h.image0, _mutant(rng, h.image1)))
+            for h0, h1 in sorted(pairs):
+                candidate = UniformMorphism(n, h0, h1)
+                report = verify(candidate)
+                failing = {c.name for c in report.checks if not c.passed}
+                scanned.clear()
+                why = _screen_pair(n, h0, h1)
+                # The power scans see prefixes of the probe word only.
+                word = probe_word(candidate).letters
+                for w in scanned:
+                    assert word[:len(w)] == w.letters, (n, h0, h1)
+                if report.overall:
+                    assert why is None, (n, h0, h1)
+                if why is not None:
+                    assert why in CHECK_NAMES and why in failing, (n, h0, h1, why)
+                # Pairs that reach the probe-prefix stage and fail it.
+                if failing & {"structure", "iteration_bound", "factor_set_2"}:
+                    continue
+                head = decode(probe_encoding(candidate)[:4 * len(h0)], canonical_prefix(n))
+                if has_repetition_exceeding(head, n, n - 1):
+                    prefix_rejections += 1
+                    assert why == "power_free" and "power_free" in failing, (n, h0, h1)
+        assert prefix_rejections >= 1
+
+
 class TestWorkers:
     def test_parallel_matches_serial_on_exhausted_space(self):
         serial = search_convenient(15, 10, limit=3)
@@ -285,6 +356,11 @@ class TestWorkers:
         for prefix in _shard_prefixes(n, length, depth):
             sharded.extend(_candidates_under_prefix((n, length, prefix)))
         assert serial and sharded == serial
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_workers(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            search_convenient(15, 8, limit=1, workers=workers)
 
     def test_parallel_seeded(self):
         h = builtin(15)

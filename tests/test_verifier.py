@@ -67,6 +67,7 @@ class TestKernelScan:
         assert {o.period for o in capped} <= {o.period for o in all_occs}
         assert all(o.period <= n for o in capped)
         assert any(o.period > n for o in all_occs)
+        assert n in {o.period for o in capped}  # a period equal to the cap is kept
 
     def test_witnesses_are_maximal_and_sorted(self):
         occs = find_kernel_repetitions("1" * 9, 2)
