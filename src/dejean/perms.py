@@ -12,6 +12,7 @@ it numbers the prefix permutations of a word by the windows of its
 decoding and composes nothing.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -179,7 +180,9 @@ class PrefixPermutationTable:
         self.bits = check_binary(bits)
         self.n = n
         self.word = decode(bits, canonical_prefix(n))
-        letters, width = self.word.letters, n - 1
-        intern: dict = {}
-        self.ids = [intern.setdefault(letters[k:k + width], len(intern))
-                    for k in range(len(bits) + 1)]
+        # Equal fixed-width slices of the packed letters are equal windows.
+        packed = array("I", self.word.letters)
+        buf, step, intern = packed.tobytes(), packed.itemsize, {}
+        width = step * (n - 1)
+        self.ids = [intern.setdefault(buf[k:k + width], len(intern))
+                    for k in range(0, step * (len(bits) + 1), step)]

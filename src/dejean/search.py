@@ -43,7 +43,9 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
         raise ValueError(f"prefix of length {len(prefix)} is longer than {length}")
     nm1 = n - 1
     w = list(range(1, n))
-    pos = [[]] + [[c - 1] for c in range(1, n)] + [[]]  # positions of each letter
+    # after[a][x]: the positions j > 0 of letter x with letter a at j - 1.
+    after = [[[a] if x == a + 1 and 0 < a < n - 1 else [] for x in range(n + 1)]
+             for a in range(n + 1)]
     bits: list[str] = []
     missing = n
     if depth_counts is not None:
@@ -66,7 +68,7 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
                 return leaves
             M -= 1
             x = w.pop()
-            pos[x].pop()
+            after[w[M - 1]][x].pop()
             if bits.pop() == "1":
                 missing = x
                 continue
@@ -79,11 +81,11 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
         # so it exists exactly when the L letters before j and before M
         # agree.  Only a letter absent from the last nm1 - 1 positions is
         # placed, so L >= 1 and the letters before j and M are compared
-        # first.
+        # first, by looking only at the occurrences of x after the same letter.
         last = w[M - 1]
-        for j in pos[x]:
+        for j in after[last][x]:
             L = (M - j) // nm1
-            if L <= j and w[j - 1] == last and w[j - L:j] == w[M - L:M]:
+            if L <= j and w[j - L:j] == w[M - L:M]:
                 break
         else:
             d = M - nm1 + 1
@@ -91,7 +93,7 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
                 depth_counts[d] += 1
             if d < length:
                 w.append(x)
-                pos[x].append(M)
+                after[last][x].append(M)
                 M += 1
                 bits.append("1" if b else "0")
                 if b:
@@ -282,15 +284,17 @@ class _Pairing:
         return key
 
 
-def _candidates_under_prefix(args: tuple[int, int, str]) -> list[tuple[str, tuple]]:
-    """Worker payload: candidate (bits, sigma) pairs in the legal subtree
-    under a fixed prefix, in lexicographic order."""
+def _candidates_under_prefix(args: tuple[int, int, str]) -> list[tuple[str, tuple, str]]:
+    """Worker payload: candidate (bits, sigma, kind) triples in the legal
+    subtree under a fixed prefix, in lexicographic order; kind is
+    :func:`_classify` of sigma, "h0" or "h1"."""
     n, length, prefix = args
-    out: list[tuple[str, tuple]] = []
+    out: list[tuple[str, tuple, str]] = []
 
     def on_leaf(bits, sig):
-        if _classify(sig, n) != "neither":
-            out.append(("".join(bits), sig))
+        kind = _classify(sig, n)
+        if kind != "neither":
+            out.append(("".join(bits), sig, kind))
 
     _walk(n, length, on_leaf, prefix=prefix)
     return out
@@ -404,8 +408,8 @@ def _search_parallel(n: int, length: int, workers: int, drain, note, state) -> b
         jobs = ((n, length, p) for p in shards)
         done_shards = 0
         for shard_out in pool.imap(_candidates_under_prefix, jobs):
-            for bits, sig in shard_out:
-                if drain(bits, sig, _classify(sig, n)):
+            for bits, sig, kind in shard_out:
+                if drain(bits, sig, kind):
                     pool.terminate()
                     return True
             done_shards += 1

@@ -14,46 +14,45 @@ builds the probe encoding and then one ``PrefixPermutationTable`` on first
 use: the decoding, and the ids of its decoder states read off its windows.
 So one verification decodes the probe encoding once.
 
-Two checks scan a bounded range, each under a premise:
-
-* ``kernel_free`` scans periods up to 9n^2-6n+1 (``Bounds.kernel_bound``);
-  the ``markability_r`` and ``iteration_bound`` checks are what confine
-  kernel repetitions below it.  Without ``max_period``,
-  :func:`find_kernel_repetitions` scans every period (``dejean kernel-scan``).
-* ``power_free`` scans periods up to n^2-3n+1 (``Bounds.short_bound``) when
-  the probe word has no repetition of excess >= n-1, and all periods
-  otherwise.  That premise is computed, not assumed: window k of length
-  n-1 of the decoding is decoder state k, so a repetition of period q and
-  excess >= n-1 exists exactly when two decoder-state ids q apart are
-  equal.  The same test decides ``big_excess_free`` without a scan; only
-  when it fails do the unbounded scans of ``words`` run, and they give the
-  witnesses.
+The three repetition checks read the decoder-state ids.  Window k of
+length n-1 of the decoding is decoder state k, so two equal ids q apart
+start a run of period q and excess >= n-1, and the bits between them map
+to the identity.  ``big_excess_free`` reports those runs without a scan.
+``power_free`` scans periods up to n^2-3n+1 (``Bounds.short_bound``) and
+takes the longer periods from the runs, with no premise.  ``kernel_free``
+scans periods up to 9n^2-6n+1 (``Bounds.kernel_bound``), which the
+``markability_r`` and ``iteration_bound`` checks confine kernel
+repetitions below, and is skipped while the ids are distinct.  Without
+``max_period``, :func:`find_kernel_repetitions` scans every period
+(``dejean kernel-scan``).
 """
 
 import json
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
+from itertools import islice
 
 from .markability import check_all_length_r_factors_markable
 from .morphisms import UniformMorphism, builtin, factor_closure, iteration_bound
 from .pansiot import canonical_prefix, decode
 from .perms import (PrefixPermutationTable, find_conjugator, step0, step1,
                     word_permutation)
+# find_repetitions_with_excess_at_least is not called here; perfbench/tracer.py
+# wraps it under this module, so it stays importable.
 from .words import (RepetitionOccurrence, SigmaWord, find_repetitions_exceeding,
                     find_repetitions_with_excess_at_least, maximal_extension)
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """Derived constants for one alphabet size and the premises they need.
+    """Derived constants for one alphabet size.
 
     ``kernel_bound`` = 9n^2-6n+1 bounds the period of a kernel repetition
     once ``markability_r`` and ``iteration_bound`` hold.  ``short_bound`` =
-    n^2-3n+1 bounds the period of any repetition above n/(n-1) once no
-    repetition has excess >= n-1: an excess e <= n-2 above n/(n-1) forces
-    q < e(n-1) <= (n-1)(n-2).  ``threshold`` is n/(n-1) itself.
+    n^2-3n+1 bounds the period of a repetition above n/(n-1) with excess
+    e <= n-2: it forces q < e(n-1) <= (n-1)(n-2).  ``threshold`` is n/(n-1).
     """
 
     kernel_bound: int
@@ -154,44 +153,57 @@ def probe_word(source) -> SigmaWord:
     return decode(probe_encoding(h), canonical_prefix(h.n))
 
 
+def _collision_runs(w, keys, span: int,
+                    max_period: int | None = None) -> list[RepetitionOccurrence]:
+    """The maximal runs of ``w`` through equal keys, once each, sorted by
+    (start, period).  keys[a] == keys[b] for a < b must make w[a:b+span] a
+    factor of period b - a; it is extended to its maximal run.  Periods
+    above ``max_period`` (when given) are skipped."""
+    buckets: dict = {}
+    slots = []
+    for a, key in enumerate(keys):
+        positions = buckets.setdefault(key, [])
+        positions.append(a)
+        slots.append((positions, len(positions)))
+    occs = []
+    # Left to right, every later pair of a period-q run lies inside the run
+    # its first pair extended to, so one extension per run suffices.
+    covered: dict[int, int] = {}
+    for a, (positions, later) in enumerate(slots):
+        for b in islice(positions, later, None):
+            q = b - a
+            if max_period is not None and q > max_period:
+                break
+            if a + q + span <= covered.get(q, -1):
+                continue
+            start, end = maximal_extension(w, a, b + span, q)
+            occs.append(RepetitionOccurrence(start, q, end - start))
+            covered[q] = end
+    occs.sort(key=lambda occ: (occ.start, occ.period))
+    return occs
+
+
 def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None,
                             ids: list[int] | None = None) -> list[RepetitionOccurrence]:
     """Occurrences u = b[i:j] with a period q < j-i whose period word maps to
-    the identity permutation, reported as maximal occurrences deduplicated
-    by (start, period) and sorted.
-
-    A kernel repetition of period q starts at some position a with
-    b[a] == b[a+q] and identical prefix-permutations at a and a+q, so
-    positions are bucketed by (prefix id, letter) and pairs within one
-    bucket are read off.  ``max_period`` caps the period scanned; ``ids``,
-    when given, must be ``PrefixPermutationTable(bits, n).ids``.
+    the identity permutation, maximal, deduplicated by (start, period) and
+    sorted.  A kernel repetition of period q starts at some a with
+    b[a] == b[a+q] and equal prefix-permutation ids at a and a+q, so equal
+    keys (id, letter) are read off.  ``max_period`` caps the period;
+    ``ids``, when given, must be ``PrefixPermutationTable(bits, n).ids``.
     """
     if ids is None:
         ids = PrefixPermutationTable(bits, n).ids
-    buckets: dict = {}
-    for a in range(len(bits)):
-        buckets.setdefault((ids[a], bits[a]), []).append(a)
-    starts: dict[int, list[int]] = {}
-    for positions in buckets.values():
-        for i in range(len(positions)):
-            a = positions[i]
-            for j in range(i + 1, len(positions)):
-                q = positions[j] - a
-                if max_period is not None and q > max_period:
-                    break
-                starts.setdefault(q, []).append(a)
-    found = {}
-    for q, positions in starts.items():
-        # Positions inside one maximal period-q interval all extend to it,
-        # so one extension per interval suffices.
-        covered_end = -1
-        for a in sorted(positions):
-            if a + q < covered_end:
-                continue
-            start, end = maximal_extension(bits, a, a + q + 1, q)
-            found[(start, q)] = end
-            covered_end = end
-    occs = [RepetitionOccurrence(start, q, end - start) for (start, q), end in found.items()]
+    return _collision_runs(bits, zip(ids, bits), 1, max_period)
+
+
+def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence]) -> list[RepetitionOccurrence]:
+    """Every maximal repetition of v above n/(n-1), given ``runs``, all of
+    excess >= n-1.  Periods up to n^2-3n+1 are scanned; a longer period
+    exceeds n/(n-1) only with excess >= q//(n-1)+1 >= n-1, so is in ``runs``."""
+    bound = compute_bounds(n).short_bound
+    occs = find_repetitions_exceeding(v, n, n - 1, bound)
+    occs += [o for o in runs if o.period > bound and (n - 1) * o.length > n * o.period]
     occs.sort(key=lambda occ: (occ.start, occ.period))
     return occs
 
@@ -199,7 +211,7 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None,
 class _Probe:
     """The morphism under test and what its checks read, each built on
     first use: the probe encoding, its table (the decoding and the
-    decoder-state ids), and the premise the ids decide."""
+    decoder-state ids), their distinctness, and the runs they give."""
 
     def __init__(self, h: UniformMorphism):
         self.h = h
@@ -215,9 +227,16 @@ class _Probe:
     @cached_property
     def states_distinct(self) -> bool:
         """No two decoder states are equal, so the decoding has no repetition
-        with excess >= n-1: the premise of the bounded power scan."""
+        with excess >= n-1 and the probe encoding no kernel repetition."""
         ids = self.table.ids
         return len(set(ids)) == len(ids)
+
+    @cached_property
+    def runs(self) -> list[RepetitionOccurrence]:
+        """Every maximal run of the decoding with excess >= n-1."""
+        if self.states_distinct:
+            return []
+        return _collision_runs(self.table.word, self.table.ids, self.h.n - 1)
 
 
 def _check_structure(p: _Probe) -> tuple[bool, str]:
@@ -272,7 +291,9 @@ def _check_iteration_bound(p: _Probe) -> tuple[bool, str]:
 
 def _check_kernel(p: _Probe) -> tuple[bool, str]:
     bound = compute_bounds(p.h.n).kernel_bound
-    occs = find_kernel_repetitions(p.bits, p.h.n, bound, p.table.ids)
+    # bits[a:a+q] maps to the identity iff ids[a] == ids[a+q], so distinct
+    # states leave no kernel repetition at any period.
+    occs = [] if p.states_distinct else find_kernel_repetitions(p.bits, p.h.n, bound, p.table.ids)
     if occs:
         return False, (f"{len(occs)} kernel repetitions (periods <= {bound}); "
                        f"first: {occs[0].describe()}")
@@ -280,10 +301,7 @@ def _check_kernel(p: _Probe) -> tuple[bool, str]:
 
 
 def _check_big_excess(p: _Probe) -> tuple[bool, str]:
-    n, v = p.h.n, p.table.word
-    # Window k of length n-1 is decoder state k, so distinct states leave
-    # nothing to scan; otherwise the full scan finds the witnesses.
-    occs = [] if p.states_distinct else find_repetitions_with_excess_at_least(v, n - 1)
+    n, v, occs = p.h.n, p.table.word, p.runs
     if occs:
         return False, f"{len(occs)} repetitions with excess >= {n - 1}; first: {occs[0].describe()}"
     return True, f"no repetition with excess >= {n - 1} in {len(v)} letters"
@@ -291,9 +309,7 @@ def _check_big_excess(p: _Probe) -> tuple[bool, str]:
 
 def _check_power(p: _Probe) -> tuple[bool, str]:
     n, v = p.h.n, p.table.word
-    # Bounded only under its own premise, never on another check's verdict.
-    bound = compute_bounds(n).short_bound if p.states_distinct else None
-    occs = find_repetitions_exceeding(v, n, n - 1, bound)
+    occs = _power_runs(v, n, p.runs)
     if occs:
         return False, (f"{len(occs)} repetitions above {n}/{n - 1}; "
                        f"first: {occs[0].describe()}")
@@ -332,20 +348,11 @@ def run_check(name: str, source) -> CheckResult:
     return _run(name, body, _Probe(_as_morphism(source)))
 
 
-def check_iteration_bound(source) -> CheckResult:
-    return run_check("iteration_bound", source)
-
-
-def check_kernel_free(source) -> CheckResult:
-    return run_check("kernel_free", source)
-
-
-def check_big_excess_free(source) -> CheckResult:
-    return run_check("big_excess_free", source)
-
-
-def check_power_free(source) -> CheckResult:
-    return run_check("power_free", source)
+# check_<name>(source) is run_check("<name>", source).
+check_iteration_bound = partial(run_check, "iteration_bound")
+check_kernel_free = partial(run_check, "kernel_free")
+check_big_excess_free = partial(run_check, "big_excess_free")
+check_power_free = partial(run_check, "power_free")
 
 
 def verify(source) -> VerificationReport:

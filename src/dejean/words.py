@@ -37,9 +37,9 @@ class SigmaWord:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"alphabet size must be >= 2, got {self.n}")
-        for k, c in enumerate(self.letters):
-            if not 1 <= c <= self.n:
-                raise ValueError(f"letter {c!r} at position {k} outside 1..{self.n}")
+        if self.letters and not 1 <= min(self.letters) <= max(self.letters) <= self.n:
+            k, c = next((k, c) for k, c in enumerate(self.letters) if not 1 <= c <= self.n)
+            raise ValueError(f"letter {c!r} at position {k} outside 1..{self.n}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -320,9 +320,9 @@ def has_repetition_with_excess_at_least(w, min_excess: int) -> bool:
 
 def check_binary(bits: str) -> str:
     """``bits`` itself once every symbol is 0 or 1; whitespace is a bad symbol."""
-    for k, ch in enumerate(bits):
-        if ch not in "01":
-            raise ValueError(f"non-binary symbol {ch!r} at position {k}")
+    if bits.count("0") + bits.count("1") != len(bits):
+        k, ch = next((k, ch) for k, ch in enumerate(bits) if ch not in "01")
+        raise ValueError(f"non-binary symbol {ch!r} at position {k}")
     return bits
 
 

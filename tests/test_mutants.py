@@ -1,14 +1,16 @@
 """Seeded mutants of the builtin morphisms against the unbounded scanners.
 
-The verifier decides ``big_excess_free`` from the decoder-state ids, bounds
-the ``power_free`` scan by n^2-3n+1 when those ids are distinct, and always
-bounds the ``kernel_free`` scan by 9n^2-6n+1.  The unbounded scans are the
+The verifier reads ``big_excess_free`` off equal decoder-state ids, always
+bounds the ``power_free`` scan by n^2-3n+1 and adds the long-period runs
+read off those ids, and bounds the ``kernel_free`` scan by 9n^2-6n+1,
+skipping it while the ids are distinct.  The unbounded scans are the
 oracle: on every mutant each of the three checks must report the count and
 the first witness that the oracle finds, the kernel oracle cut to periods
-within the bound.  The mutants
-are fixed by the seed: one bit flip and one swap of adjacent unequal bits at
-n = 15 and n = 16, and one window of 2n zeros at n = 15.  0^(n-1) maps to the
-identity, so the window breaks the premise of the bounded power scan.
+within the bound, and the runs read off the ids must equal the oracle's
+lists in full.  The mutants are fixed by the seed: one bit flip and one
+swap of adjacent unequal bits at n = 15 and n = 16, and one window of 2n
+zeros at n = 15.  0^(n-1) maps to the identity, so the window leaves equal
+ids and repetitions of period above n^2-3n+1.
 """
 
 import random
@@ -17,7 +19,8 @@ import re
 import pytest
 
 from dejean.morphisms import UniformMorphism, builtin
-from dejean.verifier import (check_big_excess_free, check_kernel_free,
+from dejean.verifier import (_Probe, _power_runs, check_big_excess_free,
+                             check_kernel_free,
                              check_power_free, compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
@@ -101,6 +104,26 @@ def test_kernel_check_matches_unbounded_kernel_scan(results, label):
     check = report.check("kernel_free")
     assert f"(periods <= {bound})" in check.witness
     _assert_matches_oracle(check, [o for o in kernel if o.period <= bound])
+
+
+@pytest.mark.parametrize("label", [label for label, _ in MUTANTS])
+def test_collision_runs_equal_unbounded_scans(results, label):
+    """As full lists: the runs read off equal decoder-state ids are the
+    unbounded excess scan, and the bounded power scan plus the long runs
+    among them is the unbounded power scan."""
+    h, _, excess, power, _ = results[label]
+    probe = _Probe(h)
+    assert probe.runs == excess
+    assert _power_runs(probe.table.word, h.n, probe.runs) == power
+
+
+def test_distinct_states_leave_no_kernel_repetition(results):
+    """The kernel check skips its scan while the decoder states are
+    distinct; on those mutants the unbounded scan finds nothing."""
+    distinct = [label for label, h in MUTANTS if _Probe(h).states_distinct]
+    assert distinct and len(distinct) < len(MUTANTS)
+    for label in distinct:
+        assert results[label][4] == [], label
 
 
 def test_kernel_scan_cut_keeps_periods_up_to_the_bound(results):

@@ -350,7 +350,7 @@ class TestWorkers:
     def test_shards_concatenate_to_serial_candidates(self, depth):
         # length 18: the shortest even length above 12 with candidates at n=15
         n, length = 15, 18
-        serial = [(bits, sig) for bits, sig in _leaves(n, length)
+        serial = [(bits, sig, _classify(sig, n)) for bits, sig in _leaves(n, length)
                   if _classify(sig, n) != "neither"]
         sharded = []
         for prefix in _shard_prefixes(n, length, depth):

@@ -9,12 +9,13 @@ import dejean.verifier
 from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.pansiot import canonical_prefix, decode
 from dejean.perms import PrefixPermutationTable, word_permutation
-from dejean.verifier import (CHECK_NAMES, check_big_excess_free,
+from dejean.verifier import (CHECK_NAMES, _collision_runs, _power_runs,
+                             check_big_excess_free,
                              check_iteration_bound, check_kernel_free,
                              check_power_free, compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
-from dejean.words import find_repetitions_with_excess_at_least
+from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
 
 
 class TestBounds:
@@ -119,6 +120,33 @@ class TestDecoderStateIdentity:
                 seen_distinct |= not id_periods
         assert seen_distinct and seen_repeated
 
+    def test_collision_runs_equal_unbounded_scans(self):
+        """On decodings and on arbitrary words, the runs read off equal
+        (n-1)-windows are the unbounded excess scan, and with them the power
+        scan bounded by n^2-3n+1 is the unbounded power scan, as full lists.
+        The arbitrary words also reach the bound itself above n/(n-1), which
+        the sampled decodings never do."""
+        rng = random.Random(7)
+        seen = set()
+        for n in range(3, 9):
+            bound = compute_bounds(n).short_bound
+            for _ in range(40):
+                bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
+                table = PrefixPermutationTable(bits, n)
+                letters = [rng.randint(1, n) for _ in range(rng.randint(n - 1, 300))]
+                intern: dict = {}
+                ids = [intern.setdefault(tuple(letters[k:k + n - 1]), len(intern))
+                       for k in range(len(letters) - n + 2)]
+                for v, v_ids in ((table.word, table.ids), (letters, ids)):
+                    runs = _collision_runs(v, v_ids, n - 1)
+                    assert runs == find_repetitions_with_excess_at_least(v, n - 1), (n, v)
+                    power = find_repetitions_exceeding(v, n, n - 1)
+                    assert _power_runs(v, n, runs) == power, (n, v)
+                    seen.add("runs" if runs else "no runs")
+                    seen.update("long" if o.period > bound else "at bound"
+                                for o in power if o.period >= bound)
+        assert seen == {"runs", "no runs", "long", "at bound"}
+
 
 class TestIndividualChecks:
     def test_iteration_bound_pass(self):
@@ -137,8 +165,6 @@ class TestIndividualChecks:
 
     def test_boundary_strictness(self):
         # exactly the threshold is allowed: 010 over n=3 has exponent 3/2 = n/(n-1)
-        from dejean.words import find_repetitions_exceeding
-
         assert find_repetitions_exceeding("010", 3, 2) == []
 
 

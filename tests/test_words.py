@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,13 @@ class TestSigmaWord:
             SigmaWord(3, (1, 4))
         with pytest.raises(ValueError):
             SigmaWord(3, (0,))
+
+    def test_letter_out_of_range_message_names_first_bad_position(self):
+        for letters, message in [((1, 2, 4, 0), "letter 4 at position 2 outside 1..3"),
+                                 ((2, 0, 5), "letter 0 at position 1 outside 1..3")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SigmaWord(3, letters)
+        assert SigmaWord(3, ()).letters == ()
 
     def test_window_distinct(self):
         assert SigmaWord(3, (1, 2, 1, 3)).is_window_distinct
