@@ -10,21 +10,25 @@ state (the identity the ``perms`` docstring states) and classified by
 cycle type, (n-1,1) for h(0) and (n,) for h(1), before any string is
 built.  Candidates are pooled and paired through the simultaneous-
 conjugacy condition by splicing cycles (:func:`_compatible_h0_images`).
-Each pair is screened cheapest stage first, one stage scanning only the
-decoding of the probe encoding's first 4r bits, a prefix of the probe
+Each pair is screened by the suite's own ``structure``,
+``iteration_bound`` and ``factor_set_2`` checks, then by a power scan of
+the decoding of the probe encoding's first 4r bits, a prefix of the probe
 word; a pair is returned once the full verification suite passes.
 """
 
 from typing import Callable, Iterable
 
-from .markability import check_all_length_r_factors_markable
-from .morphisms import (PrefixStabilityError, UniformMorphism, factor_closure,
-                        iteration_bound)
+from .morphisms import UniformMorphism
 from .pansiot import canonical_prefix, decode
 from .perms import word_permutation
-from .verifier import (compute_bounds, find_kernel_repetitions, probe_encoding,
-                       probe_word, verify)
-from .words import has_repetition_exceeding, has_repetition_with_excess_at_least
+from .verifier import run_check, verify
+from .words import has_repetition_exceeding
+# Not called here; perfbench/tracer.py wraps these names under this module,
+# so they stay importable.
+from .markability import check_all_length_r_factors_markable
+from .morphisms import factor_closure
+from .verifier import find_kernel_repetitions, probe_encoding, probe_word
+from .words import has_repetition_with_excess_at_least
 
 
 def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> int:
@@ -207,39 +211,18 @@ def _compatible_h1_images(a0: tuple, n: int) -> list[tuple]:
 
 
 def _screen_pair(n: int, h0: str, h1: str) -> str | None:
-    """Cheap fail-fast mirror of the verification suite, cheapest first.
-
-    Returns the name of the first failing aspect or None when the pair is
-    worth a full (no-short-circuit) verification run.  Only an accelerator:
-    membership in the search results is decided by verify() alone.
-    """
-    r = len(h0)
-    if h0[-1] == h1[-1] or "011" not in h0 or "110" not in h1 or r > 4 * n:
-        return "structure"
-    bounds = compute_bounds(n)
-    if iteration_bound(bounds.kernel_bound, r) != 2:
-        return "iteration_bound"
+    """The first of the suite's cheap checks the pair fails, else
+    "power_free" when the decoding of h(h0[:4]) has a repetition above
+    n/(n-1), else None.  h(h0[:4]) is a prefix of the probe encoding
+    h(h(0110)), so its decoding is a prefix of the probe word.  Only an
+    accelerator: :func:`verify` alone decides what the search returns."""
     h = UniformMorphism(n, h0, h1)
-    try:
-        if factor_closure(h, 2).members != {"01", "10", "11"}:
-            return "factor_set_2"
-    except PrefixStabilityError:
-        return "factor_set_2"
-    # h(h0[:4]) is a prefix of the probe encoding h(h(0110)), and a prefix
-    # of an encoding decodes to a prefix of its decoding, so a repetition
-    # found in this decoding is one of the whole probe word.
+    for name in ("structure", "iteration_bound", "factor_set_2"):
+        if not run_check(name, h).passed:
+            return name
     head = decode(h.apply(h0[:4]), canonical_prefix(n))
     if has_repetition_exceeding(head, n, n - 1):
         return "power_free"
-    v = probe_word(h)
-    if has_repetition_exceeding(v, n, n - 1):
-        return "power_free"
-    if has_repetition_with_excess_at_least(v, n - 1):
-        return "big_excess_free"
-    if not check_all_length_r_factors_markable(h).passed:
-        return "markability_r"
-    if find_kernel_repetitions(probe_encoding(h), n, bounds.kernel_bound):
-        return "kernel_free"
     return None
 
 
@@ -308,17 +291,22 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
     """Search for up to ``limit`` morphisms that pass full verification.
 
     Candidates come from the legal-encoding enumeration (plus any seeds,
-    which are paired first); each conjugacy-compatible pair is screened and
-    then verified with the complete suite.  With ``workers`` > 1 the tree is
-    split by fixed-length prefixes over worker processes; candidate streams
-    are merged in lexicographic order, so exhaustive runs are reproducible
-    in either mode.  Returns verified morphisms, sorted by image pair when
+    each of the given length, which are paired first); each conjugacy-
+    compatible pair is screened and then verified with the complete
+    suite.  With ``workers`` > 1 the tree is split by fixed-length
+    prefixes over worker processes; candidate streams are merged in
+    lexicographic order, so exhaustive runs are reproducible in either
+    mode.  Returns verified morphisms, sorted by image pair when
     the enumeration was exhausted (discovery order when cut off by limit).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    seeds = list(seed_h0) + list(seed_h1)
+    for seed_bits in seeds:
+        if len(seed_bits) != length:
+            raise ValueError(f"seed {seed_bits!r} has length {len(seed_bits)}, expected {length}")
     pairing = _Pairing(n)
     found: list[UniformMorphism] = []
     state = {"leaves": 0, "exhausted": False}
@@ -351,7 +339,7 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
         return False
 
     done = False
-    for seed_bits in list(seed_h0) + list(seed_h1):
+    for seed_bits in seeds:
         sig = word_permutation(seed_bits, n).images
         if drain(seed_bits, sig, _classify(sig, n)):
             done = True

@@ -114,16 +114,12 @@ class VerificationReport:
 
     def render_text(self) -> str:
         bounds = compute_bounds(self.n)
-        if self.check("big_excess_free").passed:
-            power_scope = (f"power scan period bound {bounds.short_bound} = n^2-3n+1, "
-                           f"from big_excess_free")
-        else:
-            power_scope = "power scan: all periods"
         lines = [
             f"verification n={self.n} r={self.r}",
             f"  kernel scan period bound {bounds.kernel_bound} = 9n^2-6n+1; the iteration_bound and",
             f"  markability_r checks are what confine kernel repetitions below it",
-            f"  {power_scope}",
+            f"  power scan periods <= {bounds.short_bound} = n^2-3n+1; longer periods read off"
+            f" equal decoder states",
         ]
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"
@@ -334,7 +330,7 @@ def _run(name: str, body, probe: _Probe) -> CheckResult:
     started = time.perf_counter()
     try:
         passed, witness = body(probe)
-    except Exception as exc:  # a failing construction is report content
+    except ValueError as exc:  # a failing construction is report content
         passed, witness = False, f"error: {exc}"
     return CheckResult(name, passed, witness, int((time.perf_counter() - started) * 1000))
 

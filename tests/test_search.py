@@ -278,6 +278,17 @@ class TestSearchConvenient:
         with pytest.raises(ValueError):
             search_convenient(15, 8, limit=0)
 
+    @pytest.mark.parametrize("image,pad", [(1, "1" * 15), (0, "0" * 14)], ids=["h1-71", "h0-70"])
+    def test_seed_of_other_length_is_rejected_before_the_walk(self, monkeypatch, image, pad):
+        # the padding maps to the identity, so only the length is wrong
+        h = builtin(15)
+        seeds = [h.image0, h.image1]
+        seeds[image] += pad
+        monkeypatch.setattr(search, "_walk", None)
+        with pytest.raises(ValueError, match=f"seed '{seeds[image]}' has length "
+                                             f"{56 + len(pad)}, expected 56"):
+            search_convenient(15, 56, seed_h0=[seeds[0]], seed_h1=[seeds[1]])
+
     def test_results_verify(self):
         # tiny synthetic space: no convenient morphism exists at this length,
         # and the search must terminate cleanly
@@ -292,9 +303,26 @@ def _mutant(rng, word):
     return word[:k] + word[k + 1] + word[k] + word[k + 2:]
 
 
+def _screen_sample():
+    """(n, h0, h1): builtins 15 and 16 and 20 seeded mutants of either
+    image at each n."""
+    for n in (15, 16):
+        h = builtin(n)
+        rng = random.Random(n)
+        pairs = {(h.image0, h.image1)}
+        while len(pairs) < 21:
+            if rng.random() < 0.5:
+                pairs.add((_mutant(rng, h.image0), h.image1))
+            else:
+                pairs.add((h.image0, _mutant(rng, h.image1)))
+        for h0, h1 in sorted(pairs):
+            yield n, h0, h1
+
+
 class TestScreen:
+    CHEAP = ("structure", "iteration_bound", "factor_set_2")
+
     def test_screen_rejects_only_by_failing_checks(self, monkeypatch):
-        # builtins 15 and 16 and 20 seeded mutants of either image at each n
         scanned = []
 
         def recording(w, num, den):
@@ -303,37 +331,64 @@ class TestScreen:
 
         monkeypatch.setattr(search, "has_repetition_exceeding", recording)
         prefix_rejections = 0
-        for n in (15, 16):
-            h = builtin(n)
-            rng = random.Random(n)
-            pairs = {(h.image0, h.image1)}
-            while len(pairs) < 21:
-                if rng.random() < 0.5:
-                    pairs.add((_mutant(rng, h.image0), h.image1))
-                else:
-                    pairs.add((h.image0, _mutant(rng, h.image1)))
-            for h0, h1 in sorted(pairs):
-                candidate = UniformMorphism(n, h0, h1)
-                report = verify(candidate)
-                failing = {c.name for c in report.checks if not c.passed}
-                scanned.clear()
-                why = _screen_pair(n, h0, h1)
-                # The power scans see prefixes of the probe word only.
-                word = probe_word(candidate).letters
-                for w in scanned:
-                    assert word[:len(w)] == w.letters, (n, h0, h1)
-                if report.overall:
-                    assert why is None, (n, h0, h1)
-                if why is not None:
-                    assert why in CHECK_NAMES and why in failing, (n, h0, h1, why)
-                # Pairs that reach the probe-prefix stage and fail it.
-                if failing & {"structure", "iteration_bound", "factor_set_2"}:
-                    continue
-                head = decode(probe_encoding(candidate)[:4 * len(h0)], canonical_prefix(n))
-                if has_repetition_exceeding(head, n, n - 1):
-                    prefix_rejections += 1
-                    assert why == "power_free" and "power_free" in failing, (n, h0, h1)
+        for n, h0, h1 in _screen_sample():
+            candidate = UniformMorphism(n, h0, h1)
+            report = verify(candidate)
+            failing = {c.name for c in report.checks if not c.passed}
+            scanned.clear()
+            why = _screen_pair(n, h0, h1)
+            # The power scans see prefixes of the probe word only.
+            word = probe_word(candidate).letters
+            for w in scanned:
+                assert word[:len(w)] == w.letters, (n, h0, h1)
+            if report.overall:
+                assert why is None, (n, h0, h1)
+            if why is not None:
+                assert why in CHECK_NAMES and why in failing, (n, h0, h1, why)
+            # Pairs that reach the probe-prefix stage and fail it.
+            if failing & set(self.CHEAP):
+                continue
+            head = decode(probe_encoding(candidate)[:4 * len(h0)], canonical_prefix(n))
+            if has_repetition_exceeding(head, n, n - 1):
+                prefix_rejections += 1
+                assert why == "power_free" and "power_free" in failing, (n, h0, h1)
         assert prefix_rejections >= 1
+
+    def test_screen_scans_no_more_than_the_probe_prefix(self, monkeypatch):
+        # every word scanned is at most the decoding of 4r probe bits
+        scanned = []
+
+        def recording(scan):
+            def recorded(w, *args):
+                scanned.append(len(w))
+                return scan(w, *args)
+            return recorded
+
+        for name in ("has_repetition_exceeding", "has_repetition_with_excess_at_least"):
+            monkeypatch.setattr(search, name, recording(getattr(search, name)))
+        for n, h0, h1 in _screen_sample():
+            scanned.clear()
+            _screen_pair(n, h0, h1)
+            assert all(size <= 4 * len(h0) + n - 1 for size in scanned), (n, h0, h1, scanned)
+            if (h0, h1) == (builtin(n).image0, builtin(n).image1):
+                assert scanned, n
+
+    def test_cheap_rejection_names_the_first_failing_cheap_check(self):
+        rejected = 0
+        for n, h0, h1 in _screen_sample():
+            report = verify(UniformMorphism(n, h0, h1))
+            cheap = [name for name in self.CHEAP if not report.check(name).passed]
+            if cheap:
+                rejected += 1
+                assert _screen_pair(n, h0, h1) == cheap[0], (n, h0, h1, cheap)
+        assert rejected >= 1
+
+    def test_structure_rejection_comes_first(self):
+        # the sample has no `structure` failure: make the last letters agree
+        h = builtin(15)
+        h1 = h.image1[:-1] + h.image0[-1]
+        assert not verify(UniformMorphism(15, h.image0, h1)).check("structure").passed
+        assert _screen_pair(15, h.image0, h1) == "structure"
 
 
 class TestWorkers:

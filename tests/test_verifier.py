@@ -206,6 +206,22 @@ class TestVerify:
             assert alone.name == name
             assert (alone.passed, alone.witness) == full[name]
 
+    def test_construction_errors_are_error_witnesses(self):
+        # r = 1: no prefix-stable iteration, and the iteration bound needs r >= 2
+        report = verify(UniformMorphism(3, "0", "1"))
+        witnesses = {c.name: (c.passed, c.witness) for c in report.checks}
+        no_scheme = (False, "error: no prefix-stable iteration from either letter")
+        assert witnesses["factor_set_2"] == witnesses["markability_r"] == no_scheme
+        assert witnesses["iteration_bound"] == (False, "error: r must be >= 2, got 1")
+
+    def test_other_errors_in_a_check_propagate(self, monkeypatch):
+        def broken(h, k):
+            raise RuntimeError("broken factor_closure")
+
+        monkeypatch.setattr(dejean.verifier, "factor_closure", broken)
+        with pytest.raises(RuntimeError, match="broken factor_closure"):
+            verify(15)
+
     def test_run_check_unknown_name(self):
         with pytest.raises(ValueError):
             run_check("bogus", 15)
@@ -218,7 +234,8 @@ class TestVerify:
 
     def test_render_text_states_power_scan_scope(self):
         text = verify(15).render_text()
-        assert "power scan period bound 181 = n^2-3n+1, from big_excess_free" in text
+        assert ("power scan periods <= 181 = n^2-3n+1; longer periods read off"
+                " equal decoder states") in text
 
     def test_unbounded_kernel_scan_agrees_for_builtin(self):
         bounded = verify(15).check("kernel_free")
