@@ -92,6 +92,8 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     if args.n < 2:
         return _fail(f"alphabet size must be >= 2, got {args.n}")
+    if args.n > 255:
+        return _fail(f"alphabet size must be <= 255, got {args.n}")
     length = args.length
     if length is None:
         length = 4 * args.n if args.n == 21 else 4 * args.n - 4

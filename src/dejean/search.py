@@ -8,12 +8,15 @@ inline as each letter is placed and replays a fixed prefix as forced bits.
 At a leaf, the permutation image of the code word is read off the decoder
 state (the identity the ``perms`` docstring states) and classified by
 cycle type, (n-1,1) for h(0) and (n,) for h(1), before any string is
-built.  Candidates are pooled and paired through the simultaneous-
-conjugacy condition by splicing cycles (:func:`_compatible_h0_images`).
-Each pair is screened by the suite's own ``structure``,
-``iteration_bound`` and ``factor_set_2`` checks, then by a power scan of
-the decoding of the probe encoding's first 4r bits, a prefix of the probe
-word; a pair is returned once the full verification suite passes.
+built.  Candidates are pooled packed, each as the ``int`` of its r bits
+under its permutation image as ``bytes``, and paired through the
+simultaneous-conjugacy condition by splicing cycles
+(:func:`_compatible_h0_images`); a pair is written out as two bit strings
+only when it is screened.  Each pair is screened by the suite's own
+``structure``, ``iteration_bound`` and ``factor_set_2`` checks, then by a
+power scan of the decoding of the probe encoding's first 4r bits, a prefix
+of the probe word; a pair is returned once the full verification suite
+passes.
 """
 
 from typing import Callable, Iterable
@@ -173,41 +176,36 @@ def classify_candidate(bits: str, n: int) -> str:
     return _classify(word_permutation(bits, n).images, n)
 
 
-def _compatible_h0_images(a1: tuple, n: int) -> list[tuple]:
-    """Permutations a0 for which some single tau conjugates (a0, a1) onto
-    (step0, step1), for an n-cycle a1.
+def _swap_tables(n: int) -> list[list[bytes]]:
+    """tables[u][v], for 1 <= u, v <= n: the ``bytes.translate`` table
+    that exchanges the values u and v."""
+    return [[bytes.maketrans(bytes((u, v)), bytes((v, u))) for v in range(n + 1)]
+            for u in range(n + 1)]
+
+
+def _compatible_h0_images(a1: bytes, swaps: list[list[bytes]]) -> list[bytes]:
+    """Permutations a0, as pool keys, for which some single tau conjugates
+    (a0, a1) onto (step0, step1), for an n-cycle a1 given as a pool key;
+    ``swaps`` is :func:`_swap_tables` of n.
 
     tau ranges over the n alignments of a1's cycle onto step1's.  step0 is
     step1 with n cut out of its cycle, so each a0 is a1 with the point
     x = tau^-1(n) cut out: x becomes fixed and a1^-1(x) maps to a1(x).
-    The list follows the alignments in the order of
-    ``perms.find_conjugator``.
+    In the image list that exchanges the values x and a1(x).  The list
+    follows the alignments in the order of ``perms.find_conjugator``.
     """
-    cyc = _cycle_from(a1, 1)
-    out = []
-    for k in range(n - 1, -1, -1):
-        x = cyc[k]
-        img = list(a1)
-        img[cyc[k - 1] - 1] = a1[x - 1]
-        img[x - 1] = x
-        out.append(tuple(img))
-    return out
+    return [a1.translate(swaps[x][a1[x - 1]]) for x in reversed(_cycle_from(a1, 1))]
 
 
-def _compatible_h1_images(a0: tuple, n: int) -> list[tuple]:
+def _compatible_h1_images(a0: bytes, swaps: list[list[bytes]]) -> list[bytes]:
     """Mirror image of :func:`_compatible_h0_images` for a0 of cycle type
     (n-1, 1): tau aligns a0's long cycle onto step0's and sends its fixed
-    point to n, so each alignment inserts the fixed point after one point
-    of the long cycle."""
+    point to n, so each alignment inserts the fixed point f after one
+    point y of the long cycle, which exchanges the values f and a0(y)."""
     cyc = _cycle_from(a0, 2 if a0[0] == 1 else 1)
+    n = len(a0)
     fix = n * (n + 1) // 2 - sum(cyc)
-    out = []
-    for y in reversed(cyc):
-        img = list(a0)
-        img[fix - 1] = a0[y - 1]
-        img[y - 1] = fix
-        out.append(tuple(img))
-    return out
+    return [a0.translate(swaps[fix][a0[y - 1]]) for y in reversed(cyc)]
 
 
 def _screen_pair(n: int, h0: str, h1: str) -> str | None:
@@ -226,58 +224,76 @@ def _screen_pair(n: int, h0: str, h1: str) -> str | None:
     return None
 
 
+def _packed(bits, sig) -> tuple[int, bytes]:
+    """A candidate as the pools hold it (:class:`_Pairing`): the ``int`` of
+    its bits (a string or a list of "0"/"1") and its permutation image as
+    ``bytes``."""
+    return int("".join(bits), 2), bytes(sig)
+
+
 class _Pairing:
     """Candidate pools keyed by permutation image, with conjugacy-compatible
     lookups, pairing each new candidate against earlier opposite candidates
-    in discovery order."""
+    in discovery order.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.h0_by_perm: dict[tuple, list[str]] = {}
-        self.h1_by_perm: dict[tuple, list[str]] = {}
-        self.seen: set[tuple[str, str]] = set()
+    The pools are packed: a candidate is the ``int`` of its r bits, a key
+    is the permutation image as ``bytes`` (one byte per point), and each
+    key holds a tuple of candidates in discovery order.  Most keys hold
+    one candidate, so a tuple grown by concatenation costs less than a
+    list's spare room.  A pair is written out as two r-bit strings only
+    when it is yielded.
+    """
+
+    def __init__(self, n: int, r: int):
+        self.swaps = _swap_tables(n)
+        self.fmt = f"0{r}b"
+        self.h0_by_perm: dict[bytes, tuple[int, ...]] = {}
+        self.h1_by_perm: dict[bytes, tuple[int, ...]] = {}
+        self.seen: set[tuple[int, int]] = set()
         self.pairs_tried = 0
 
     def pool_sizes(self) -> tuple[int, int]:
         return (sum(len(v) for v in self.h0_by_perm.values()),
                 sum(len(v) for v in self.h1_by_perm.values()))
 
-    def add(self, bits: str, sig: tuple, kind: str) -> Iterable[tuple[str, str]]:
-        """Register a candidate of the given kind (:func:`_classify`; a
-        "neither" is ignored); yield (h0, h1) pairs passing the conjugacy
-        condition, oldest opposite candidate first."""
-        n = self.n
+    def add(self, value: int, key: bytes, kind: str) -> Iterable[tuple[str, str] | None]:
+        """Register a candidate (the ``int`` of its bits, its permutation
+        image as ``bytes``) of the given kind (:func:`_classify`; a
+        "neither" is ignored); yield (h0, h1) bit-string pairs passing the
+        conjugacy condition, oldest opposite candidate first, and None for
+        a pair already yielded."""
         if kind == "h1":
-            for a0 in _compatible_h0_images(sig, n):
+            for a0 in _compatible_h0_images(key, self.swaps):
                 for other in self.h0_by_perm.get(a0, ()):
-                    yield self._fresh(other, bits)
-            self.h1_by_perm.setdefault(sig, []).append(bits)
+                    yield self._fresh(other, value)
+            self.h1_by_perm[key] = self.h1_by_perm.get(key, ()) + (value,)
         elif kind == "h0":
-            for a1 in _compatible_h1_images(sig, n):
+            for a1 in _compatible_h1_images(key, self.swaps):
                 for other in self.h1_by_perm.get(a1, ()):
-                    yield self._fresh(bits, other)
-            self.h0_by_perm.setdefault(sig, []).append(bits)
+                    yield self._fresh(value, other)
+            self.h0_by_perm[key] = self.h0_by_perm.get(key, ()) + (value,)
 
-    def _fresh(self, h0: str, h1: str) -> tuple[str, str] | None:
+    def _fresh(self, h0: int, h1: int) -> tuple[str, str] | None:
         self.pairs_tried += 1
         key = (h0, h1)
         if key in self.seen:
             return None
         self.seen.add(key)
-        return key
+        return format(h0, self.fmt), format(h1, self.fmt)
 
 
-def _candidates_under_prefix(args: tuple[int, int, str]) -> list[tuple[str, tuple, str]]:
-    """Worker payload: candidate (bits, sigma, kind) triples in the legal
-    subtree under a fixed prefix, in lexicographic order; kind is
-    :func:`_classify` of sigma, "h0" or "h1"."""
+def _candidates_under_prefix(args: tuple[int, int, str]) -> list[tuple[int, bytes, str]]:
+    """Worker payload: candidate (value, key, kind) triples in the legal
+    subtree under a fixed prefix, in lexicographic order, packed as the
+    pools hold them (:class:`_Pairing`); kind is :func:`_classify` of the
+    permutation image, "h0" or "h1"."""
     n, length, prefix = args
-    out: list[tuple[str, tuple, str]] = []
+    out: list[tuple[int, bytes, str]] = []
 
     def on_leaf(bits, sig):
         kind = _classify(sig, n)
         if kind != "neither":
-            out.append(("".join(bits), sig, kind))
+            out.append((*_packed(bits, sig), kind))
 
     _walk(n, length, on_leaf, prefix=prefix)
     return out
@@ -291,7 +307,9 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
     """Search for up to ``limit`` morphisms that pass full verification.
 
     Candidates come from the legal-encoding enumeration (plus any seeds,
-    each of the given length, which are paired first); each conjugacy-
+    which are paired first: each must have the given length, and a
+    ``seed_h0`` word must map to cycle type (n-1, 1) and a ``seed_h1``
+    word to an n-cycle, else ``ValueError`` before any walk); each conjugacy-
     compatible pair is screened and then verified with the complete
     suite.  With ``workers`` > 1 the tree is split by fixed-length
     prefixes over worker processes; candidate streams are merged in
@@ -303,11 +321,22 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
         raise ValueError(f"limit must be >= 1, got {limit}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    seeds = list(seed_h0) + list(seed_h1)
-    for seed_bits in seeds:
-        if len(seed_bits) != length:
-            raise ValueError(f"seed {seed_bits!r} has length {len(seed_bits)}, expected {length}")
-    pairing = _Pairing(n)
+    if n > 255:
+        raise ValueError(f"alphabet size must be <= 255, got {n}: "
+                         f"the pools key a permutation by one byte per point")
+    seeds = []
+    for role, role_seeds in (("h0", seed_h0), ("h1", seed_h1)):
+        for seed_bits in role_seeds:
+            if len(seed_bits) != length:
+                raise ValueError(f"seed {seed_bits!r} has length {len(seed_bits)}, "
+                                 f"expected {length}")
+            sig = word_permutation(seed_bits, n).images
+            kind = _classify(sig, n)
+            if kind != role:
+                raise ValueError(f"seed_{role} {seed_bits!r} has a permutation image "
+                                 f"of class {kind}, expected {role}")
+            seeds.append((*_packed(seed_bits, sig), kind))
+    pairing = _Pairing(n, length)
     found: list[UniformMorphism] = []
     state = {"leaves": 0, "exhausted": False}
 
@@ -332,16 +361,15 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
             return len(found) >= limit
         return False
 
-    def drain(bits: str, sig: tuple, kind: str) -> bool:
-        for pair in pairing.add(bits, sig, kind):
+    def drain(value: int, key: bytes, kind: str) -> bool:
+        for pair in pairing.add(value, key, kind):
             if consider(pair):
                 return True
         return False
 
     done = False
-    for seed_bits in seeds:
-        sig = word_permutation(seed_bits, n).images
-        if drain(seed_bits, sig, _classify(sig, n)):
+    for seed in seeds:
+        if drain(*seed):
             done = True
             break
 
@@ -353,7 +381,7 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
                 note(f"{state['leaves']} words visited, pools h0={p0} h1={p1}, "
                      f"{pairing.pairs_tried} pairs tried")
             kind = _classify(sig, n)
-            if kind != "neither" and drain("".join(bits), sig, kind):
+            if kind != "neither" and drain(*_packed(bits, sig), kind):
                 return False
             return None
 
@@ -388,7 +416,7 @@ def _search_parallel(n: int, length: int, workers: int, drain, note, state) -> b
         for bits in shards:
             state["leaves"] += 1
             sig = word_permutation(bits, n).images
-            if drain(bits, sig, _classify(sig, n)):
+            if drain(*_packed(bits, sig), _classify(sig, n)):
                 return True
         return False
     ctx = multiprocessing.get_context()
@@ -396,8 +424,8 @@ def _search_parallel(n: int, length: int, workers: int, drain, note, state) -> b
         jobs = ((n, length, p) for p in shards)
         done_shards = 0
         for shard_out in pool.imap(_candidates_under_prefix, jobs):
-            for bits, sig, kind in shard_out:
-                if drain(bits, sig, kind):
+            for candidate in shard_out:
+                if drain(*candidate):
                     pool.terminate()
                     return True
             done_shards += 1

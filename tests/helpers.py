@@ -30,14 +30,20 @@ def brute_maximal_extension(w, i, j, q):
 
 
 def brute_repetition_triples(w):
-    """Every (start, period, length) with length > period and that period."""
+    """Every (start, period, length) with length > period and that period.
+
+    For each start i and period q, w[i:j] has period q exactly while
+    w[k] == w[k - q] for every i + q <= k < j, so j grows one letter at a
+    time and each step that holds gives one triple.  Listed by (i, q, j).
+    """
     L = len(w)
     out = []
     for i in range(L):
-        for j in range(i + 2, L + 1):
-            for q in range(1, j - i):
-                if brute_has_period(w, i, j, q):
-                    out.append((i, q, j - i))
+        for q in range(1, L - i):
+            j = i + q
+            while j < L and w[j] == w[j - q]:
+                j += 1
+                out.append((i, q, j - i))
     return out
 
 

@@ -129,6 +129,10 @@ class TestSearchCommand:
     def test_small_alphabet_argument_validation(self):
         assert main(["search", "1"]) == 2
 
+    def test_alphabet_beyond_one_byte_exits_2(self, capsys):
+        assert main(["search", "256", "--length", "8"]) == 2
+        assert "alphabet size must be <= 255, got 256" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_exits_2(self, workers, capsys):
         assert main(["search", "15", "--length", "8", "--workers", workers]) == 2

@@ -11,7 +11,7 @@ from dejean.perms import (Permutation, find_conjugator, step0, step1,
                           word_permutation)
 from dejean.search import (_candidates_under_prefix, _classify,
                            _compatible_h0_images, _compatible_h1_images,
-                           _screen_pair, _shard_prefixes, _walk,
+                           _screen_pair, _shard_prefixes, _swap_tables, _walk,
                            classify_candidate, enumerate_legal,
                            legal_length_counts, search_convenient)
 from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, verify
@@ -199,11 +199,12 @@ class TestHotPathIdentities:
     def test_splice_lists_match_conjugation(self, n):
         rng = random.Random(n)
         s0, s1 = step0(n), step1(n)
+        swaps = _swap_tables(n)
         for _ in range(8):
             a1 = Permutation(_random_full_cycle(rng, n))
             expected = [tau.inverse() * s0 * tau
                         for tau in _cycle_alignments(_cycle_through(a1, 1), n, n)]
-            got = _compatible_h0_images(a1.images, n)
+            got = [tuple(key) for key in _compatible_h0_images(bytes(a1.images), swaps)]
             assert got == [p.images for p in expected]
             for a0 in got:
                 assert find_conjugator(Permutation(a0), a1, n) is not None
@@ -213,7 +214,7 @@ class TestHotPathIdentities:
             cyc = _cycle_through(a0, 2 if fixed == 1 else 1)
             expected = [tau.inverse() * s1 * tau
                         for tau in _cycle_alignments(cyc, n - 1, n, fixed)]
-            got = _compatible_h1_images(a0.images, n)
+            got = [tuple(key) for key in _compatible_h1_images(bytes(a0.images), swaps)]
             assert got == [p.images for p in expected]
             for a1 in got:
                 assert find_conjugator(a0, Permutation(a1), n) is not None
@@ -274,6 +275,11 @@ class TestSearchConvenient:
         assert found == [h]
         assert verify(found[0]).overall
 
+    def test_alphabet_beyond_one_byte_is_rejected_before_the_walk(self, monkeypatch):
+        monkeypatch.setattr(search, "_walk", None)
+        with pytest.raises(ValueError, match="alphabet size must be <= 255, got 256"):
+            search_convenient(256, 8)
+
     def test_bad_limit(self):
         with pytest.raises(ValueError):
             search_convenient(15, 8, limit=0)
@@ -289,10 +295,160 @@ class TestSearchConvenient:
                                              f"{56 + len(pad)}, expected 56"):
             search_convenient(15, 56, seed_h0=[seeds[0]], seed_h1=[seeds[1]])
 
+    def test_seed_h0_of_full_cycle_is_rejected_before_the_walk(self, monkeypatch):
+        # image1 maps to an n-cycle: as a seed_h0 it used to be pooled as h(1)
+        h = builtin(15)
+        monkeypatch.setattr(search, "_walk", None)
+        with pytest.raises(ValueError, match=f"seed_h0 '{h.image1}' has a permutation "
+                                             f"image of class h1, expected h0"):
+            search_convenient(15, 56, seed_h0=[h.image1], seed_h1=[h.image1])
+
+    def test_seed_of_neither_class_is_rejected_before_the_walk(self, monkeypatch):
+        # 0^56 maps to step0^56, the identity: it used to be dropped silently
+        h = builtin(15)
+        monkeypatch.setattr(search, "_walk", None)
+        with pytest.raises(ValueError, match=f"seed_h1 '{'0' * 56}' has a permutation "
+                                             f"image of class neither, expected h1"):
+            search_convenient(15, 56, seed_h0=[h.image0], seed_h1=["0" * 56])
+
     def test_results_verify(self):
         # tiny synthetic space: no convenient morphism exists at this length,
         # and the search must terminate cleanly
         assert search_convenient(5, 6, limit=2) == []
+
+
+def _spliced_h0_images(a1, n):
+    """Reference splice: a1 with each point of its cycle cut out in turn,
+    in the order of ``perms.find_conjugator``'s alignments."""
+    cyc = _cycle_through(Permutation(a1), 1)
+    out = []
+    for k in range(n - 1, -1, -1):
+        x = cyc[k]
+        img = list(a1)
+        img[cyc[k - 1] - 1] = a1[x - 1]
+        img[x - 1] = x
+        out.append(tuple(img))
+    return out
+
+
+def _spliced_h1_images(a0, n):
+    """Reference splice: a0's fixed point inserted after each point of its
+    long cycle in turn."""
+    fix = next(i for i in range(1, n + 1) if a0[i - 1] == i)
+    cyc = _cycle_through(Permutation(a0), 2 if fix == 1 else 1)
+    out = []
+    for y in reversed(cyc):
+        img = list(a0)
+        img[fix - 1] = a0[y - 1]
+        img[y - 1] = fix
+        out.append(tuple(img))
+    return out
+
+
+class _ListPairing:
+    """Reference: the pairing with unpacked pools, an r-character str per
+    candidate in a list under its permutation image as an n-tuple, spliced
+    by list edits."""
+
+    def __init__(self, n):
+        self.n = n
+        self.h0_by_perm = {}
+        self.h1_by_perm = {}
+        self.seen = set()
+        self.pairs_tried = 0
+
+    def pool_sizes(self):
+        return (sum(len(v) for v in self.h0_by_perm.values()),
+                sum(len(v) for v in self.h1_by_perm.values()))
+
+    def add(self, bits, sig, kind):
+        n = self.n
+        if kind == "h1":
+            for a0 in _spliced_h0_images(sig, n):
+                for other in self.h0_by_perm.get(a0, ()):
+                    yield self._fresh(other, bits)
+            self.h1_by_perm.setdefault(sig, []).append(bits)
+        elif kind == "h0":
+            for a1 in _spliced_h1_images(sig, n):
+                for other in self.h1_by_perm.get(a1, ()):
+                    yield self._fresh(bits, other)
+            self.h0_by_perm.setdefault(sig, []).append(bits)
+
+    def _fresh(self, h0, h1):
+        self.pairs_tried += 1
+        key = (h0, h1)
+        if key in self.seen:
+            return None
+        self.seen.add(key)
+        return key
+
+
+def _candidate_leaves(n, length):
+    """(bits, sig, kind) of every h0 or h1 leaf, bits and sig as lists, as
+    the walk hands them to its leaf callback."""
+    out = []
+
+    def on_leaf(bits, sig):
+        kind = _classify(sig, n)
+        if kind != "neither":
+            out.append((list(bits), list(sig), kind))
+
+    _walk(n, length, on_leaf)
+    return out
+
+
+def _unpacked(bits, sig):
+    return "".join(bits), tuple(sig)
+
+
+class TestPackedPairing:
+    @pytest.mark.parametrize("n,length", [(5, 30), (6, 30), (7, 30)])
+    def test_packed_pools_pair_as_the_list_pools(self, n, length):
+        leaves = _candidate_leaves(n, length)
+        kinds = [kind for _, _, kind in leaves]
+        assert "h0" in kinds and "h1" in kinds
+        # duplicated seeds: the first h0 and h1 leaves again, before and after
+        firsts = [leaves[kinds.index("h0")], leaves[kinds.index("h1")]]
+        stream = firsts + leaves + firsts[::-1]
+        packed, reference = search._Pairing(n, length), _ListPairing(n)
+        got, expected = [], []
+        for bits, sig, kind in stream:
+            got.extend(packed.add(*search._packed(bits, sig), kind))
+            expected.extend(reference.add(*_unpacked(bits, sig), kind))
+        assert got == expected
+        assert None in got and any(pair is not None for pair in got)
+        assert packed.pairs_tried == reference.pairs_tried == len(got)
+        assert packed.pool_sizes() == reference.pool_sizes() == (
+            kinds.count("h0") + 2, kinds.count("h1") + 2)
+
+    def test_pool_memory_per_candidate(self):
+        # n=15, length 44: 2,606 h0 and 796 h1 candidates, 524 pairs.  Every
+        # object the pools keep is made while traced, as the search makes it;
+        # gc.collect() first empties the interpreter's free lists, which would
+        # otherwise hand out untraced tuples depending on the tests run before.
+        # Calibration: the packed pools retain about 179 bytes per candidate,
+        # the list pools (an r-character str under an n-tuple) about 394.
+        import gc
+        import tracemalloc
+
+        def retained_per_candidate(pairing, pack):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for bits, sig, kind in leaves:
+                    for _ in pairing.add(*pack(bits, sig), kind):
+                        pass
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            return retained / sum(pairing.pool_sizes())
+
+        n, length = 15, 44
+        leaves = _candidate_leaves(n, length)
+        packed = retained_per_candidate(search._Pairing(n, length), search._packed)
+        unpacked = retained_per_candidate(_ListPairing(n), _unpacked)
+        assert packed <= 250 < unpacked, (packed, unpacked)
 
 
 def _mutant(rng, word):
@@ -405,8 +561,8 @@ class TestWorkers:
     def test_shards_concatenate_to_serial_candidates(self, depth):
         # length 18: the shortest even length above 12 with candidates at n=15
         n, length = 15, 18
-        serial = [(bits, sig, _classify(sig, n)) for bits, sig in _leaves(n, length)
-                  if _classify(sig, n) != "neither"]
+        serial = [(int(bits, 2), bytes(sig), _classify(sig, n))
+                  for bits, sig in _leaves(n, length) if _classify(sig, n) != "neither"]
         sharded = []
         for prefix in _shard_prefixes(n, length, depth):
             sharded.extend(_candidates_under_prefix((n, length, prefix)))

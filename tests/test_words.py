@@ -13,7 +13,8 @@ from dejean.words import (RepetitionOccurrence, SigmaWord,
                           maximal_extension)
 
 from helpers import (all_words, brute_find_exceeding, brute_find_excess,
-                     brute_max_exponent, brute_repetition_triples, occ_triples)
+                     brute_has_period, brute_max_exponent, brute_repetition_triples,
+                     occ_triples)
 
 
 class TestSigmaWord:
@@ -174,6 +175,26 @@ class TestFindRepetitions:
             for w in all_words("01", length):
                 got = occ_triples(find_repetitions_exceeding(w, num, den))
                 assert got == brute_find_exceeding(w, num, den), (w, num, den)
+
+    def test_triples_match_the_triple_loop(self):
+        # the extending loop against every (i, j, q) tested from scratch,
+        # and the oracles built on the triples do not depend on their order
+        def triple_loop(w):
+            L = len(w)
+            return [(i, q, j - i) for i in range(L) for j in range(i + 2, L + 1)
+                    for q in range(1, j - i) if brute_has_period(w, i, j, q)]
+
+        rng = random.Random(11)
+        sample = [w for length in range(1, 7) for w in all_words((1, 2, 3), length)]
+        sample += [tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(7, 14)))
+                   for _ in range(200)]
+        sample += ["0" * 12, "01" * 7, "0110" * 3]
+        for w in sample:
+            triples, reference = brute_repetition_triples(w), triple_loop(w)
+            assert sorted(triples) == sorted(reference), w
+            assert brute_max_exponent(w, triples) == brute_max_exponent(w, reference), w
+            assert (brute_find_exceeding(w, 4, 3, triples)
+                    == brute_find_exceeding(w, 4, 3, reference)), w
 
     def test_oracle_ternary_full(self):
         for length in range(1, 11):
