@@ -101,10 +101,8 @@ def _cmd_search(args) -> int:
         return _fail(f"length must be >= 1, got {length}")
     if args.limit < 1:
         return _fail(f"limit must be >= 1, got {args.limit}")
-    if args.workers < 1:
-        return _fail(f"workers must be >= 1, got {args.workers}")
     found = search_convenient(
-        args.n, length, args.limit, workers=args.workers,
+        args.n, length, args.limit,
         progress=lambda msg: print(f"search: {msg}", file=sys.stderr),
     )
     if not found:
@@ -207,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=None,
                    help="image length (default 4n-4, or 4n for n=21)")
     p.add_argument("--limit", type=int, default=1, help="morphisms to find (default 1)")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("encode", help="Pansiot-encode a word read from stdin or FILE")

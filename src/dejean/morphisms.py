@@ -45,14 +45,6 @@ class UniformMorphism:
     def r(self) -> int:
         return len(self.image0)
 
-    @property
-    def common_prefix(self) -> str:
-        """Longest common prefix of the two images."""
-        for k, (a, b) in enumerate(zip(self.image0, self.image1)):
-            if a != b:
-                return self.image0[:k]
-        return self.image0
-
     def apply(self, w: str) -> str:
         """Image of a binary word: the concatenation of letter images."""
         img0, img1 = self.image0, self.image1

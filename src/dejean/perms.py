@@ -31,17 +31,9 @@ class Permutation:
         if n == 0 or sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
     def __call__(self, point: int) -> int:
         return self.images[point - 1]

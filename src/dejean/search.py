@@ -4,7 +4,7 @@ convenient morphisms.
 A binary word is legal when its decoding over the canonical prefix stays
 below the repetition threshold n/(n-1).  The walk is one loop over an
 explicit stack, so no recursion limit bounds its depth; it tests legality
-inline as each letter is placed and replays a fixed prefix as forced bits.
+inline as each letter is placed.
 At a leaf, the permutation image of the code word is read off the decoder
 state (the identity the ``perms`` docstring states) and classified by
 cycle type, (n-1,1) for h(0) and (n,) for h(1), before any string is
@@ -34,20 +34,16 @@ from .verifier import find_kernel_repetitions, probe_encoding, probe_word
 from .words import has_repetition_with_excess_at_least
 
 
-def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> int:
+def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
     """Depth-first traversal of legal encodings of the given length.
 
     ``on_leaf(bits, sigma)`` receives the bit list and the permutation
-    image of the word; returning False aborts the walk.  ``prefix`` fixes
-    the leading bits: below its length only the prefix's bit is tried, so
-    an illegal prefix visits nothing.  ``depth_counts[d]``, when given,
-    accumulates the number of legal words of each length d <= length that
-    extend the prefix or are prefixes of it.  Returns leaves visited.
+    image of the word; returning False aborts the walk.  ``depth_counts[d]``,
+    when given, accumulates the number of legal words of each length
+    d <= length.  Returns leaves visited.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    if len(prefix) > length:
-        raise ValueError(f"prefix of length {len(prefix)} is longer than {length}")
     nm1 = n - 1
     w = list(range(1, n))
     # after[a][x]: the positions j > 0 of letter x with letter a at j - 1.
@@ -60,18 +56,13 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
 
     # The path in bits is the whole stack: b is the next bit to try below
     # it (2 when both are done), M = len(w) is where its letter goes, and
-    # backing out of a 1 restores the missing letter it consumed.  Below
-    # the prefix's length, that is while M < fence, only the prefix's bit
-    # is tried, and the walk ends when it backs out to such a position.
-    forced = [int(bit) for bit in prefix]
-    base = len(forced)
-    fence = nm1 + base
+    # backing out of a 1 restores the missing letter it consumed.
     leaves = 0
     M = nm1
-    b = forced[0] if base else 0
+    b = 0
     while True:
         if b == 2:
-            if M <= fence:
+            if M == nm1:
                 return leaves
             M -= 1
             x = w.pop()
@@ -105,7 +96,7 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
                 bits.append("1" if b else "0")
                 if b:
                     missing = oldest
-                b = forced[d] if d < base else 0
+                b = 0
                 continue
             leaves += 1
             if on_leaf is not None:
@@ -115,7 +106,7 @@ def _walk(n: int, length: int, on_leaf, prefix: str = "", depth_counts=None) -> 
                 bits.pop()
                 if stop:
                     return leaves
-        b = b + 1 if M >= fence else 2
+        b += 1
 
 
 def enumerate_legal(n: int, length: int, visitor: Callable[[str], object] | None = None) -> int:
@@ -282,25 +273,7 @@ class _Pairing:
         return format(h0, self.fmt), format(h1, self.fmt)
 
 
-def _candidates_under_prefix(args: tuple[int, int, str]) -> list[tuple[int, bytes, str]]:
-    """Worker payload: candidate (value, key, kind) triples in the legal
-    subtree under a fixed prefix, in lexicographic order, packed as the
-    pools hold them (:class:`_Pairing`); kind is :func:`_classify` of the
-    permutation image, "h0" or "h1"."""
-    n, length, prefix = args
-    out: list[tuple[int, bytes, str]] = []
-
-    def on_leaf(bits, sig):
-        kind = _classify(sig, n)
-        if kind != "neither":
-            out.append((*_packed(bits, sig), kind))
-
-    _walk(n, length, on_leaf, prefix=prefix)
-    return out
-
-
 def search_convenient(n: int, length: int, limit: int = 1, *,
-                      workers: int = 1,
                       seed_h0: Iterable[str] = (),
                       seed_h1: Iterable[str] = (),
                       progress: Callable[[str], object] | None = None) -> list[UniformMorphism]:
@@ -311,16 +284,12 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
     ``seed_h0`` word must map to cycle type (n-1, 1) and a ``seed_h1``
     word to an n-cycle, else ``ValueError`` before any walk); each conjugacy-
     compatible pair is screened and then verified with the complete
-    suite.  With ``workers`` > 1 the tree is split by fixed-length
-    prefixes over worker processes; candidate streams are merged in
-    lexicographic order, so exhaustive runs are reproducible in either
-    mode.  Returns verified morphisms, sorted by image pair when
+    suite.  Leaves are paired in lexicographic order, so runs are
+    reproducible.  Returns verified morphisms, sorted by image pair when
     the enumeration was exhausted (discovery order when cut off by limit).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if n > 255:
         raise ValueError(f"alphabet size must be <= 255, got {n}: "
                          f"the pools key a permutation by one byte per point")
@@ -338,7 +307,7 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
             seeds.append((*_packed(seed_bits, sig), kind))
     pairing = _Pairing(n, length)
     found: list[UniformMorphism] = []
-    state = {"leaves": 0, "exhausted": False}
+    leaves = 0
 
     def note(msg: str) -> None:
         if progress is not None:
@@ -356,7 +325,7 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
         report = verify(candidate)
         if report.overall:
             found.append(candidate)
-            seen = f"after {state['leaves']} words, " if state["leaves"] else ""
+            seen = f"after {leaves} words, " if leaves else ""
             note(f"verified pair #{len(found)} {seen}{pairing.pairs_tried} pairs tried")
             return len(found) >= limit
         return False
@@ -367,67 +336,21 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
                 return True
         return False
 
-    done = False
-    for seed in seeds:
-        if drain(*seed):
-            done = True
-            break
+    def on_leaf(bits, sig):
+        nonlocal leaves
+        leaves += 1
+        if leaves % 200_000 == 0:
+            p0, p1 = pairing.pool_sizes()
+            note(f"{leaves} words visited, pools h0={p0} h1={p1}, "
+                 f"{pairing.pairs_tried} pairs tried")
+        kind = _classify(sig, n)
+        if kind != "neither" and drain(*_packed(bits, sig), kind):
+            return False
+        return None
 
-    if not done and workers == 1:
-        def on_leaf(bits, sig):
-            state["leaves"] += 1
-            if state["leaves"] % 200_000 == 0:
-                p0, p1 = pairing.pool_sizes()
-                note(f"{state['leaves']} words visited, pools h0={p0} h1={p1}, "
-                     f"{pairing.pairs_tried} pairs tried")
-            kind = _classify(sig, n)
-            if kind != "neither" and drain(*_packed(bits, sig), kind):
-                return False
-            return None
-
-        visited = _walk(n, length, on_leaf)
-        state["exhausted"] = len(found) < limit
-        state["leaves"] = visited
-    elif not done:
-        done_parallel = _search_parallel(n, length, workers, drain, note, state)
-        state["exhausted"] = not done_parallel
-
-    if state["exhausted"]:
+    if not any(drain(*seed) for seed in seeds):
+        _walk(n, length, on_leaf)
+    if len(found) < limit:
+        # exhausted: no seed or leaf reached the limit
         found.sort(key=lambda h: (h.image0, h.image1))
-    return found[:limit]
-
-
-def _shard_prefixes(n: int, length: int, depth: int) -> list[str]:
-    shards: list[str] = []
-    _walk(n, min(depth, length), lambda bits, sig: shards.append("".join(bits)))
-    return shards
-
-
-def _search_parallel(n: int, length: int, workers: int, drain, note, state) -> bool:
-    """Prefix-sharded traversal over worker processes; pairing and
-    verification stay in this process.  True when the limit was reached."""
-    import multiprocessing
-
-    depth = 1
-    while 2 ** depth < 4 * workers and depth < length:
-        depth += 1
-    shards = _shard_prefixes(n, length, depth)
-    if depth >= length:
-        for bits in shards:
-            state["leaves"] += 1
-            sig = word_permutation(bits, n).images
-            if drain(*_packed(bits, sig), _classify(sig, n)):
-                return True
-        return False
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=workers) as pool:
-        jobs = ((n, length, p) for p in shards)
-        done_shards = 0
-        for shard_out in pool.imap(_candidates_under_prefix, jobs):
-            for candidate in shard_out:
-                if drain(*candidate):
-                    pool.terminate()
-                    return True
-            done_shards += 1
-            note(f"shard {done_shards}/{len(shards)} merged")
-    return False
+    return found

@@ -20,11 +20,11 @@ start a run of period q and excess >= n-1, and the bits between them map
 to the identity.  ``big_excess_free`` reports those runs without a scan.
 ``power_free`` scans periods up to n^2-3n+1 (``Bounds.short_bound``) and
 takes the longer periods from the runs, with no premise.  ``kernel_free``
-scans periods up to 9n^2-6n+1 (``Bounds.kernel_bound``), which the
-``markability_r`` and ``iteration_bound`` checks confine kernel
-repetitions below, and is skipped while the ids are distinct.  Without
-``max_period``, :func:`find_kernel_repetitions` scans every period
-(``dejean kernel-scan``).
+is skipped while the ids are distinct.  Otherwise it scans periods up to
+9n^2-6n+1 (``Bounds.kernel_bound``) when the ``markability_r`` and
+``iteration_bound`` checks pass, since they confine kernel repetitions
+below it, and every period when either fails.  Without ``max_period``,
+:func:`find_kernel_repetitions` scans every period (``dejean kernel-scan``).
 """
 
 import json
@@ -207,10 +207,18 @@ def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence]) -> list[
 class _Probe:
     """The morphism under test and what its checks read, each built on
     first use: the probe encoding, its table (the decoding and the
-    decoder-state ids), their distinctness, and the runs they give."""
+    decoder-state ids), their distinctness, the runs they give, and the
+    verdicts of the checks run on it."""
 
     def __init__(self, h: UniformMorphism):
         self.h = h
+        self.verdicts: dict[str, bool] = {}
+
+    def passes(self, name: str) -> bool:
+        """The verdict of the named check, which runs on first ask only."""
+        if name not in self.verdicts:
+            _run(name, dict(_CHECKS)[name], self)
+        return self.verdicts[name]
 
     @cached_property
     def bits(self) -> str:
@@ -289,11 +297,17 @@ def _check_kernel(p: _Probe) -> tuple[bool, str]:
     bound = compute_bounds(p.h.n).kernel_bound
     # bits[a:a+q] maps to the identity iff ids[a] == ids[a+q], so distinct
     # states leave no kernel repetition at any period.
-    occs = [] if p.states_distinct else find_kernel_repetitions(p.bits, p.h.n, bound, p.table.ids)
+    scope = f"periods <= {bound}"
+    if p.states_distinct:
+        occs = []
+    else:
+        # The bound holds only under its premise; without it, scan them all.
+        if not (p.passes("markability_r") and p.passes("iteration_bound")):
+            bound, scope = None, "all periods: markability_r or iteration_bound failed"
+        occs = find_kernel_repetitions(p.bits, p.h.n, bound, p.table.ids)
     if occs:
-        return False, (f"{len(occs)} kernel repetitions (periods <= {bound}); "
-                       f"first: {occs[0].describe()}")
-    return True, f"no kernel repetitions in {len(p.bits)} letters (periods <= {bound})"
+        return False, f"{len(occs)} kernel repetitions ({scope}); first: {occs[0].describe()}"
+    return True, f"no kernel repetitions in {len(p.bits)} letters ({scope})"
 
 
 def _check_big_excess(p: _Probe) -> tuple[bool, str]:
@@ -332,6 +346,7 @@ def _run(name: str, body, probe: _Probe) -> CheckResult:
         passed, witness = body(probe)
     except ValueError as exc:  # a failing construction is report content
         passed, witness = False, f"error: {exc}"
+    probe.verdicts[name] = passed
     return CheckResult(name, passed, witness, int((time.perf_counter() - started) * 1000))
 
 

@@ -66,10 +66,6 @@ class SigmaWord:
             last[c] = k
         return None
 
-    @property
-    def is_window_distinct(self) -> bool:
-        return self.window_violation() is None
-
     def text(self) -> str:
         """Serialize: plain digits for n <= 9, dot-separated decimals above."""
         if self.n <= 9:

@@ -133,13 +133,6 @@ class TestSearchCommand:
         assert main(["search", "256", "--length", "8"]) == 2
         assert "alphabet size must be <= 255, got 256" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_bad_workers_exits_2(self, workers, capsys):
-        assert main(["search", "15", "--length", "8", "--workers", workers]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"workers must be >= 1, got {workers}" in captured.err
-
 
 class TestWordCommands:
     def test_encode(self, capsys, monkeypatch):
@@ -211,8 +204,8 @@ class TestSearchStanzaOutput:
         h = builtin(15)
         real = cli.search_convenient
 
-        def seeded(n, length, limit, *, workers, progress):
-            return real(n, length, limit, workers=workers,
+        def seeded(n, length, limit, *, progress):
+            return real(n, length, limit,
                         seed_h0=[h.image0], seed_h1=[h.image1], progress=progress)
 
         monkeypatch.setattr(cli, "search_convenient", seeded)

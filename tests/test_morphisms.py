@@ -16,6 +16,14 @@ def thue_morse_like():
     return UniformMorphism(3, "01", "10")
 
 
+def common_prefix(u, v):
+    """Longest common prefix of two words."""
+    k = 0
+    while k < min(len(u), len(v)) and u[k] == v[k]:
+        k += 1
+    return u[:k]
+
+
 class TestEmbeddedTable:
     def test_data_file_checksum(self):
         raw = importlib.resources.files("dejean.data").joinpath("morphisms.txt").read_bytes()
@@ -35,7 +43,7 @@ class TestEmbeddedTable:
         assert h.image0[-1] != h.image1[-1]
         assert "011" in h.image0
         assert "110" in h.image1
-        assert len(h.common_prefix) < h.r
+        assert len(common_prefix(h.image0, h.image1)) < h.r
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -54,8 +62,10 @@ class TestUniformMorphism:
             UniformMorphism(1, "01", "10")
 
     def test_common_prefix(self):
-        assert UniformMorphism(3, "0010", "0011").common_prefix == "001"
-        assert UniformMorphism(3, "01", "10").common_prefix == ""
+        h = UniformMorphism(3, "0010", "0011")
+        assert common_prefix(h.image0, h.image1) == "001"
+        h = thue_morse_like()
+        assert common_prefix(h.image0, h.image1) == ""
 
     def test_apply(self):
         h = builtin(15)

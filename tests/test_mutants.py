@@ -10,7 +10,9 @@ within the bound, and the runs read off the ids must equal the oracle's
 lists in full.  The mutants are fixed by the seed: one bit flip and one
 swap of adjacent unequal bits at n = 15 and n = 16, and one window of 2n
 zeros at n = 15.  0^(n-1) maps to the identity, so the window leaves equal
-ids and repetitions of period above n^2-3n+1.
+ids and repetitions of period above n^2-3n+1.  The kernel bound is trusted
+only under its premise: small morphisms that fail ``markability_r`` or
+``iteration_bound`` must get the unbounded kernel scan.
 """
 
 import random
@@ -160,3 +162,23 @@ def test_window_mutant_power_scan_falls_back_to_all_periods(results):
     assert (by_name.passed, by_name.witness) == (alone.passed, alone.witness)
     assert ("power scan periods <= 181 = n^2-3n+1; longer periods read off"
             " equal decoder states") in report.render_text()
+
+
+# Morphisms that fail the kernel bound's premise, whose decoder-state ids
+# repeat, and whose probe encodings hold a kernel repetition of period
+# above 9n^2-6n+1.
+PREMISE_FAILS = [UniformMorphism(4, "101011", "110010"),
+                 UniformMorphism(3, "100110", "100110")]
+
+
+@pytest.mark.parametrize("h", PREMISE_FAILS, ids=lambda h: f"{h.n}-{h.image0}-{h.image1}")
+def test_kernel_bound_is_not_trusted_without_its_premise(h):
+    report = verify(h)
+    assert not (report.check("markability_r").passed and report.check("iteration_bound").passed)
+    kernel = find_kernel_repetitions(probe_encoding(h), h.n)
+    assert any(o.period > compute_bounds(h.n).kernel_bound for o in kernel)
+    check = report.check("kernel_free")
+    assert "(all periods: markability_r or iteration_bound failed)" in check.witness
+    _assert_matches_oracle(check, kernel)
+    alone = run_check("kernel_free", h)
+    assert (alone.passed, alone.witness) == (check.passed, check.witness)

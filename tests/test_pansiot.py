@@ -52,7 +52,7 @@ class TestDecode:
         h = builtin(15)
         v = decode(h.image0, canonical_prefix(15))
         assert len(v) == 56 + 14
-        assert v.is_window_distinct
+        assert v.window_violation() is None
         assert encode(v) == h.image0
 
     def test_prefix_not_distinct(self):
@@ -68,7 +68,7 @@ class TestDecode:
         for _ in range(200):
             n = rng.choice((3, 5, 8))
             v, _, _ = random_valid_word(rng, n, rng.randint(0, 30))
-            assert v.is_window_distinct
+            assert v.window_violation() is None
 
 
 class TestRoundTrip:

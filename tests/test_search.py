@@ -9,9 +9,8 @@ from dejean.morphisms import UniformMorphism, _factors, builtin, limit_prefix
 from dejean.pansiot import canonical_prefix, decode
 from dejean.perms import (Permutation, find_conjugator, step0, step1,
                           word_permutation)
-from dejean.search import (_candidates_under_prefix, _classify,
-                           _compatible_h0_images, _compatible_h1_images,
-                           _screen_pair, _shard_prefixes, _swap_tables, _walk,
+from dejean.search import (_classify, _compatible_h0_images,
+                           _compatible_h1_images, _screen_pair, _swap_tables, _walk,
                            classify_candidate, enumerate_legal,
                            legal_length_counts, search_convenient)
 from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, verify
@@ -107,9 +106,9 @@ class TestLegalLengthCounts:
         assert counts[20] > counts[10]
 
 
-def _leaves(n, length, prefix=""):
+def _leaves(n, length):
     out = []
-    _walk(n, length, lambda bits, sig: out.append(("".join(bits), sig)), prefix=prefix)
+    _walk(n, length, lambda bits, sig: out.append(("".join(bits), sig)))
     return out
 
 
@@ -159,41 +158,6 @@ class TestHotPathIdentities:
         for length in range(1, max_length + 1):
             for bits, sig in _leaves(n, length):
                 assert sig == word_permutation(bits, n).images, (n, bits)
-
-    @pytest.mark.parametrize("n", [4, 7, 15])
-    def test_leaf_sig_under_prefix(self, n):
-        length = 12
-        for prefix in _shard_prefixes(n, length, 4):
-            leaves = _leaves(n, length, prefix)
-            assert leaves and all(bits.startswith(prefix) for bits, _ in leaves)
-            for bits, sig in leaves:
-                assert sig == word_permutation(bits, n).images, (n, bits)
-
-    @pytest.mark.parametrize("n,length", [(4, 10), (5, 10), (6, 10), (7, 10), (15, 12)])
-    def test_prefix_walks_exactly_its_subtree(self, n, length):
-        # every prefix of length <= 4, legal or not, against the unprefixed walk
-        everything = _leaves(n, length)
-        illegal_seen = False
-        for k in range(5):
-            for prefix in all_words("01", k):
-                expected = [leaf for leaf in everything if leaf[0].startswith(prefix)]
-                got = []
-                count = _walk(n, length, lambda bits, sig: got.append(("".join(bits), sig)),
-                              prefix=prefix)
-                assert got == expected, (n, prefix)
-                assert count == len(expected)
-                if find_repetitions_exceeding(decode(prefix, canonical_prefix(n)), n, n - 1):
-                    illegal_seen = True
-                    assert count == 0, (n, prefix)
-        assert illegal_seen
-
-    def test_prefix_longer_than_length(self):
-        with pytest.raises(ValueError):
-            _walk(15, 3, None, prefix="0000")
-
-    def test_prefix_as_long_as_length_is_one_leaf(self):
-        for leaf in _leaves(15, 6):
-            assert _leaves(15, 6, prefix=leaf[0]) == [leaf]
 
     @pytest.mark.parametrize("n", range(3, 27))
     def test_splice_lists_match_conjugation(self, n):
@@ -546,35 +510,3 @@ class TestScreen:
         assert not verify(UniformMorphism(15, h.image0, h1)).check("structure").passed
         assert _screen_pair(15, h.image0, h1) == "structure"
 
-
-class TestWorkers:
-    def test_parallel_matches_serial_on_exhausted_space(self):
-        serial = search_convenient(15, 10, limit=3)
-        parallel = search_convenient(15, 10, limit=3, workers=2)
-        assert serial == parallel == []
-
-    def test_parallel_shallow_space_is_walked_in_process(self):
-        # length 3 is no deeper than the shard prefixes: no pool is started
-        assert search_convenient(15, 3, limit=1, workers=2) == []
-
-    @pytest.mark.parametrize("depth", [2, 3])
-    def test_shards_concatenate_to_serial_candidates(self, depth):
-        # length 18: the shortest even length above 12 with candidates at n=15
-        n, length = 15, 18
-        serial = [(int(bits, 2), bytes(sig), _classify(sig, n))
-                  for bits, sig in _leaves(n, length) if _classify(sig, n) != "neither"]
-        sharded = []
-        for prefix in _shard_prefixes(n, length, depth):
-            sharded.extend(_candidates_under_prefix((n, length, prefix)))
-        assert serial and sharded == serial
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_bad_workers(self, workers):
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            search_convenient(15, 8, limit=1, workers=workers)
-
-    def test_parallel_seeded(self):
-        h = builtin(15)
-        found = search_convenient(15, 56, limit=1, workers=2,
-                                  seed_h0=[h.image0], seed_h1=[h.image1])
-        assert found == [h]

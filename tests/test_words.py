@@ -38,7 +38,7 @@ class TestSigmaWord:
         assert SigmaWord(3, ()).letters == ()
 
     def test_window_distinct(self):
-        assert SigmaWord(3, (1, 2, 1, 3)).is_window_distinct
+        assert SigmaWord(3, (1, 2, 1, 3)).window_violation() is None
         assert SigmaWord(3, (1, 2, 2)).window_violation() == 1
         assert SigmaWord(4, (1, 2, 1)).window_violation() == 0
 
