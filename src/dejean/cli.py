@@ -28,26 +28,30 @@ def _fail(message: str) -> int:
     return 2
 
 
+class _InputError(Exception):
+    """An input file that cannot be read or parsed; main exits 2."""
+
+
+def _read_file(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # strerror: the reason without the path
+        raise _InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _read_word(args) -> str:
-    if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as fh:
-            return fh.read().strip()
-    return sys.stdin.read().strip()
+    return (_read_file(args.file) if getattr(args, "file", None) else sys.stdin.read()).strip()
 
 
-def _morphism_sources(args) -> list[UniformMorphism] | None:
-    """Morphisms the verify command should consider, or None on error."""
+def _morphism_sources(args) -> list[UniformMorphism]:
+    """Morphisms the verify command should consider."""
     path = args.morphism_file or os.environ.get(MORPHISM_FILE_ENV)
     if path:
         try:
-            with open(path, encoding="utf-8") as fh:
-                return parse_morphism_file(fh.read())
-        except OSError as exc:
-            print(f"error: cannot read morphism file: {exc}", file=sys.stderr)
-            return None
+            return parse_morphism_file(_read_file(path))
         except MorphismFormatError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return None
+            raise _InputError(f"{path}: {exc}") from None
     return [builtin(n) for n in BUILTIN_SIZES]
 
 
@@ -68,8 +72,6 @@ def _run_reports(morphs: list[UniformMorphism]) -> list[VerificationReport]:
 
 def _cmd_verify(args) -> int:
     morphs = _morphism_sources(args)
-    if morphs is None:
-        return 2
     if args.target == "all":
         selected = morphs
     else:
@@ -170,6 +172,8 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_kernel_scan(args) -> int:
+    if args.max_period is not None and args.max_period < 1:
+        return _fail(f"max-period must be >= 1, got {args.max_period}")
     text = _read_word(args)
     if not text:
         return _fail("empty input word")
@@ -236,7 +240,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

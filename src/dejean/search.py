@@ -240,36 +240,31 @@ class _Pairing:
         self.fmt = f"0{r}b"
         self.h0_by_perm: dict[bytes, tuple[int, ...]] = {}
         self.h1_by_perm: dict[bytes, tuple[int, ...]] = {}
-        self.seen: set[tuple[int, int]] = set()
         self.pairs_tried = 0
 
     def pool_sizes(self) -> tuple[int, int]:
         return (sum(len(v) for v in self.h0_by_perm.values()),
                 sum(len(v) for v in self.h1_by_perm.values()))
 
-    def add(self, value: int, key: bytes, kind: str) -> Iterable[tuple[str, str] | None]:
+    def add(self, value: int, key: bytes, kind: str) -> Iterable[tuple[str, str]]:
         """Register a candidate (the ``int`` of its bits, its permutation
         image as ``bytes``) of the given kind (:func:`_classify`; a
         "neither" is ignored); yield (h0, h1) bit-string pairs passing the
-        conjugacy condition, oldest opposite candidate first, and None for
-        a pair already yielded."""
+        conjugacy condition, oldest opposite candidate first.  A candidate
+        added twice pairs twice: the caller adds each value once."""
         if kind == "h1":
             for a0 in _compatible_h0_images(key, self.swaps):
                 for other in self.h0_by_perm.get(a0, ()):
-                    yield self._fresh(other, value)
+                    yield self._pair(other, value)
             self.h1_by_perm[key] = self.h1_by_perm.get(key, ()) + (value,)
         elif kind == "h0":
             for a1 in _compatible_h1_images(key, self.swaps):
                 for other in self.h1_by_perm.get(a1, ()):
-                    yield self._fresh(value, other)
+                    yield self._pair(value, other)
             self.h0_by_perm[key] = self.h0_by_perm.get(key, ()) + (value,)
 
-    def _fresh(self, h0: int, h1: int) -> tuple[str, str] | None:
+    def _pair(self, h0: int, h1: int) -> tuple[str, str]:
         self.pairs_tried += 1
-        key = (h0, h1)
-        if key in self.seen:
-            return None
-        self.seen.add(key)
         return format(h0, self.fmt), format(h1, self.fmt)
 
 
@@ -305,6 +300,10 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
                 raise ValueError(f"seed_{role} {seed_bits!r} has a permutation image "
                                  f"of class {kind}, expected {role}")
             seeds.append((*_packed(seed_bits, sig), kind))
+    # A value fixes its role, so a repeated seed or a leaf equal to a seed
+    # would only pair again: each value is pooled once.
+    seeds = list(dict.fromkeys(seeds))
+    seeded = {value for value, _, _ in seeds}
     pairing = _Pairing(n, length)
     found: list[UniformMorphism] = []
     leaves = 0
@@ -313,10 +312,8 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
         if progress is not None:
             progress(msg)
 
-    def consider(pair: tuple[str, str] | None) -> bool:
+    def consider(pair: tuple[str, str]) -> bool:
         """Screen and verify one pair; True once the limit is reached."""
-        if pair is None:
-            return False
         h0, h1 = pair
         why = _screen_pair(n, h0, h1)
         if why is not None:
@@ -344,8 +341,10 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
             note(f"{leaves} words visited, pools h0={p0} h1={p1}, "
                  f"{pairing.pairs_tried} pairs tried")
         kind = _classify(sig, n)
-        if kind != "neither" and drain(*_packed(bits, sig), kind):
-            return False
+        if kind != "neither":
+            value, key = _packed(bits, sig)
+            if value not in seeded and drain(value, key, kind):
+                return False
         return None
 
     if not any(drain(*seed) for seed in seeds):

@@ -9,15 +9,16 @@ All repetition scans (``max_exponent`` and the ``find_``/``has_`` forms for
 an exponent threshold or a minimum excess) are calls into one generator of
 maximal runs, ``_runs``, which takes the least excess a run of each period
 must reach.  On long words it skips a period unless the bitmask of matching
-positions holds a long enough run.
+positions holds a long enough run; that mask is read off the word's bit
+planes (bit i of each symbol's number), a few operations per plane.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-# Words at least this long get the bitmask fast path in the period scans;
-# on shorter words building the masks costs more than it saves.  Tests
+# Words at least this long get the bit-plane fast path in the period scans;
+# on shorter words building the planes costs more than it saves.  Tests
 # lower it to exercise both paths on the same inputs.
 _MASK_MIN_LENGTH = 2048
 
@@ -185,25 +186,30 @@ def _period_match_runs(sym: Sequence, q: int) -> Iterator[tuple[int, int]]:
             k += 1
 
 
-def _letter_masks(sym: Sequence) -> list[int]:
-    """One bitmask per letter; bit k set iff sym[k] is that letter."""
-    L = len(sym)
-    size = (L + 7) // 8
-    packed: dict = {}
-    for k, c in enumerate(sym):
-        ba = packed.get(c)
-        if ba is None:
-            ba = packed[c] = bytearray(size)
-        ba[k >> 3] |= 1 << (k & 7)
-    return [int.from_bytes(ba, "little") for ba in packed.values()]
+# _PLANE_DIGITS[i] translates a code byte to "1" if its bit i is set, else "0".
+_PLANE_DIGITS = [bytes(b"01"[c >> i & 1] for c in range(256)) for i in range(8)]
 
 
-def _match_mask(masks: list[int], q: int) -> int:
-    """Bit k set iff positions k and k+q hold the same letter."""
-    m = 0
-    for pm in masks:
-        m |= pm & (pm >> q)
-    return m
+def _bit_planes(sym: Sequence) -> tuple[int, list[int]] | None:
+    """(full, planes): the L low bits of ``full`` set, and bit k of planes[i]
+    set iff bit i of the number of sym[k] is, the distinct symbols numbered
+    from 0 (ceil(log2 k) planes for k of them); None above 256 symbols."""
+    codes = {c: i for i, c in enumerate(dict.fromkeys(sym))}
+    if len(codes) > 256:
+        return None
+    buf = bytes(map(codes.__getitem__, sym))[::-1]
+    planes = [int(buf.translate(_PLANE_DIGITS[i]), 2)
+              for i in range((len(codes) - 1).bit_length())]
+    return (1 << len(sym)) - 1, planes
+
+
+def _match_mask(full: int, planes: list[int], q: int) -> int:
+    """Bit k set iff positions k and k+q hold the same letter: every plane
+    agrees there."""
+    diff = 0
+    for p in planes:
+        diff |= p ^ (p >> q)
+    return (full >> q) & ~diff
 
 
 def _has_run(mask: int, t: int) -> bool:
@@ -224,18 +230,19 @@ def _runs(w, min_run: Callable[[int], int],
     ``min_run`` must not decrease with q, so the scan stops at the first
     period where even the whole word falls short.  It is read again after
     each yield, so a caller may raise it as results arrive.  Periods above
-    ``max_period`` (when given) are not scanned.  Long words first test
-    each period's match mask for a long enough run of matches.
+    ``max_period`` (when given) are not scanned.  Long words of at most
+    256 distinct symbols first test each period's match mask, from their
+    bit planes, for a long enough run of matches.
     """
     sym = _symbols(w)
     L = len(sym)
-    masks = _letter_masks(sym) if L >= _MASK_MIN_LENGTH else None
+    sliced = _bit_planes(sym) if L >= _MASK_MIN_LENGTH else None
     last = L if max_period is None else min(L, max_period + 1)
     for q in range(1, last):
         need = min_run(q)
         if L - q < need:
             break
-        if masks is not None and not _has_run(_match_mask(masks, q), need):
+        if sliced is not None and not _has_run(_match_mask(*sliced, q), need):
             continue
         for i, j in _period_match_runs(sym, q):
             if j - i - q >= need:

@@ -195,6 +195,50 @@ class TestWordCommands:
         assert capsys.readouterr().out.startswith("3/2")
 
 
+def _unreadable(tmp_path, case):
+    """A path that cannot be read as UTF-8 text, with the reason its error
+    message must end with."""
+    if case == "missing":
+        return tmp_path / "absent.txt", "No such file or directory"
+    if case == "directory":
+        return tmp_path, "Is a directory"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0\xff1\n")
+    return path, "can't decode byte 0xff in position 1: invalid start byte"
+
+
+class TestUnreadableInput:
+    """An input FILE that is missing, a directory or not UTF-8 is an input
+    error: exit 2 with one line naming the file and the reason."""
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("command", [["encode", "--n", "3"], ["decode", "--n", "3"],
+                                         ["exponent"], ["kernel-scan", "--n", "5"]],
+                             ids=lambda command: command[0])
+    def test_word_file(self, tmp_path, capsys, command, case):
+        path, reason = _unreadable(tmp_path, case)
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.endswith(f"{reason}\n")
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_morphism_file(self, tmp_path, capsys, case):
+        path, reason = _unreadable(tmp_path, case)
+        assert main(["verify", "15", "--morphism-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.endswith(f"{reason}\n")
+
+
+class TestKernelScanMaxPeriod:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_below_one_exits_2(self, capsys, monkeypatch, value):
+        assert run_cli(["kernel-scan", "--n", "5", "--max-period", value],
+                       "111111\n", monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max-period must be >= 1, got {value}\n"
+
+
 class TestSearchStanzaOutput:
     def test_seeded_search_emits_stanza(self, capsys, monkeypatch):
         # go through the library seam: seed the real builtin pair so the

@@ -275,6 +275,20 @@ class TestSearchConvenient:
                                              f"image of class neither, expected h1"):
             search_convenient(15, 56, seed_h0=[h.image0], seed_h1=["0" * 56])
 
+    @pytest.mark.parametrize("n,length", [(5, 30), (6, 30), (7, 30)])
+    def test_seeds_that_repeat_or_are_leaves_pair_once(self, monkeypatch, n, length):
+        # seeds: the first pair of the walk, each word given twice and met
+        # again as a leaf; every pair is still screened once, seeds first
+        screened = []
+        monkeypatch.setattr(search, "_screen_pair",
+                            lambda n, a, b: screened.append((a, b)) or "structure")
+        assert search_convenient(n, length) == []
+        unseeded, screened[:] = screened[:], []
+        h0, h1 = unseeded[0]
+        assert search_convenient(n, length, seed_h0=[h0, h0], seed_h1=[h1, h1]) == []
+        assert screened[0] == (h0, h1)
+        assert len(screened) == len(set(screened)) and set(screened) == set(unseeded)
+
     def test_results_verify(self):
         # tiny synthetic space: no convenient morphism exists at this length,
         # and the search must terminate cleanly
@@ -318,7 +332,6 @@ class _ListPairing:
         self.n = n
         self.h0_by_perm = {}
         self.h1_by_perm = {}
-        self.seen = set()
         self.pairs_tried = 0
 
     def pool_sizes(self):
@@ -330,21 +343,17 @@ class _ListPairing:
         if kind == "h1":
             for a0 in _spliced_h0_images(sig, n):
                 for other in self.h0_by_perm.get(a0, ()):
-                    yield self._fresh(other, bits)
+                    yield self._pair(other, bits)
             self.h1_by_perm.setdefault(sig, []).append(bits)
         elif kind == "h0":
             for a1 in _spliced_h1_images(sig, n):
                 for other in self.h1_by_perm.get(a1, ()):
-                    yield self._fresh(bits, other)
+                    yield self._pair(bits, other)
             self.h0_by_perm.setdefault(sig, []).append(bits)
 
-    def _fresh(self, h0, h1):
+    def _pair(self, h0, h1):
         self.pairs_tried += 1
-        key = (h0, h1)
-        if key in self.seen:
-            return None
-        self.seen.add(key)
-        return key
+        return h0, h1
 
 
 def _candidate_leaves(n, length):
@@ -371,19 +380,15 @@ class TestPackedPairing:
         leaves = _candidate_leaves(n, length)
         kinds = [kind for _, _, kind in leaves]
         assert "h0" in kinds and "h1" in kinds
-        # duplicated seeds: the first h0 and h1 leaves again, before and after
-        firsts = [leaves[kinds.index("h0")], leaves[kinds.index("h1")]]
-        stream = firsts + leaves + firsts[::-1]
         packed, reference = search._Pairing(n, length), _ListPairing(n)
         got, expected = [], []
-        for bits, sig, kind in stream:
+        for bits, sig, kind in leaves:
             got.extend(packed.add(*search._packed(bits, sig), kind))
             expected.extend(reference.add(*_unpacked(bits, sig), kind))
-        assert got == expected
-        assert None in got and any(pair is not None for pair in got)
+        assert got == expected and got
         assert packed.pairs_tried == reference.pairs_tried == len(got)
         assert packed.pool_sizes() == reference.pool_sizes() == (
-            kinds.count("h0") + 2, kinds.count("h1") + 2)
+            kinds.count("h0"), kinds.count("h1"))
 
     def test_pool_memory_per_candidate(self):
         # n=15, length 44: 2,606 h0 and 796 h1 candidates, 524 pairs.  Every

@@ -259,6 +259,67 @@ class TestMaskFastPath:
             assert words._has_run(mask, t) == (longest >= t)
 
 
+def _word_with_symbols(rng, k, length):
+    """A random list of codes 0..k-1 of the given length (>= k) in which
+    every code occurs."""
+    codes = list(range(k)) + [rng.randrange(k) for _ in range(length - k)]
+    rng.shuffle(codes)
+    return codes
+
+
+class TestBitPlanes:
+    """The bit-sliced match mask against a direct comparison of letters,
+    for alphabets that fill from one to all eight planes."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 15, 16, 17, 26, 256])
+    @pytest.mark.parametrize("form", ["str", "tuple", "SigmaWord"])
+    def test_match_mask_is_letter_equality(self, k, form):
+        rng = random.Random(k)
+        codes = _word_with_symbols(rng, k, k + 60)
+        if form == "str":
+            w = "".join(chr(0x100 + c) for c in codes)
+        elif form == "tuple":
+            w = tuple(1000 - 7 * c for c in codes)
+        else:
+            w = SigmaWord(max(k, 2), tuple(c + 1 for c in codes))
+        sym = words._symbols(w)
+        full, planes = words._bit_planes(w)
+        assert len(planes) == (k - 1).bit_length()
+        L = len(sym)
+        for q in range(1, L + 2):
+            mask = words._match_mask(full, planes, q)
+            assert mask >> max(L - q, 0) == 0, (k, q)
+            for j in range(L - q):
+                assert (mask >> j & 1) == (sym[j] == sym[j + q]), (k, q, j)
+
+    def test_masked_scan_on_decodings_equals_the_plain_scan(self, monkeypatch):
+        from dejean.pansiot import canonical_prefix, decode
+
+        rng = random.Random(26)
+        for n in range(15, 27):
+            bits = "".join(rng.choice("01") for _ in range(300))
+            v = decode(bits, canonical_prefix(n))
+            bound = n * n - 3 * n + 1
+            monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 10 ** 9)
+            plain = find_repetitions_exceeding(v, n, n - 1, bound)
+            monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 1)
+            assert find_repetitions_exceeding(v, n, n - 1, bound) == plain, n
+
+    def test_more_than_256_symbols_take_the_plain_scan(self, monkeypatch):
+        rng = random.Random(257)
+        w = tuple(_word_with_symbols(rng, 257, 400))
+        assert words._bit_planes(w) is None
+        plain = find_repetitions_exceeding(w, 1, 1)
+        assert plain
+        monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 1)
+
+        def no_mask(*args):
+            raise AssertionError("a mask was built")
+
+        monkeypatch.setattr(words, "_match_mask", no_mask)
+        assert find_repetitions_exceeding(w, 1, 1) == plain
+
+
 class TestMaxPeriod:
     """A scan bounded by max_period is the unbounded list cut at that period,
     on the plain path and on the bitmask path alike."""
