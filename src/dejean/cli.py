@@ -41,7 +41,10 @@ def _read_file(path: str) -> str:
 
 
 def _read_word(args) -> str:
-    return (_read_file(args.file) if getattr(args, "file", None) else sys.stdin.read()).strip()
+    text = (_read_file(args.file) if getattr(args, "file", None) else sys.stdin.read()).strip()
+    if not text:
+        raise _InputError("empty input word")
+    return text
 
 
 def _morphism_sources(args) -> list[UniformMorphism]:
@@ -49,9 +52,12 @@ def _morphism_sources(args) -> list[UniformMorphism]:
     path = args.morphism_file or os.environ.get(MORPHISM_FILE_ENV)
     if path:
         try:
-            return parse_morphism_file(_read_file(path))
+            morphs = parse_morphism_file(_read_file(path))
         except MorphismFormatError as exc:
             raise _InputError(f"{path}: {exc}") from None
+        if not morphs:
+            raise _InputError(f"{path}: no morphism stanza")
+        return morphs
     return [builtin(n) for n in BUILTIN_SIZES]
 
 
@@ -116,8 +122,6 @@ def _cmd_search(args) -> int:
 
 def _cmd_encode(args) -> int:
     text = _read_word(args)
-    if not text:
-        return _fail("empty input word")
     try:
         word = SigmaWord.from_text(text, args.n)
         print(encode(word))
@@ -130,8 +134,6 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     text = _read_word(args)
-    if not text:
-        return _fail("empty input word")
     try:
         bits = parse_binary(text)
         if args.prefix is not None:
@@ -157,8 +159,6 @@ def _parse_any_word(text: str):
 
 def _cmd_exponent(args) -> int:
     text = _read_word(args)
-    if not text:
-        return _fail("empty input word")
     try:
         word = _parse_any_word(text)
         exponent, witness = max_exponent(word)
@@ -175,8 +175,6 @@ def _cmd_kernel_scan(args) -> int:
     if args.max_period is not None and args.max_period < 1:
         return _fail(f"max-period must be >= 1, got {args.max_period}")
     text = _read_word(args)
-    if not text:
-        return _fail("empty input word")
     try:
         bits = parse_binary(text)
         occs = find_kernel_repetitions(bits, args.n, args.max_period)

@@ -224,9 +224,11 @@ def parse_morphism_file(text: str) -> list[UniformMorphism]:
                 raise MorphismFormatError(
                     f"line {line}: image length {len(value)} does not match declared r={r}"
                 )
-        if len(h0) != len(h1):
-            raise MorphismFormatError(f"line {h1_line}: image lengths differ")
-        morphisms.append(UniformMorphism(n, h0, h1))
+        try:
+            morphisms.append(UniformMorphism(n, h0, h1))
+        except ValueError as exc:  # named by the stanza's first line
+            first = min(line for _, line in fields.values())
+            raise MorphismFormatError(f"line {first}: {exc}") from None
         fields.clear()
 
     line_no = 0

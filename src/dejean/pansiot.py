@@ -6,7 +6,14 @@ is 0 when the letter n-1 places later repeats letter i, else 1.  Window
 distinctness forces the "1" letter to be the unique letter absent from the
 preceding window, so the word is recoverable from the bits plus its first
 n-1 letters.
+
+Decoding only copies the oldest window letter or the missing letter, so
+``decode`` tables, per n, where each 8-bit chunk sends the letters of the
+state (window, missing letter) and applies it by ``bytes.translate``.  For
+n > 255, and for the last len(bits) % 8 bits, it runs the plain loop.
 """
+
+from functools import lru_cache
 
 from .words import SigmaWord, parse_binary
 
@@ -54,10 +61,15 @@ def decode(bits: str, prefix: SigmaWord) -> SigmaWord:
     if len(set(prefix.letters)) != n - 1:
         raise ValueError("prefix letters are not distinct")
     bits = parse_binary(bits)
-    letters = list(prefix.letters)
     # The single letter of 1..n not present in the prefix.
-    missing = n * (n + 1) // 2 - sum(letters)
-    width = n - 1
+    missing = n * (n + 1) // 2 - sum(prefix.letters)
+    run = _decode_chunks if n < 256 else _decode_loop
+    return SigmaWord(n, tuple(run(bits, prefix.letters, missing)))
+
+
+def _decode_loop(bits: str, prefix: tuple[int, ...], missing: int) -> list[int]:
+    """The letters of the decoding, one bit at a time."""
+    letters, width = list(prefix), len(prefix)
     for ch in bits:
         oldest = letters[len(letters) - width]
         if ch == "0":
@@ -65,4 +77,30 @@ def decode(bits: str, prefix: SigmaWord) -> SigmaWord:
         else:
             letters.append(missing)
             missing = oldest
-    return SigmaWord(n, tuple(letters))
+    return letters
+
+
+@lru_cache(maxsize=None)
+def _chunk_steps(n: int) -> list[tuple[bytes, bytes]]:
+    """For each 8-bit chunk, by value: the positions in the state 0..n-1
+    (window, then missing letter) of the letters it emits and leaves."""
+    def run(chunk: str) -> tuple[bytes, bytes]:
+        letters = _decode_loop(chunk, tuple(range(n - 1)), n - 1)
+        window = letters[1 - n:]
+        return bytes(letters[n - 1:]), bytes(window + [n * (n - 1) // 2 - sum(window)])
+    return [run(f"{c:08b}") for c in range(256)]
+
+
+def _decode_chunks(bits: str, prefix: tuple[int, ...], missing: int) -> bytes:
+    """The letters of the decoding, 8 bits per step; needs n < 256."""
+    steps = _chunk_steps(len(prefix) + 1)
+    state, pad = bytes(prefix) + bytes((missing,)), bytes(255 - len(prefix))
+    full = len(bits) - len(bits) % 8
+    out = [bytes(prefix)]
+    for code in int(bits[:full] or "0", 2).to_bytes(full // 8, "big"):
+        emit, nxt = steps[code]
+        table = state + pad
+        out.append(emit.translate(table))
+        state = nxt.translate(table)
+    out.append(bytes(_decode_loop(bits[full:], state[:-1], state[-1])[len(prefix):]))
+    return b"".join(out)

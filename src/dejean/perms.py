@@ -8,13 +8,16 @@ word_permutation(u) * word_permutation(v).  This orientation is the one
 under which the codeword of a window-distinct word starting 1 2 ... n-1
 maps i to the i-th entry of (last n-1 letters, missing letter); the
 property suite pins it.  ``PrefixPermutationTable`` rests on that identity:
-it numbers the prefix permutations of a word by the windows of its
-decoding and composes nothing.
+it names each prefix permutation of a word by the first position of an
+equal window of its decoding, told apart by int keys read in bulk (whole
+windows only where keys repeat), and composes nothing.
 """
 
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import eq, ne
 
 from .pansiot import canonical_prefix, decode
 from .words import check_binary
@@ -65,19 +68,23 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _cycle_from(p, start: int) -> list[int]:
+    """The cycle through start of p (images of 1..n, tuple or bytes)."""
+    cyc = [start]
+    point = p[start - 1]
+    while point != start:
+        cyc.append(point)
+        point = p[point - 1]
+    return cyc
+
+
 def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(p)
-    seen = [False] * (n + 1)
-    lengths = []
-    for i in range(1, n + 1):
-        if not seen[i]:
-            c = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j - 1]
-                c += 1
-            lengths.append(c)
+    seen, lengths = set(), []
+    for i in range(1, len(p) + 1):
+        if i not in seen:
+            cyc = _cycle_from(p, i)
+            seen.update(cyc)
+            lengths.append(len(cyc))
     return tuple(sorted(lengths))
 
 
@@ -129,23 +136,15 @@ def find_conjugator(a0: Permutation, a1: Permutation, n: int) -> Permutation | N
     if a0.degree != n or a1.degree != n:
         raise ValueError("degree mismatch")
     s0, _ = _step_images(n)
-    candidates = _conjugators_onto_full_cycle(a1.images, n)
-    best = None
-    for tau in candidates:
-        if all(tau[a0.images[x - 1] - 1] == s0[tau[x - 1] - 1] for x in range(1, n + 1)):
-            if best is None or tau < best:
-                best = tau
+    best = min((tau for tau in _conjugators_onto_full_cycle(a1.images, n)
+                if all(tau[a0.images[x - 1] - 1] == s0[tau[x - 1] - 1] for x in range(1, n + 1))),
+               default=None)
     return None if best is None else Permutation(best)
 
 
 def _conjugators_onto_full_cycle(a1: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """All t with t*a1*t^-1 = step1(n); empty unless a1 is an n-cycle."""
-    cyc = [1]
-    while True:
-        nxt = a1[cyc[-1] - 1]
-        if nxt == 1:
-            break
-        cyc.append(nxt)
+    cyc = _cycle_from(a1, 1)
     if len(cyc) != n:
         return []
     out = []
@@ -163,18 +162,38 @@ class PrefixPermutationTable:
     ``word`` is the decoding of ``bits`` over ``canonical_prefix(n)``.  Its
     window word[k:k+n-1] is decoder state k: with the missing letter it is
     the image of the length-k prefix (the module identity), and the window
-    alone fixes the missing letter.  ``ids[k]`` numbers that window in order
-    of first appearance, so equal ids mark equal prefix permutations and
-    the factor bits[i:j] maps to the identity iff ids[i] == ids[j].
+    alone fixes the missing letter.  ``ids[k]`` is the first position of a
+    window equal to window k, so equal ids mark equal prefix permutations
+    and the factor bits[i:j] maps to the identity iff ids[i] == ids[j].
+    ``distinct`` holds when ids[k] == k throughout.  Each window is keyed by
+    the int of its first 1, 2, 4 or 8 bytes in the packed decoding.
     """
 
     def __init__(self, bits: str, n: int):
         self.bits = check_binary(bits)
         self.n = n
         self.word = decode(bits, canonical_prefix(n))
-        # Equal fixed-width slices of the packed letters are equal windows.
-        packed = array("I", self.word.letters)
-        buf, step, intern = packed.tobytes(), packed.itemsize, {}
-        width = step * (n - 1)
-        self.ids = [intern.setdefault(buf[k:k + width], len(intern))
-                    for k in range(0, step * (len(bits) + 1), step)]
+        packed = array("I", self.word.letters) if n > 255 else bytes(self.word.letters)
+        buf, step = bytes(packed), memoryview(packed).itemsize
+        width, count = step * (n - 1), len(bits) + 1
+        size = max(s for s in (1, 2, 4, 8) if s <= width)
+        # The view shifted by s bytes holds the keys of positions
+        # s/step, (s+size)/step, ...
+        keys, stride = [0] * count, size // step
+        for s in range(0, size, step):
+            lane = len(range(s // step, count, stride))
+            view = memoryview(buf)[s:s + lane * size].cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size])
+            keys[s // step::stride] = view.tolist()
+        self.ids = ids = list(range(count))
+        self.distinct = len(set(keys)) == count
+        if not self.distinct:
+            # The first position of each key, then of each window among
+            # those that share a key but differ past it.
+            first = dict(zip(reversed(keys), reversed(ids)))
+            self.ids = ids = list(map(first.__getitem__, keys))
+            windows: dict[bytes, int] = {}
+            for k in compress(range(count), map(ne, ids, range(count))):
+                window = buf[k * step:k * step + width]
+                if window != buf[ids[k] * step:ids[k] * step + width]:
+                    ids[k] = windows.setdefault(window, k)
+            self.distinct = all(map(eq, ids, range(count)))

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 from .morphisms import UniformMorphism
 from .pansiot import canonical_prefix, decode
-from .perms import word_permutation
+from .perms import _cycle_from, word_permutation
 from .verifier import run_check, verify
 from .words import has_repetition_exceeding
 # Not called here; perfbench/tracer.py wraps these names under this module,
@@ -129,16 +129,6 @@ def legal_length_counts(n: int, max_length: int) -> list[int]:
     counts = [0] * (max_length + 1)
     _walk(n, max_length, None, depth_counts=counts)
     return counts
-
-
-def _cycle_from(p: tuple, start: int) -> list[int]:
-    """The cycle of p through start, read from start."""
-    cyc = [start]
-    point = p[start - 1]
-    while point != start:
-        cyc.append(point)
-        point = p[point - 1]
-    return cyc
 
 
 def _classify(sig: tuple, n: int) -> str:

@@ -229,16 +229,9 @@ class _Probe:
         return PrefixPermutationTable(self.bits, self.h.n)
 
     @cached_property
-    def states_distinct(self) -> bool:
-        """No two decoder states are equal, so the decoding has no repetition
-        with excess >= n-1 and the probe encoding no kernel repetition."""
-        ids = self.table.ids
-        return len(set(ids)) == len(ids)
-
-    @cached_property
     def runs(self) -> list[RepetitionOccurrence]:
         """Every maximal run of the decoding with excess >= n-1."""
-        if self.states_distinct:
+        if self.table.distinct:
             return []
         return _collision_runs(self.table.word, self.table.ids, self.h.n - 1)
 
@@ -298,7 +291,7 @@ def _check_kernel(p: _Probe) -> tuple[bool, str]:
     # bits[a:a+q] maps to the identity iff ids[a] == ids[a+q], so distinct
     # states leave no kernel repetition at any period.
     scope = f"periods <= {bound}"
-    if p.states_distinct:
+    if p.table.distinct:
         occs = []
     else:
         # The bound holds only under its premise; without it, scan them all.

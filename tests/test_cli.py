@@ -83,6 +83,31 @@ class TestVerifyCommand:
     def test_usage_error_exit_2(self):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("n=1\nr=2\nh0=01\nh1=10\n", "line 1: alphabet size must be >= 2, got 1"),
+        ("n=3\nr=0\nh0=\nh1=\n", "line 1: images must be nonempty and of equal length, got 0 and 0"),
+    ], ids=["n=1", "empty-images"])
+    def test_rejected_morphism_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "morphs.txt"
+        path.write_text(text)
+        assert main(["verify", "all", "--morphism-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
+    @pytest.mark.parametrize("target", ["all", "15"])
+    def test_file_without_stanza_exits_2(self, tmp_path, capsys, monkeypatch, via_env, target):
+        path = tmp_path / "morphs.txt"
+        path.write_text("# only a comment\n")
+        if via_env:
+            monkeypatch.setenv("DEJEAN_MORPHISMS", str(path))
+            argv = ["verify", target]
+        else:
+            argv = ["verify", target, "--morphism-file", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: no morphism stanza\n"
+
     def test_verify_all_json_emits_twelve_reports(self, capsys):
         assert main(["verify", "all", "--json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -202,3 +202,17 @@ class TestStanzaFormat:
     def test_duplicate_field(self):
         with pytest.raises(MorphismFormatError, match="duplicate"):
             parse_morphism_file("n=3\nn=4\nr=2\nh0=01\nh1=10\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("n=1\nr=2\nh0=01\nh1=10\n", "line 1: alphabet size must be >= 2, got 1"),
+        ("n=3\nr=2\nh0=01\nh1=10\n\n# next\nr=0\nh0=\nh1=\nn=3\n",
+         "line 7: images must be nonempty and of equal length, got 0 and 0"),
+    ], ids=["n=1", "empty-images-second-stanza"])
+    def test_rejected_morphism_names_stanza_line(self, text, message):
+        with pytest.raises(MorphismFormatError) as info:
+            parse_morphism_file(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n\n"])
+    def test_no_stanza_parses_to_nothing(self, text):
+        assert parse_morphism_file(text) == []

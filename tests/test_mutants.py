@@ -122,7 +122,7 @@ def test_collision_runs_equal_unbounded_scans(results, label):
 def test_distinct_states_leave_no_kernel_repetition(results):
     """The kernel check skips its scan while the decoder states are
     distinct; on those mutants the unbounded scan finds nothing."""
-    distinct = [label for label, h in MUTANTS if _Probe(h).states_distinct]
+    distinct = [label for label, h in MUTANTS if _Probe(h).table.distinct]
     assert distinct and len(distinct) < len(MUTANTS)
     for label in distinct:
         assert results[label][4] == [], label

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from dejean import pansiot
 from dejean.morphisms import builtin
-from dejean.pansiot import (WindowDistinctnessError, canonical_prefix, decode,
-                            encode)
+from dejean.pansiot import (WindowDistinctnessError, _decode_loop,
+                            canonical_prefix, decode, encode)
 from dejean.words import SigmaWord, has_period
 
 
@@ -69,6 +70,40 @@ class TestDecode:
             n = rng.choice((3, 5, 8))
             v, _, _ = random_valid_word(rng, n, rng.randint(0, 30))
             assert v.window_violation() is None
+
+
+def _loop_oracle(bits, prefix):
+    """The bit-by-bit decoding, the oracle of the chunked one."""
+    n = prefix.n
+    return tuple(_decode_loop(bits, prefix.letters, n * (n + 1) // 2 - sum(prefix.letters)))
+
+
+class TestChunkedDecode:
+    """8-bit chunks translated through per-n step tables against the plain
+    loop, on random prefixes and lengths that leave a partial last chunk."""
+
+    LENGTHS = (0, 1, 7, 9, 15, 17, 63, 64, 250, 1001)
+
+    @pytest.mark.parametrize("n", [*range(2, 31), 255])
+    def test_chunks_equal_loop(self, n):
+        rng = random.Random(7000 + n)
+        for length in self.LENGTHS + tuple(rng.randrange(2, 600) | 1 for _ in range(5)):
+            prefix = SigmaWord(n, tuple(rng.sample(range(1, n + 1), n - 1)))
+            bits = "".join(rng.choice("01") for _ in range(length))
+            assert decode(bits, prefix).letters == _loop_oracle(bits, prefix), (n, length)
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_large_alphabet_takes_loop(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chunked path taken for n > 255")
+
+        monkeypatch.setattr(pansiot, "_decode_chunks", refuse)
+        rng = random.Random(n)
+        prefix = SigmaWord(n, tuple(rng.sample(range(1, n + 1), n - 1)))
+        bits = "".join(rng.choice("01") for _ in range(1003))
+        v = decode(bits, prefix)
+        assert v.letters == _loop_oracle(bits, prefix)
+        assert max(v.letters) > 255 and encode(v) == bits
 
 
 class TestRoundTrip:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from dejean.pansiot import canonical_prefix, decode, encode
+from dejean.pansiot import _decode_loop, canonical_prefix, decode, encode
 from dejean.perms import (Permutation, PrefixPermutationTable, find_conjugator,
                           is_kernel_word, step0, step1, word_permutation)
 from dejean.search import classify_candidate
@@ -231,6 +231,61 @@ class TestPrefixTable:
     def test_ids_match_composition_oracle_builtin_probe(self, n):
         bits = probe_encoding(n)
         assert same_partition(PrefixPermutationTable(bits, n).ids, prefix_permutations(bits, n))
+
+
+def _first_equal_windows(bits, n):
+    """The decoding by the plain loop, and for every window the first
+    position of an equal window, by tuple interning."""
+    letters = _decode_loop(bits, tuple(range(1, n)), n)
+    first = {}
+    return letters, [first.setdefault(tuple(letters[k:k + n - 1]), k)
+                     for k in range(len(bits) + 1)]
+
+
+class TestBulkKeys:
+    """``ids`` read off 1-, 2-, 4- and 8-byte window keys against tuple
+    interning of the windows: n = 2, 3, 5 and 9 are the first alphabet sizes
+    of each key width, and n > 255 packs four bytes per letter."""
+
+    WORDS = {"random": None, "zeros": "0", "ones": "1", "alternating": "01",
+             "0110": "0110", "almost periodic": "0010"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 10, 12, 26, 256, 300])
+    def test_ids_are_first_equal_windows(self, n):
+        rng = random.Random(300 + n)
+        outcomes = set()
+        for kind, unit in self.WORDS.items():
+            length = rng.choice((0, 1, 2 * n + 3, 1200))
+            if unit is None:
+                bits = "".join(rng.choice("01") for _ in range(length))
+            else:
+                bits = (unit * length)[:length]
+                if kind == "almost periodic" and bits:
+                    k = rng.randrange(len(bits))
+                    bits = bits[:k] + str(1 - int(bits[k])) + bits[k + 1:]
+            letters, want = _first_equal_windows(bits, n)
+            table = PrefixPermutationTable(bits, n)
+            assert table.word.letters == tuple(letters), (n, kind)
+            assert table.ids == want, (n, kind)
+            assert table.distinct == (want == list(range(len(bits) + 1))), (n, kind)
+            outcomes.add(table.distinct)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("n", [4, 12, 300])
+    def test_equal_keys_of_unequal_windows(self, n):
+        """Windows that share their key but differ past it get different ids;
+        the words are long enough that such pairs occur."""
+        size = 2 if n == 4 else 8
+        rng = random.Random(n)
+        bits = "".join(rng.choice("01") for _ in range(3000))
+        letters, want = _first_equal_windows(bits, n)
+        step = 1 if n < 256 else 4
+        keys = [tuple(letters[k:k + size // step]) for k in range(len(bits) + 1)]
+        by_key = {}
+        clashes = [k for k, key in enumerate(keys)
+                   if want[by_key.setdefault(key, k)] != want[k]]
+        assert clashes
+        assert PrefixPermutationTable(bits, n).ids == want
 
 
 class TestNonBinaryInput:
