@@ -18,7 +18,7 @@ from .morphisms import (BUILTIN_SIZES, MorphismFormatError, UniformMorphism,
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
 from .search import search_convenient
 from .verifier import VerificationReport, find_kernel_repetitions, verify
-from .words import SigmaWord, max_exponent, parse_binary
+from .words import SigmaWord, check_binary, max_exponent
 
 MORPHISM_FILE_ENV = "DEJEAN_MORPHISMS"
 
@@ -135,7 +135,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     text = _read_word(args)
     try:
-        bits = parse_binary(text)
+        bits = check_binary(text)
         if args.prefix is not None:
             prefix = SigmaWord.from_text(args.prefix, args.n)
         else:
@@ -176,7 +176,7 @@ def _cmd_kernel_scan(args) -> int:
         return _fail(f"max-period must be >= 1, got {args.max_period}")
     text = _read_word(args)
     try:
-        bits = parse_binary(text)
+        bits = check_binary(text)
         occs = find_kernel_repetitions(bits, args.n, args.max_period)
     except ValueError as exc:
         return _fail(str(exc))

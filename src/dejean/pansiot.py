@@ -15,7 +15,7 @@ n > 255, and for the last len(bits) % 8 bits, it runs the plain loop.
 
 from functools import lru_cache
 
-from .words import SigmaWord, parse_binary
+from .words import SigmaWord, check_binary
 
 
 class WindowDistinctnessError(ValueError):
@@ -60,7 +60,7 @@ def decode(bits: str, prefix: SigmaWord) -> SigmaWord:
         raise ValueError(f"prefix length {len(prefix)} != n-1 = {n - 1}")
     if len(set(prefix.letters)) != n - 1:
         raise ValueError("prefix letters are not distinct")
-    bits = parse_binary(bits)
+    check_binary(bits)
     # The single letter of 1..n not present in the prefix.
     missing = n * (n + 1) // 2 - sum(prefix.letters)
     run = _decode_chunks if n < 256 else _decode_loop

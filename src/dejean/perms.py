@@ -11,6 +11,10 @@ property suite pins it.  ``PrefixPermutationTable`` rests on that identity:
 it names each prefix permutation of a word by the first position of an
 equal window of its decoding, told apart by int keys read in bulk (whole
 windows only where keys repeat), and composes nothing.
+
+Simultaneous conjugacy onto (step0, step1) is defined once, by the splice
+lists of ``h0_splices`` and ``h1_splices``: ``find_conjugator`` and the
+search's pairing both read them.
 """
 
 from array import array
@@ -128,32 +132,64 @@ def is_kernel_word(bits: str, n: int) -> bool:
 def find_conjugator(a0: Permutation, a1: Permutation, n: int) -> Permutation | None:
     """A single t with t*a0*t^-1 = step0(n) and t*a1*t^-1 = step1(n), or None.
 
-    Any such t must map the cycle of a1 onto the cycle of step1, so only the
-    n rotations of that alignment are candidates; each is filtered by the a0
-    equation.  When several survive, the lexicographically least image
-    sequence is returned.
+    Any such t must map the cycle of a1 onto the cycle of step1, so it is one
+    of the n alignments of :func:`h0_splices`, and alignment t satisfies the
+    a0 equation exactly when its splice is a0.  The least such alignment is
+    returned; its image of 1 is t + 1, so it is the lexicographically least
+    conjugator.
     """
     if a0.degree != n or a1.degree != n:
         raise ValueError("degree mismatch")
-    s0, _ = _step_images(n)
-    best = min((tau for tau in _conjugators_onto_full_cycle(a1.images, n)
-                if all(tau[a0.images[x - 1] - 1] == s0[tau[x - 1] - 1] for x in range(1, n + 1))),
-               default=None)
-    return None if best is None else Permutation(best)
+    if n < 2:
+        raise ValueError(f"degree must be >= 2, got {n}")
+    cyc = _cycle_from(a1.images, 1)
+    splices = h0_splices(a1.images) if len(cyc) == n else []
+    if a0.images not in splices:
+        return None
+    t = splices.index(a0.images)
+    tau = [0] * n
+    for k, x in enumerate(cyc):
+        tau[x - 1] = (t + k) % n + 1
+    return Permutation(tuple(tau))
 
 
-def _conjugators_onto_full_cycle(a1: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """All t with t*a1*t^-1 = step1(n); empty unless a1 is an n-cycle."""
-    cyc = _cycle_from(a1, 1)
-    if len(cyc) != n:
-        return []
-    out = []
-    for t in range(1, n + 1):
-        tau = [0] * n
-        for k, e in enumerate(cyc):
-            tau[e - 1] = (t - 1 + k) % n + 1
-        out.append(tuple(tau))
-    return out
+@lru_cache(maxsize=None)
+def _swap_tables(n: int) -> list[list[bytes]]:
+    """tables[u][v], for 1 <= u, v <= n: the ``bytes.translate`` table
+    that exchanges the values u and v."""
+    return [[bytes.maketrans(bytes((u, v)), bytes((v, u))) for v in range(n + 1)]
+            for u in range(n + 1)]
+
+
+def h0_splices(a1):
+    """Permutations a0 for which some single tau conjugates (a0, a1) onto
+    (step0, step1), for an n-cycle a1 given as a pool key (``bytes``) or a
+    tuple of images; each a0 has the type of a1.
+
+    tau ranges over the n alignments of a1's cycle cyc from 1 onto step1's,
+    alignment t being tau(cyc[k]) = (t + k) % n + 1; the list follows t
+    from 0.  step0 is step1 with n cut out of its cycle, so each a0 is a1
+    with the point x = tau^-1(n) cut out: x becomes fixed and a1^-1(x)
+    maps to a1(x).  In the image list that exchanges the values x and a1(x).
+    """
+    cyc = reversed(_cycle_from(a1, 1))
+    if isinstance(a1, bytes):
+        swaps = _swap_tables(len(a1))
+        return [a1.translate(swaps[x][a1[x - 1]]) for x in cyc]
+    return [tuple(v if y == x else x if y == v else y for y in a1)
+            for x in cyc for v in (a1[x - 1],)]
+
+
+def h1_splices(a0: bytes) -> list[bytes]:
+    """Mirror image of :func:`h0_splices` for a0 of cycle type (n-1, 1),
+    given as ``bytes``: tau aligns a0's long cycle onto step0's and sends
+    its fixed point to n, so each alignment inserts the fixed point f after
+    one point y of the long cycle, which exchanges the values f and a0(y)."""
+    cyc = _cycle_from(a0, 2 if a0[0] == 1 else 1)
+    n = len(a0)
+    fix = n * (n + 1) // 2 - sum(cyc)
+    swaps = _swap_tables(n)[fix]
+    return [a0.translate(swaps[a0[y - 1]]) for y in reversed(cyc)]
 
 
 class PrefixPermutationTable:
@@ -170,9 +206,9 @@ class PrefixPermutationTable:
     """
 
     def __init__(self, bits: str, n: int):
-        self.bits = check_binary(bits)
-        self.n = n
         self.word = decode(bits, canonical_prefix(n))
+        self.bits = bits
+        self.n = n
         packed = array("I", self.word.letters) if n > 255 else bytes(self.word.letters)
         buf, step = bytes(packed), memoryview(packed).itemsize
         width, count = step * (n - 1), len(bits) + 1

@@ -11,7 +11,7 @@ cycle type, (n-1,1) for h(0) and (n,) for h(1), before any string is
 built.  Candidates are pooled packed, each as the ``int`` of its r bits
 under its permutation image as ``bytes``, and paired through the
 simultaneous-conjugacy condition by splicing cycles
-(:func:`_compatible_h0_images`); a pair is written out as two bit strings
+(:func:`perms.h0_splices`); a pair is written out as two bit strings
 only when it is screened.  Each pair is screened by the suite's own
 ``structure``, ``iteration_bound`` and ``factor_set_2`` checks, then by a
 power scan of the decoding of the probe encoding's first 4r bits, a prefix
@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 from .morphisms import UniformMorphism
 from .pansiot import canonical_prefix, decode
-from .perms import _cycle_from, word_permutation
+from .perms import h0_splices, h1_splices, word_permutation
 from .verifier import run_check, verify
 from .words import has_repetition_exceeding
 # Not called here; perfbench/tracer.py wraps these names under this module,
@@ -42,6 +42,8 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
     when given, accumulates the number of legal words of each length
     d <= length.  Returns leaves visited.
     """
+    if n < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {n}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     nm1 = n - 1
@@ -157,38 +159,6 @@ def classify_candidate(bits: str, n: int) -> str:
     return _classify(word_permutation(bits, n).images, n)
 
 
-def _swap_tables(n: int) -> list[list[bytes]]:
-    """tables[u][v], for 1 <= u, v <= n: the ``bytes.translate`` table
-    that exchanges the values u and v."""
-    return [[bytes.maketrans(bytes((u, v)), bytes((v, u))) for v in range(n + 1)]
-            for u in range(n + 1)]
-
-
-def _compatible_h0_images(a1: bytes, swaps: list[list[bytes]]) -> list[bytes]:
-    """Permutations a0, as pool keys, for which some single tau conjugates
-    (a0, a1) onto (step0, step1), for an n-cycle a1 given as a pool key;
-    ``swaps`` is :func:`_swap_tables` of n.
-
-    tau ranges over the n alignments of a1's cycle onto step1's.  step0 is
-    step1 with n cut out of its cycle, so each a0 is a1 with the point
-    x = tau^-1(n) cut out: x becomes fixed and a1^-1(x) maps to a1(x).
-    In the image list that exchanges the values x and a1(x).  The list
-    follows the alignments in the order of ``perms.find_conjugator``.
-    """
-    return [a1.translate(swaps[x][a1[x - 1]]) for x in reversed(_cycle_from(a1, 1))]
-
-
-def _compatible_h1_images(a0: bytes, swaps: list[list[bytes]]) -> list[bytes]:
-    """Mirror image of :func:`_compatible_h0_images` for a0 of cycle type
-    (n-1, 1): tau aligns a0's long cycle onto step0's and sends its fixed
-    point to n, so each alignment inserts the fixed point f after one
-    point y of the long cycle, which exchanges the values f and a0(y)."""
-    cyc = _cycle_from(a0, 2 if a0[0] == 1 else 1)
-    n = len(a0)
-    fix = n * (n + 1) // 2 - sum(cyc)
-    return [a0.translate(swaps[fix][a0[y - 1]]) for y in reversed(cyc)]
-
-
 def _screen_pair(n: int, h0: str, h1: str) -> str | None:
     """The first of the suite's cheap checks the pair fails, else
     "power_free" when the decoding of h(h0[:4]) has a repetition above
@@ -226,7 +196,6 @@ class _Pairing:
     """
 
     def __init__(self, n: int, r: int):
-        self.swaps = _swap_tables(n)
         self.fmt = f"0{r}b"
         self.h0_by_perm: dict[bytes, tuple[int, ...]] = {}
         self.h1_by_perm: dict[bytes, tuple[int, ...]] = {}
@@ -243,12 +212,12 @@ class _Pairing:
         conjugacy condition, oldest opposite candidate first.  A candidate
         added twice pairs twice: the caller adds each value once."""
         if kind == "h1":
-            for a0 in _compatible_h0_images(key, self.swaps):
+            for a0 in h0_splices(key):
                 for other in self.h0_by_perm.get(a0, ()):
                     yield self._pair(other, value)
             self.h1_by_perm[key] = self.h1_by_perm.get(key, ()) + (value,)
         elif kind == "h0":
-            for a1 in _compatible_h1_images(key, self.swaps):
+            for a1 in h1_splices(key):
                 for other in self.h1_by_perm.get(a1, ()):
                     yield self._pair(value, other)
             self.h0_by_perm[key] = self.h0_by_perm.get(key, ()) + (value,)

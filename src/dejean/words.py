@@ -327,9 +327,3 @@ def check_binary(bits: str) -> str:
         k, ch = next((k, ch) for k, ch in enumerate(bits) if ch not in "01")
         raise ValueError(f"non-binary symbol {ch!r} at position {k}")
     return bits
-
-
-def parse_binary(text: str) -> str:
-    """Validate a binary word given as a string of 0s and 1s, ignoring
-    surrounding whitespace."""
-    return check_binary(text.strip())

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -63,6 +64,12 @@ class TestDecode:
     def test_prefix_wrong_length(self):
         with pytest.raises(ValueError):
             decode("01", SigmaWord(4, (1, 2)))
+
+    @pytest.mark.parametrize("bits,message", [(" 0110\n", "' ' at position 0"),
+                                              ("0110\n", "'\\n' at position 4")])
+    def test_surrounding_whitespace_is_rejected(self, bits, message):
+        with pytest.raises(ValueError, match=re.escape(f"non-binary symbol {message}")):
+            decode(bits, canonical_prefix(4))
 
     def test_decode_always_valid(self):
         rng = random.Random(3)

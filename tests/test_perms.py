@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from dejean.morphisms import BUILTIN_SIZES, builtin
 from dejean.pansiot import _decode_loop, canonical_prefix, decode, encode
-from dejean.perms import (Permutation, PrefixPermutationTable, find_conjugator,
+from dejean.perms import (Permutation, PrefixPermutationTable, find_conjugator, h0_splices,
                           is_kernel_word, step0, step1, word_permutation)
 from dejean.search import classify_candidate
 from dejean.verifier import find_kernel_repetitions, probe_encoding
@@ -176,6 +177,96 @@ class TestFindConjugator:
                  and t * step1(n) * t.inverse() == step1(n)]
         got = find_conjugator(step0(n), step1(n), n)
         assert got.images == min(t.images for t in valid)
+
+
+def _rotations_and_filter(a0, a1, n):
+    """Reference find_conjugator: every t with t*a1*t^-1 = step1(n), one per
+    rotation of a1's cycle onto step1's, filtered by the a0 equation; the
+    lexicographically least survivor, as images, or None."""
+    s0 = step0(n).images
+    cyc = [1]
+    while a1(cyc[-1]) != 1:
+        cyc.append(a1(cyc[-1]))
+    if len(cyc) != n:
+        return None
+    survivors = []
+    for t in range(1, n + 1):
+        tau = [0] * n
+        for k, e in enumerate(cyc):
+            tau[e - 1] = (t - 1 + k) % n + 1
+        if all(tau[a0(x) - 1] == s0[tau[x - 1] - 1] for x in range(1, n + 1)):
+            survivors.append(tuple(tau))
+    return min(survivors, default=None)
+
+
+def _swapped(p, i, j):
+    """p with the images of points i and j exchanged."""
+    images = list(p.images)
+    images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
+    return Permutation(tuple(images))
+
+
+class TestConjugatorAgainstRotations:
+    """find_conjugator, the least alignment whose splice is a0, against the
+    rotations-and-filter reference: the same images, or None for both."""
+
+    @staticmethod
+    def _agree(a0, a1, n):
+        got = find_conjugator(a0, a1, n)
+        want = _rotations_and_filter(a0, a1, n)
+        assert (None if got is None else got.images) == want, (a0, a1)
+        return got
+
+    def test_builtins(self):
+        for n in BUILTIN_SIZES:
+            h = builtin(n)
+            assert self._agree(word_permutation(h.image0, n),
+                               word_permutation(h.image1, n), n) is not None
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 26, 300])
+    def test_conjugates_and_one_swap_perturbations(self, n):
+        rng = random.Random(n)
+        found = 0
+        for _ in range(3 if n == 300 else 12):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            t = Permutation(tuple(images))
+            a0, a1 = t.inverse() * step0(n) * t, t.inverse() * step1(n) * t
+            tau = self._agree(a0, a1, n)
+            assert tau * a0 * tau.inverse() == step0(n)
+            assert tau * a1 * tau.inverse() == step1(n)
+            i, j = rng.sample(range(1, n + 1), 2)
+            for b0, b1 in ((_swapped(a0, i, j), a1), (a0, _swapped(a1, i, j)),
+                           (_swapped(a0, i, j), _swapped(a1, i, j))):
+                found += self._agree(b0, b1, n) is not None
+        if n > 2:
+            assert found < (3 if n == 300 else 12) * 3  # some perturbation has no conjugator
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_pairs(self, n):
+        rng = random.Random(50 + n)
+        perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+        for a0 in perms:
+            for a1 in rng.sample(perms, min(len(perms), 8)):
+                self._agree(a0, a1, n)
+
+    def test_two_alignments_at_degree_two_identity_wins(self):
+        s0, s1 = step0(2), step1(2)
+        assert h0_splices(s1.images) == [s0.images, s0.images]
+        assert _rotations_and_filter(s0, s1, 2) == (1, 2)
+        assert self._agree(s0, s1, 2).images == (1, 2)
+
+    @pytest.mark.parametrize("n", list(range(3, 27)) + [255])
+    def test_tuple_and_bytes_splices_agree(self, n):
+        rng = random.Random(n)
+        for _ in range(2 if n == 255 else 6):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            t = Permutation(tuple(images))
+            a1 = (t.inverse() * step1(n) * t).images
+            got = h0_splices(bytes(a1))
+            assert all(type(key) is bytes for key in got)
+            assert [tuple(key) for key in got] == h0_splices(a1)
 
 
 class TestPrefixTable:

@@ -7,12 +7,11 @@ import pytest
 from dejean import search
 from dejean.morphisms import UniformMorphism, _factors, builtin, limit_prefix
 from dejean.pansiot import canonical_prefix, decode
-from dejean.perms import (Permutation, find_conjugator, step0, step1,
-                          word_permutation)
-from dejean.search import (_classify, _compatible_h0_images,
-                           _compatible_h1_images, _screen_pair, _swap_tables, _walk,
-                           classify_candidate, enumerate_legal,
-                           legal_length_counts, search_convenient)
+from dejean.perms import (Permutation, find_conjugator, h0_splices, h1_splices,
+                          step0, step1, word_permutation)
+from dejean.search import (_classify, _screen_pair, _walk, classify_candidate,
+                           enumerate_legal, legal_length_counts,
+                           search_convenient)
 from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, verify
 from dejean.words import find_repetitions_exceeding, has_repetition_exceeding
 
@@ -83,6 +82,13 @@ class TestEnumerateLegal:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             enumerate_legal(15, 0)
+
+    @pytest.mark.parametrize("entry,n,length", [(legal_length_counts, 1, 5),
+                                                (enumerate_legal, 0, 3),
+                                                (search_convenient, 1, 4)])
+    def test_alphabet_below_two_is_rejected(self, entry, n, length):
+        with pytest.raises(ValueError, match=f"^alphabet size must be >= 2, got {n}$"):
+            entry(n, length)
 
     def test_walk_deeper_than_recursion_limit(self):
         limit = sys.getrecursionlimit()
@@ -163,12 +169,11 @@ class TestHotPathIdentities:
     def test_splice_lists_match_conjugation(self, n):
         rng = random.Random(n)
         s0, s1 = step0(n), step1(n)
-        swaps = _swap_tables(n)
         for _ in range(8):
             a1 = Permutation(_random_full_cycle(rng, n))
             expected = [tau.inverse() * s0 * tau
                         for tau in _cycle_alignments(_cycle_through(a1, 1), n, n)]
-            got = [tuple(key) for key in _compatible_h0_images(bytes(a1.images), swaps)]
+            got = [tuple(key) for key in h0_splices(bytes(a1.images))]
             assert got == [p.images for p in expected]
             for a0 in got:
                 assert find_conjugator(Permutation(a0), a1, n) is not None
@@ -178,7 +183,7 @@ class TestHotPathIdentities:
             cyc = _cycle_through(a0, 2 if fixed == 1 else 1)
             expected = [tau.inverse() * s1 * tau
                         for tau in _cycle_alignments(cyc, n - 1, n, fixed)]
-            got = [tuple(key) for key in _compatible_h1_images(bytes(a0.images), swaps)]
+            got = [tuple(key) for key in h1_splices(bytes(a0.images))]
             assert got == [p.images for p in expected]
             for a1 in got:
                 assert find_conjugator(a0, Permutation(a1), n) is not None
@@ -296,8 +301,8 @@ class TestSearchConvenient:
 
 
 def _spliced_h0_images(a1, n):
-    """Reference splice: a1 with each point of its cycle cut out in turn,
-    in the order of ``perms.find_conjugator``'s alignments."""
+    """Reference for ``perms.h0_splices``: a1 with each point of its cycle
+    cut out in turn, in the order of ``perms.find_conjugator``'s alignments."""
     cyc = _cycle_through(Permutation(a1), 1)
     out = []
     for k in range(n - 1, -1, -1):
@@ -310,8 +315,8 @@ def _spliced_h0_images(a1, n):
 
 
 def _spliced_h1_images(a0, n):
-    """Reference splice: a0's fixed point inserted after each point of its
-    long cycle in turn."""
+    """Reference for ``perms.h1_splices``: a0's fixed point inserted after
+    each point of its long cycle in turn."""
     fix = next(i for i in range(1, n + 1) if a0[i - 1] == i)
     cyc = _cycle_through(Permutation(a0), 2 if fix == 1 else 1)
     out = []
@@ -326,7 +331,7 @@ def _spliced_h1_images(a0, n):
 class _ListPairing:
     """Reference: the pairing with unpacked pools, an r-character str per
     candidate in a list under its permutation image as an n-tuple, spliced
-    by list edits."""
+    by list edits instead of ``perms.h0_splices`` and ``perms.h1_splices``."""
 
     def __init__(self, n):
         self.n = n
