@@ -10,14 +10,13 @@ came up empty, 2 usage or input errors.
 import argparse
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 from . import __version__
 from .morphisms import (BUILTIN_SIZES, MorphismFormatError, UniformMorphism,
                         builtin, emit_morphism_file, parse_morphism_file)
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
 from .search import search_convenient
-from .verifier import VerificationReport, find_kernel_repetitions, verify
+from .verifier import find_kernel_repetitions, verify
 from .words import SigmaWord, check_binary, max_exponent
 
 MORPHISM_FILE_ENV = "DEJEAN_MORPHISMS"
@@ -61,21 +60,6 @@ def _morphism_sources(args) -> list[UniformMorphism]:
     return [builtin(n) for n in BUILTIN_SIZES]
 
 
-def _run_reports(morphs: list[UniformMorphism]) -> list[VerificationReport]:
-    """Verify several morphisms, concurrently when possible, in input order."""
-    if len(morphs) > 1:
-        # Only the errors of a pool that cannot start or keep its workers
-        # fall back to serial; an error raised by verify propagates.
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(len(morphs), os.cpu_count() or 1)) as pool:
-                return list(pool.map(verify, morphs))
-        except (ImportError, NotImplementedError, OSError, BrokenExecutor) as exc:
-            print(f"note: running serially ({exc})", file=sys.stderr)
-    return [verify(h) for h in morphs]
-
-
 def _cmd_verify(args) -> int:
     morphs = _morphism_sources(args)
     if args.target == "all":
@@ -91,7 +75,7 @@ def _cmd_verify(args) -> int:
                 return _fail(f"no morphism for n={n} in the supplied file")
             return _fail(f"n={n} is outside the embedded range "
                          f"{BUILTIN_SIZES[0]}..{BUILTIN_SIZES[-1]}; supply --morphism-file")
-    reports = _run_reports(selected)
+    reports = [verify(h) for h in selected]
     for report in reports:
         print(report.to_json_text() if args.json else report.render_text())
     return 0 if all(report.overall for report in reports) else 1

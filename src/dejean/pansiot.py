@@ -11,6 +11,8 @@ Decoding only copies the oldest window letter or the missing letter, so
 ``decode`` tables, per n, where each 8-bit chunk sends the letters of the
 state (window, missing letter) and applies it by ``bytes.translate``.  For
 n > 255, and for the last len(bits) % 8 bits, it runs the plain loop.
+``decode_letters`` returns those letters unchecked (``bytes`` for n < 256);
+``decode`` wraps them in a checked ``SigmaWord``.
 """
 
 from functools import lru_cache
@@ -60,11 +62,20 @@ def decode(bits: str, prefix: SigmaWord) -> SigmaWord:
         raise ValueError(f"prefix length {len(prefix)} != n-1 = {n - 1}")
     if len(set(prefix.letters)) != n - 1:
         raise ValueError("prefix letters are not distinct")
-    check_binary(bits)
     # The single letter of 1..n not present in the prefix.
     missing = n * (n + 1) // 2 - sum(prefix.letters)
-    run = _decode_chunks if n < 256 else _decode_loop
-    return SigmaWord(n, tuple(run(bits, prefix.letters, missing)))
+    return SigmaWord(n, tuple(_letters(bits, prefix.letters, missing)))
+
+
+def decode_letters(bits: str, n: int) -> bytes | list[int]:
+    """The letters of ``decode(bits, canonical_prefix(n))`` without its
+    ``SigmaWord`` check: ``bytes`` for n < 256, else a list."""
+    return _letters(bits, canonical_prefix(n).letters, n)
+
+
+def _letters(bits: str, prefix: tuple[int, ...], missing: int) -> bytes | list[int]:
+    run = _decode_chunks if len(prefix) < 255 else _decode_loop
+    return run(check_binary(bits), prefix, missing)
 
 
 def _decode_loop(bits: str, prefix: tuple[int, ...], missing: int) -> list[int]:

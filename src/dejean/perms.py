@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import eq, ne
 
-from .pansiot import canonical_prefix, decode
+from .pansiot import decode_letters
 from .words import check_binary
 
 
@@ -195,21 +195,23 @@ def h1_splices(a0: bytes) -> list[bytes]:
 class PrefixPermutationTable:
     """Decoder-state ids of a binary word, read off its decoding.
 
-    ``word`` is the decoding of ``bits`` over ``canonical_prefix(n)``.  Its
-    window word[k:k+n-1] is decoder state k: with the missing letter it is
-    the image of the length-k prefix (the module identity), and the window
-    alone fixes the missing letter.  ``ids[k]`` is the first position of a
-    window equal to window k, so equal ids mark equal prefix permutations
-    and the factor bits[i:j] maps to the identity iff ids[i] == ids[j].
-    ``distinct`` holds when ids[k] == k throughout.  Each window is keyed by
-    the int of its first 1, 2, 4 or 8 bytes in the packed decoding.
+    ``word`` is the decoding of ``bits`` over ``canonical_prefix(n)`` as
+    :func:`pansiot.decode_letters` gives it.  Its window word[k:k+n-1] is
+    decoder state k: with the missing letter it is the image of the
+    length-k prefix (the module identity), and the window alone fixes the
+    missing letter.  ``ids[k]`` is the first position of a window equal to
+    window k, so equal ids mark equal prefix permutations and the factor
+    bits[i:j] maps to the identity iff ids[i] == ids[j].  ``distinct``
+    holds when ids[k] == k throughout.  Each window is keyed by the int of
+    its first 1, 2, 4 or 8 bytes in the decoding, four bytes a letter for
+    n > 255.
     """
 
     def __init__(self, bits: str, n: int):
-        self.word = decode(bits, canonical_prefix(n))
+        self.word = decode_letters(bits, n)
         self.bits = bits
         self.n = n
-        packed = array("I", self.word.letters) if n > 255 else bytes(self.word.letters)
+        packed = array("I", self.word) if n > 255 else self.word
         buf, step = bytes(packed), memoryview(packed).itemsize
         width, count = step * (n - 1), len(bits) + 1
         size = max(s for s in (1, 2, 4, 8) if s <= width)

@@ -22,7 +22,7 @@ passes.
 from typing import Callable, Iterable
 
 from .morphisms import UniformMorphism
-from .pansiot import canonical_prefix, decode
+from .pansiot import decode_letters
 from .perms import h0_splices, h1_splices, word_permutation
 from .verifier import run_check, verify
 from .words import has_repetition_exceeding
@@ -128,9 +128,11 @@ def legal_length_counts(n: int, max_length: int) -> list[int]:
     """counts[d] = number of legal encodings of length exactly d, for
     0 <= d <= max_length, measured in a single traversal (legality is
     closed under prefixes)."""
-    counts = [0] * (max_length + 1)
-    _walk(n, max_length, None, depth_counts=counts)
-    return counts
+    if max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
+    counts = [0] * (max(max_length, 1) + 1)
+    _walk(n, len(counts) - 1, None, depth_counts=counts)
+    return counts[:max_length + 1]
 
 
 def _classify(sig: tuple, n: int) -> str:
@@ -169,7 +171,7 @@ def _screen_pair(n: int, h0: str, h1: str) -> str | None:
     for name in ("structure", "iteration_bound", "factor_set_2"):
         if not run_check(name, h).passed:
             return name
-    head = decode(h.apply(h0[:4]), canonical_prefix(n))
+    head = decode_letters(h.apply(h0[:4]), n)
     if has_repetition_exceeding(head, n, n - 1):
         return "power_free"
     return None

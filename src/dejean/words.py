@@ -1,9 +1,9 @@
 """Finite words, periods, and exact fractional repetition search.
 
 Binary words are plain ``str`` over ``"01"``; words over a numbered alphabet
-{1, ..., n} are :class:`SigmaWord` (any sequence of ints is also accepted by
-the scanning functions).  Every exponent comparison in this module is an
-integer cross-multiplication; no floating point is used anywhere.
+{1, ..., n} are :class:`SigmaWord` (any sequence of ints, ``bytes`` too, is
+also accepted by the scanning functions).  Every exponent comparison in this
+module is an integer cross-multiplication; no floating point is used anywhere.
 
 All repetition scans (``max_exponent`` and the ``find_``/``has_`` forms for
 an exponent threshold or a minimum excess) are calls into one generator of
@@ -95,19 +95,17 @@ class RepetitionOccurrence:
     """A factor w[start : start+length] carrying period ``period``.
 
     The exponent is the exact rational length/period.  The excess
-    (length - period) is required to be positive unless the occurrence is
-    explicitly flagged as an exact period boundary.
+    (length - period) is required to be positive.
     """
 
     start: int
     period: int
     length: int
-    exact_boundary: bool = False
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.period < 1:
             raise ValueError(f"bad occurrence ({self.start}, {self.period}, {self.length})")
-        if self.length <= self.period and not self.exact_boundary:
+        if self.length <= self.period:
             raise ValueError(f"empty excess: length {self.length} <= period {self.period}")
 
     @property
@@ -130,7 +128,7 @@ def _symbols(w) -> Sequence:
     """Normalize a word argument to an indexable symbol sequence."""
     if isinstance(w, SigmaWord):
         return w.letters
-    if isinstance(w, (str, tuple, list)):
+    if isinstance(w, (str, bytes, tuple, list)):
         return w
     return tuple(w)
 
@@ -193,11 +191,13 @@ _PLANE_DIGITS = [bytes(b"01"[c >> i & 1] for c in range(256)) for i in range(8)]
 def _bit_planes(sym: Sequence) -> tuple[int, list[int]] | None:
     """(full, planes): the L low bits of ``full`` set, and bit k of planes[i]
     set iff bit i of the number of sym[k] is, the distinct symbols numbered
-    from 0 (ceil(log2 k) planes for k of them); None above 256 symbols."""
+    from 0 (ceil(log2 k) planes for k of them); None above 256 symbols.
+    A ``bytes`` word is renumbered by one ``translate``."""
     codes = {c: i for i, c in enumerate(dict.fromkeys(sym))}
     if len(codes) > 256:
         return None
-    buf = bytes(map(codes.__getitem__, sym))[::-1]
+    buf = (sym.translate(bytes(codes.get(c, 0) for c in range(256))) if isinstance(sym, bytes)
+           else bytes(map(codes.__getitem__, sym)))[::-1]
     planes = [int(buf.translate(_PLANE_DIGITS[i]), 2)
               for i in range((len(codes) - 1).bit_length())]
     return (1 << len(sym)) - 1, planes

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,20 +11,10 @@ import dejean.cli as cli
 from dejean.cli import main
 from dejean.morphisms import builtin, emit_morphism_file, parse_morphism_file
 
-CALLS_FILE_ENV = "DEJEAN_TEST_CALLS_FILE"
-
-
-class WorkerFailure(Exception):
-    pass
-
-
-def failing_verify(h):
-    """Stand-in for the verify that cli maps over the pool: logs the calling
-    process, then fails.  Module level, so that a worker process can
-    unpickle it."""
-    with open(os.environ[CALLS_FILE_ENV], "a", encoding="utf-8") as fh:
-        fh.write(f"{os.getpid()}\n")
-    raise WorkerFailure(f"verify failed for n={h.n}")
+# The ms-free reports of ``dejean verify all --json``, one JSON line per
+# builtin, as the benchmark stores them.
+EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
+                       / "perfbench" / "expected" / "verify-all.jsonl")
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -122,17 +113,36 @@ class TestVerifyCommand:
             ]
 
 
-class TestRunReports:
-    def test_worker_error_propagates_without_serial_rerun(self, tmp_path, capsys, monkeypatch):
-        calls = tmp_path / "calls.txt"
-        monkeypatch.setenv(CALLS_FILE_ENV, str(calls))
+class TestVerifyAll:
+    def test_reports_match_the_stored_ones(self, capsys, monkeypatch):
+        """Byte for byte apart from each check's ms."""
+        monkeypatch.delenv(cli.MORPHISM_FILE_ENV, raising=False)
+        assert main(["verify", "all", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = EXPECTED_VERIFY_ALL.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(expected) == 12
+        for line, want in zip(lines, expected):
+            report = json.loads(line)
+            for check in report["checks"]:
+                assert type(check.pop("ms")) is int
+            assert json.dumps(report) == want
+
+    def test_verify_error_propagates_after_one_call(self, capsys, monkeypatch):
+        class VerifyFailure(Exception):
+            pass
+
+        calls = []
+
+        def failing_verify(h):
+            calls.append((os.getpid(), h.n))
+            raise VerifyFailure(f"verify failed for n={h.n}")
+
+        monkeypatch.delenv(cli.MORPHISM_FILE_ENV, raising=False)
         monkeypatch.setattr(cli, "verify", failing_verify)
-        with pytest.raises(WorkerFailure):
-            cli._run_reports([builtin(15), builtin(16)])
-        assert "running serially" not in capsys.readouterr().err
-        callers = calls.read_text(encoding="utf-8").split()
-        assert len(callers) == 2  # once per morphism, in the pool
-        assert str(os.getpid()) not in callers
+        with pytest.raises(VerifyFailure):
+            main(["verify", "all", "--json"])
+        assert calls == [(os.getpid(), 15)]
+        assert capsys.readouterr().out == ""
 
 
 class TestSearchCommand:

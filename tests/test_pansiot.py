@@ -6,7 +6,7 @@ import pytest
 from dejean import pansiot
 from dejean.morphisms import builtin
 from dejean.pansiot import (WindowDistinctnessError, _decode_loop,
-                            canonical_prefix, decode, encode)
+                            canonical_prefix, decode, decode_letters, encode)
 from dejean.words import SigmaWord, has_period
 
 
@@ -111,6 +111,25 @@ class TestChunkedDecode:
         v = decode(bits, prefix)
         assert v.letters == _loop_oracle(bits, prefix)
         assert max(v.letters) > 255 and encode(v) == bits
+
+
+class TestDecodeLetters:
+    """The unchecked letters of the probe path against the checked decoding."""
+
+    @pytest.mark.parametrize("n", [2, 3, 15, 26, 255, 256, 300])
+    def test_letters_of_the_canonical_decoding(self, n):
+        rng = random.Random(n)
+        for length in (0, 1, 9, 1003):
+            bits = "".join(rng.choice("01") for _ in range(length))
+            letters = decode_letters(bits, n)
+            assert type(letters) is (bytes if n < 256 else list)
+            assert tuple(letters) == decode(bits, canonical_prefix(n)).letters, (n, length)
+
+    def test_input_errors(self):
+        with pytest.raises(ValueError, match="non-binary symbol '2' at position 1"):
+            decode_letters("020", 5)
+        with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
+            decode_letters("01", 1)
 
 
 class TestRoundTrip:

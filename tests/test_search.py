@@ -84,6 +84,7 @@ class TestEnumerateLegal:
             enumerate_legal(15, 0)
 
     @pytest.mark.parametrize("entry,n,length", [(legal_length_counts, 1, 5),
+                                                (legal_length_counts, 1, 0),
                                                 (enumerate_legal, 0, 3),
                                                 (search_convenient, 1, 4)])
     def test_alphabet_below_two_is_rejected(self, entry, n, length):
@@ -110,6 +111,14 @@ class TestLegalLengthCounts:
         counts = legal_length_counts(15, 20)
         assert all(c > 0 for c in counts)
         assert counts[20] > counts[10]
+
+    @pytest.mark.parametrize("n", [2, 15])
+    def test_length_zero_counts_the_empty_word(self, n):
+        assert legal_length_counts(n, 0) == [1]
+
+    def test_negative_length_is_rejected(self):
+        with pytest.raises(ValueError, match="^max_length must be >= 0, got -1$"):
+            legal_length_counts(15, -1)
 
 
 def _leaves(n, length):
@@ -470,7 +479,7 @@ class TestScreen:
             # The power scans see prefixes of the probe word only.
             word = probe_word(candidate).letters
             for w in scanned:
-                assert word[:len(w)] == w.letters, (n, h0, h1)
+                assert word[:len(w)] == tuple(w), (n, h0, h1)
             if report.overall:
                 assert why is None, (n, h0, h1)
             if why is not None:

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import dejean.pansiot
 import dejean.perms
 import dejean.verifier
 from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
-from dejean.pansiot import canonical_prefix, decode
+from dejean.pansiot import canonical_prefix, decode, decode_letters
 from dejean.perms import PrefixPermutationTable, word_permutation
 from dejean.verifier import (CHECK_NAMES, _collision_runs, _power_runs,
                              check_big_excess_free,
@@ -244,13 +245,20 @@ class TestVerify:
         assert find_kernel_repetitions(probe_encoding(15), 15) == []
 
     def test_verify_decodes_once(self, monkeypatch):
+        """One decoding per verification, the table's ``decode_letters``;
+        every decoding, checked or not, runs ``pansiot._letters``."""
         calls = []
 
-        def counting_decode(bits, prefix):
-            calls.append(len(bits))
-            return decode(bits, prefix)
+        def counting(name, function):
+            def counted(bits, *args):
+                calls.append((name, len(bits)))
+                return function(bits, *args)
+            return counted
 
-        for module in (dejean.perms, dejean.verifier):
-            monkeypatch.setattr(module, "decode", counting_decode)
+        monkeypatch.setattr(dejean.perms, "decode_letters",
+                            counting("decode_letters", decode_letters))
+        monkeypatch.setattr(dejean.verifier, "decode", counting("decode", decode))
+        monkeypatch.setattr(dejean.pansiot, "_letters", counting("_letters", dejean.pansiot._letters))
         assert verify(15).overall
-        assert calls == [len(probe_encoding(15))]
+        length = len(probe_encoding(15))
+        assert calls == [("decode_letters", length), ("_letters", length)]

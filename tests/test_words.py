@@ -64,7 +64,6 @@ class TestRepetitionOccurrence:
     def test_empty_excess_rejected(self):
         with pytest.raises(ValueError):
             RepetitionOccurrence(0, 2, 2)
-        assert RepetitionOccurrence(0, 2, 2, exact_boundary=True).excess == 0
 
 
 class TestHasPeriod:
@@ -247,7 +246,9 @@ class TestMaskFastPath:
         rng = random.Random(12)
         for _ in range(200):
             tup = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 18)))
-            assert occ_triples(find_repetitions_exceeding(tup, 4, 3)) == brute_find_exceeding(tup, 4, 3)
+            want = brute_find_exceeding(tup, 4, 3)
+            for w in (tup, bytes(tup)):
+                assert occ_triples(find_repetitions_exceeding(w, 4, 3)) == want, w
 
     def test_has_run_against_naive(self):
         rng = random.Random(13)
@@ -272,7 +273,7 @@ class TestBitPlanes:
     for alphabets that fill from one to all eight planes."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 15, 16, 17, 26, 256])
-    @pytest.mark.parametrize("form", ["str", "tuple", "SigmaWord"])
+    @pytest.mark.parametrize("form", ["str", "tuple", "bytes", "SigmaWord"])
     def test_match_mask_is_letter_equality(self, k, form):
         rng = random.Random(k)
         codes = _word_with_symbols(rng, k, k + 60)
@@ -280,6 +281,10 @@ class TestBitPlanes:
             w = "".join(chr(0x100 + c) for c in codes)
         elif form == "tuple":
             w = tuple(1000 - 7 * c for c in codes)
+        elif form == "bytes":
+            w = bytes(255 - c for c in codes)
+            # translate numbers the letters as the per-letter map does
+            assert words._bit_planes(w) == words._bit_planes(tuple(w))
         else:
             w = SigmaWord(max(k, 2), tuple(c + 1 for c in codes))
         sym = words._symbols(w)
@@ -293,7 +298,8 @@ class TestBitPlanes:
                 assert (mask >> j & 1) == (sym[j] == sym[j + q]), (k, q, j)
 
     def test_masked_scan_on_decodings_equals_the_plain_scan(self, monkeypatch):
-        from dejean.pansiot import canonical_prefix, decode
+        """On the checked decoding and on the decoder's own bytes alike."""
+        from dejean.pansiot import canonical_prefix, decode, decode_letters
 
         rng = random.Random(26)
         for n in range(15, 27):
@@ -302,8 +308,10 @@ class TestBitPlanes:
             bound = n * n - 3 * n + 1
             monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 10 ** 9)
             plain = find_repetitions_exceeding(v, n, n - 1, bound)
-            monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 1)
-            assert find_repetitions_exceeding(v, n, n - 1, bound) == plain, n
+            for w in (v, decode_letters(bits, n)):
+                for min_length in (10 ** 9, 1):
+                    monkeypatch.setattr(words, "_MASK_MIN_LENGTH", min_length)
+                    assert find_repetitions_exceeding(w, n, n - 1, bound) == plain, (n, min_length)
 
     def test_more_than_256_symbols_take_the_plain_scan(self, monkeypatch):
         rng = random.Random(257)
