@@ -14,17 +14,21 @@ builds the probe encoding and then one ``PrefixPermutationTable`` on first
 use: the decoding, and the ids of its decoder states read off its windows.
 So one verification decodes the probe encoding once.
 
-The three repetition checks read the decoder-state ids.  Window k of
-length n-1 of the decoding is decoder state k, so two equal ids q apart
-start a run of period q and excess >= n-1, and the bits between them map
-to the identity.  ``big_excess_free`` reports those runs without a scan.
-``power_free`` scans periods up to n^2-3n+1 (``Bounds.short_bound``) and
-takes the longer periods from the runs, with no premise.  ``kernel_free``
-is skipped while the ids are distinct.  Otherwise it scans periods up to
-9n^2-6n+1 (``Bounds.kernel_bound``) when the ``markability_r`` and
-``iteration_bound`` checks pass, since they confine kernel repetitions
-below it, and every period when either fails.  Without ``max_period``,
-:func:`find_kernel_repetitions` scans every period (``dejean kernel-scan``).
+The three repetition checks read one list: the maximal runs of the decoding
+with excess >= n-1.  Window k of length n-1 of the decoding is decoder state
+k, so two equal ids q apart start such a run of period q, and the bits
+between them map to the identity.  ``big_excess_free`` reports the runs
+without a scan.  ``power_free`` scans periods up to n^2-3n+1
+(``Bounds.short_bound``) and takes the longer periods from the runs, with no
+premise.  ``kernel_free`` keeps the runs with excess >= n, each n-1 letters
+shorter: a kernel repetition of the bits with period q and excess e is
+exactly a maximal run of the decoding with period q and excess e+n-1, with
+the same start.  A letter is fixed by the window before it and the bit
+between, and a bit by that window and letter.  So equal windows at a and a+q
+(an identity period word) and e equal bit pairs give a run of excess e+n-1,
+such a run gives those e pairs, and maximality carries over both ways.  It
+reads periods up to 9n^2-6n+1 when ``markability_r`` and ``iteration_bound``
+pass (``Bounds.kernel_bound``), and every period when either fails.
 """
 
 import json
@@ -179,18 +183,19 @@ def _collision_runs(w, keys, span: int,
     return occs
 
 
-def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None,
-                            ids: list[int] | None = None) -> list[RepetitionOccurrence]:
+def _kernel_runs(runs, n: int, max_period: int | None = None) -> list[RepetitionOccurrence]:
+    """The kernel repetitions that ``runs`` of the decoding give, up to ``max_period``."""
+    return [RepetitionOccurrence(o.start, o.period, o.length - n + 1) for o in runs
+            if o.excess >= n and (max_period is None or o.period <= max_period)]
+
+
+def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) -> list[RepetitionOccurrence]:
     """Occurrences u = b[i:j] with a period q < j-i whose period word maps to
     the identity permutation, maximal, deduplicated by (start, period) and
-    sorted.  A kernel repetition of period q starts at some a with
-    b[a] == b[a+q] and equal prefix-permutation ids at a and a+q, so equal
-    keys (id, letter) are read off.  ``max_period`` caps the period;
-    ``ids``, when given, must be ``PrefixPermutationTable(bits, n).ids``.
-    """
-    if ids is None:
-        ids = PrefixPermutationTable(bits, n).ids
-    return _collision_runs(bits, zip(ids, bits), 1, max_period)
+    sorted, read off the runs of the decoding.  ``max_period`` caps the
+    period and cuts the collision scan there (``dejean kernel-scan``)."""
+    table = PrefixPermutationTable(bits, n)
+    return _kernel_runs(_collision_runs(table.word, table.ids, n - 1, max_period), n)
 
 
 def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence]) -> list[RepetitionOccurrence]:
@@ -288,16 +293,11 @@ def _check_iteration_bound(p: _Probe) -> tuple[bool, str]:
 
 def _check_kernel(p: _Probe) -> tuple[bool, str]:
     bound = compute_bounds(p.h.n).kernel_bound
-    # bits[a:a+q] maps to the identity iff ids[a] == ids[a+q], so distinct
-    # states leave no kernel repetition at any period.
     scope = f"periods <= {bound}"
-    if p.table.distinct:
-        occs = []
-    else:
-        # The bound holds only under its premise; without it, scan them all.
-        if not (p.passes("markability_r") and p.passes("iteration_bound")):
-            bound, scope = None, "all periods: markability_r or iteration_bound failed"
-        occs = find_kernel_repetitions(p.bits, p.h.n, bound, p.table.ids)
+    # The bound holds only under its premise; without it, read every period.
+    if p.runs and not (p.passes("markability_r") and p.passes("iteration_bound")):
+        bound, scope = None, "all periods: markability_r or iteration_bound failed"
+    occs = _kernel_runs(p.runs, p.h.n, bound)
     if occs:
         return False, f"{len(occs)} kernel repetitions ({scope}); first: {occs[0].describe()}"
     return True, f"no kernel repetitions in {len(p.bits)} letters ({scope})"

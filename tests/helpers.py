@@ -101,6 +101,29 @@ def prefix_permutations(bits, n):
     return out
 
 
+def brute_kernel_repetitions(bits, n):
+    """Every maximal interval of ``bits`` with a period q and length > q
+    whose period word maps to the identity, as (start, period, length)
+    sorted.  For each q the intervals are the maximal stretches where
+    bits[k] == bits[k + q]; the period word bits[i:i+q] maps to the
+    identity exactly when the prefix permutations at i and i+q agree."""
+    perms = prefix_permutations(bits, n)
+    out = []
+    L = len(bits)
+    for q in range(1, L):
+        k = 0
+        while k < L - q:
+            if bits[k] != bits[k + q]:
+                k += 1
+                continue
+            i = k
+            while k < L - q and bits[k] == bits[k + q]:
+                k += 1
+            if perms[i] == perms[i + q]:
+                out.append((i, q, k + q - i))
+    return sorted(out)
+
+
 def same_partition(a, b):
     """True when a[i] == a[j] exactly where b[i] == b[j], for all i, j."""
     return len(a) == len(b) and len(set(a)) == len(set(b)) == len(set(zip(a, b)))

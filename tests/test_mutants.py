@@ -1,18 +1,23 @@
 """Seeded mutants of the builtin morphisms against the unbounded scanners.
 
-The verifier reads ``big_excess_free`` off equal decoder-state ids, always
-bounds the ``power_free`` scan by n^2-3n+1 and adds the long-period runs
-read off those ids, and bounds the ``kernel_free`` scan by 9n^2-6n+1,
-skipping it while the ids are distinct.  The unbounded scans are the
-oracle: on every mutant each of the three checks must report the count and
-the first witness that the oracle finds, the kernel oracle cut to periods
-within the bound, and the runs read off the ids must equal the oracle's
-lists in full.  The mutants are fixed by the seed: one bit flip and one
-swap of adjacent unequal bits at n = 15 and n = 16, and one window of 2n
-zeros at n = 15.  0^(n-1) maps to the identity, so the window leaves equal
-ids and repetitions of period above n^2-3n+1.  The kernel bound is trusted
-only under its premise: small morphisms that fail ``markability_r`` or
-``iteration_bound`` must get the unbounded kernel scan.
+The verifier builds one list of runs from equal decoder-state ids: they
+are the ``big_excess_free`` witnesses, ``power_free`` always bounds its
+scan by n^2-3n+1 and adds the long-period runs among them, and
+``kernel_free`` keeps those with excess >= n, each n-1 letters shorter,
+cut to periods within 9n^2-6n+1.  The unbounded scans are the oracle: on
+every mutant each of the three checks must report the count and the first
+witness that the oracle finds, the kernel oracle cut to periods within the
+bound, and the runs read off the ids must equal the oracle's lists in
+full.  The kernel oracle is a separate pass over the code bits: the runs
+through equal keys (id, bit), since a kernel repetition of period q
+starts at some a with bits[a] == bits[a+q] and equal ids at a and a+q.
+The mutants are fixed by the seed: one bit flip and one swap of adjacent
+unequal bits at n = 15 and n = 16, and one window of 2n zeros at n = 15.
+0^(n-1) maps to the identity, so the window leaves equal ids and
+repetitions of period above n^2-3n+1.  Two periodic morphisms at n = 6
+join them, whose probe encodings hold 459 and 2,354 kernel repetitions.
+The kernel bound is trusted only under its premise: small morphisms that
+fail ``markability_r`` or ``iteration_bound`` must get every period.
 """
 
 import random
@@ -20,13 +25,16 @@ import re
 
 import pytest
 
+import dejean.verifier
 from dejean.morphisms import UniformMorphism, builtin
-from dejean.verifier import (_Probe, _power_runs, check_big_excess_free,
+from dejean.perms import PrefixPermutationTable
+from dejean.verifier import (_collision_runs, _Probe, _power_runs, check_big_excess_free,
                              check_kernel_free,
                              check_power_free, compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
+from helpers import brute_kernel_repetitions, occ_triples
 
 SEED = 20261018
 _COUNT_AND_FIRST = re.compile(r"^(\d+) (?:kernel )?repetitions .*; first: (.*)$")
@@ -59,18 +67,29 @@ def _mutants() -> list[tuple[str, UniformMorphism]]:
 
 
 MUTANTS = _mutants()
+# All zeros but the last bit of h(1), and the same with one 1 in h(0): they
+# fail the kernel bound's premise, and their ids repeat at period 5.
+PERIODIC = [("periodic-6", UniformMorphism(6, "0" * 24, "0" * 23 + "1")),
+            ("near-periodic-6", UniformMorphism(6, "0" * 11 + "1" + "0" * 12, "0" * 23 + "1"))]
+ALL = MUTANTS + PERIODIC
+
+
+def _bit_runs(h: UniformMorphism):
+    """The unbounded kernel scan of the probe encoding: the runs of the
+    code bits through equal keys (decoder-state id, bit)."""
+    bits = probe_encoding(h)
+    return _collision_runs(bits, list(zip(PrefixPermutationTable(bits, h.n).ids, bits)), 1)
 
 
 @pytest.fixture(scope="module")
 def results():
-    """Per mutant: its report, the unbounded scans of its probe word, and
+    """Per morphism: its report, the unbounded scans of its probe word, and
     the unbounded kernel scan of its probe encoding."""
     out = {}
-    for label, h in MUTANTS:
+    for label, h in ALL:
         v = probe_word(h)
         out[label] = (h, verify(h), find_repetitions_with_excess_at_least(v, h.n - 1),
-                      find_repetitions_exceeding(v, h.n, h.n - 1),
-                      find_kernel_repetitions(probe_encoding(h), h.n))
+                      find_repetitions_exceeding(v, h.n, h.n - 1), _bit_runs(h))
     return out
 
 
@@ -86,13 +105,13 @@ def _assert_matches_oracle(check, occs):
     assert match.group(2) == occs[0].describe()
 
 
-@pytest.mark.parametrize("label", [label for label, _ in MUTANTS])
+@pytest.mark.parametrize("label", [label for label, _ in ALL])
 def test_mutant_fails_some_check(results, label):
     report = results[label][1]
     assert not report.overall, label
 
 
-@pytest.mark.parametrize("label", [label for label, _ in MUTANTS])
+@pytest.mark.parametrize("label", [label for label, _ in ALL])
 def test_decisive_checks_match_unbounded_scans(results, label):
     h, report, excess, power, _ = results[label]
     _assert_matches_oracle(report.check("big_excess_free"), excess)
@@ -108,7 +127,7 @@ def test_kernel_check_matches_unbounded_kernel_scan(results, label):
     _assert_matches_oracle(check, [o for o in kernel if o.period <= bound])
 
 
-@pytest.mark.parametrize("label", [label for label, _ in MUTANTS])
+@pytest.mark.parametrize("label", [label for label, _ in ALL])
 def test_collision_runs_equal_unbounded_scans(results, label):
     """As full lists: the runs read off equal decoder-state ids are the
     unbounded excess scan, and the bounded power scan plus the long runs
@@ -120,8 +139,9 @@ def test_collision_runs_equal_unbounded_scans(results, label):
 
 
 def test_distinct_states_leave_no_kernel_repetition(results):
-    """The kernel check skips its scan while the decoder states are
-    distinct; on those mutants the unbounded scan finds nothing."""
+    """While the decoder states are distinct the verifier builds no runs,
+    so the kernel check reads none; on those mutants the unbounded scan
+    finds nothing."""
     distinct = [label for label, h in MUTANTS if _Probe(h).table.distinct]
     assert distinct and len(distinct) < len(MUTANTS)
     for label in distinct:
@@ -138,6 +158,41 @@ def test_kernel_scan_cut_keeps_periods_up_to_the_bound(results):
         for bound in (q - 1, q):
             assert (find_kernel_repetitions(bits, h.n, bound)
                     == [o for o in kernel if o.period <= bound]), (label, bound)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in PERIODIC])
+def test_periodic_kernel_check_matches_unbounded_kernel_scan(results, label):
+    """The premise fails, so the check reads every period of the runs."""
+    _, report, _, _, kernel = results[label]
+    check = report.check("kernel_free")
+    assert "(all periods: markability_r or iteration_bound failed)" in check.witness
+    assert len(kernel) > 400
+    _assert_matches_oracle(check, kernel)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in ALL])
+def test_kernel_failure_implies_big_excess_failure(results, label):
+    """A kernel repetition is a run of the decoding with excess >= n."""
+    report = results[label][1]
+    if not report.check("kernel_free").passed:
+        assert not report.check("big_excess_free").passed
+
+
+def test_verification_builds_one_run_list(monkeypatch):
+    """All three repetition checks read the same runs: one collision pass
+    per verification, also when the decoder-state ids repeat."""
+    h = dict(PERIODIC)["periodic-6"]
+    assert not _Probe(h).table.distinct
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _collision_runs(*args, **kwargs)
+
+    monkeypatch.setattr(dejean.verifier, "_collision_runs", counted)
+    report = verify(h)
+    assert not report.check("kernel_free").passed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -175,7 +230,9 @@ PREMISE_FAILS = [UniformMorphism(4, "101011", "110010"),
 def test_kernel_bound_is_not_trusted_without_its_premise(h):
     report = verify(h)
     assert not (report.check("markability_r").passed and report.check("iteration_bound").passed)
-    kernel = find_kernel_repetitions(probe_encoding(h), h.n)
+    bits = probe_encoding(h)
+    kernel = find_kernel_repetitions(bits, h.n)
+    assert occ_triples(kernel) == brute_kernel_repetitions(bits, h.n)
     assert any(o.period > compute_bounds(h.n).kernel_bound for o in kernel)
     check = report.check("kernel_free")
     assert "(all periods: markability_r or iteration_bound failed)" in check.witness

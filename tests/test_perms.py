@@ -11,7 +11,7 @@ from dejean.perms import (Permutation, PrefixPermutationTable, find_conjugator, 
 from dejean.search import classify_candidate
 from dejean.verifier import find_kernel_repetitions, probe_encoding
 from dejean.words import SigmaWord
-from helpers import prefix_permutations, same_partition
+from helpers import brute_kernel_repetitions, occ_triples, prefix_permutations, same_partition
 
 
 class TestPermutation:
@@ -305,8 +305,8 @@ class TestPrefixTable:
         for i in range(len(bits) + 1):
             for j in range(len(bits) + 1):
                 assert (ids[i] == ids[j]) == (perms[i] == perms[j])
-        occs = find_kernel_repetitions(bits, 2, ids=ids)
-        assert occs == find_kernel_repetitions(bits, 2)
+        occs = find_kernel_repetitions(bits, 2)
+        assert occ_triples(occs) == brute_kernel_repetitions(bits, 2)
         assert {o.period for o in occs} == {2, 4, 6}
 
     def test_ids_match_composition_oracle_random(self):

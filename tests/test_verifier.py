@@ -10,13 +10,14 @@ import dejean.verifier
 from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.pansiot import canonical_prefix, decode, decode_letters
 from dejean.perms import PrefixPermutationTable, word_permutation
-from dejean.verifier import (CHECK_NAMES, _collision_runs, _power_runs,
+from dejean.verifier import (CHECK_NAMES, _collision_runs, _kernel_runs, _power_runs,
                              check_big_excess_free,
                              check_iteration_bound, check_kernel_free,
                              check_power_free, compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
+from helpers import brute_kernel_repetitions, occ_triples
 
 
 class TestBounds:
@@ -80,14 +81,37 @@ class TestKernelScan:
             # period word maps to the identity
             assert word_permutation("1" * o.period, 2).images == (1, 2)
 
-    def test_given_ids_are_reused(self):
+    def test_matches_brute_force_oracle(self):
+        """As full lists, against every maximal interval whose period word
+        maps to the identity: uncapped, and capped at q-1 and q for the
+        first periods q the oracle finds, both where the collision scan is
+        cut and where the cap filters the full runs, as ``kernel_free``
+        does."""
         rng = random.Random(3)
-        for n in (3, 5, 8):
-            bits = "".join(rng.choice("01") for _ in range(200))
-            ids = PrefixPermutationTable(bits, n).ids
-            assert find_kernel_repetitions(bits, n, ids=ids) == find_kernel_repetitions(bits, n)
-            assert (find_kernel_repetitions(bits, n, 20, ids)
-                    == find_kernel_repetitions(bits, n, 20))
+        seen = set()
+        for n in range(2, 9):
+            words = ["0" * rng.randint(1, 300), "1" * rng.randint(1, 300)]
+            for _ in range(2):
+                words.append("".join(rng.choice("01") for _ in range(rng.randint(0, 300))))
+                period = "".join(rng.choice("01") for _ in range(rng.randint(1, 3 * n)))
+                periodic = (period * 300)[:rng.randint(0, 300)]
+                words.append(periodic)
+                near = list(periodic)
+                for p in rng.sample(range(len(near)), min(2, len(near))):
+                    near[p] = "1" if near[p] == "0" else "0"
+                words.append("".join(near))
+            for bits in words:
+                want = brute_kernel_repetitions(bits, n)
+                assert occ_triples(find_kernel_repetitions(bits, n)) == want, (n, bits)
+                table = PrefixPermutationTable(bits, n)
+                runs = _collision_runs(table.word, table.ids, n - 1)
+                for q in sorted({q for _, q, _ in want})[:3]:
+                    for cap in (q - 1, q):
+                        cut = [t for t in want if t[1] <= cap]
+                        assert occ_triples(find_kernel_repetitions(bits, n, cap)) == cut, (n, bits, cap)
+                        assert occ_triples(_kernel_runs(runs, n, cap)) == cut, (n, bits, cap)
+                seen.add("found" if want else "none")
+        assert seen == {"found", "none"}
 
     @pytest.mark.parametrize("n", [15, 21])
     def test_builtin_probe_is_kernel_free(self, n):
