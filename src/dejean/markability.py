@@ -27,16 +27,23 @@ class PhaseConflict:
                 f"phase {x2!r} at position {p2} of image({u2})")
 
 
-def occurrence_phases(v: str, h: UniformMorphism, u: str) -> list[tuple[int, str]]:
-    """(position, phase word) for every occurrence of v inside h(u)."""
-    image = h.apply(u)
+def _phase_conflicts(h: UniformMorphism, U: FactorSet, k: int) -> dict[str, PhaseConflict]:
+    """Each length-k factor of the images h(u), u in U, that occurs at two
+    phase words, with its first occurrence and the first later one, in
+    (u, position) order, whose phase word differs.  One pass reads every
+    position of each image."""
     r = h.r
-    out = []
-    p = image.find(v)
-    while p != -1:
-        out.append((p, image[(p // r) * r : p]))
-        p = image.find(v, p + 1)
-    return out
+    first: dict[str, tuple[str, int, str]] = {}
+    conflicts: dict[str, PhaseConflict] = {}
+    for u in U:
+        image = h.apply(u)
+        for p in range(len(image) - k + 1):
+            v = image[p:p + k]
+            occurrence = (u, p, image[p - p % r:p])
+            seen = first.setdefault(v, occurrence)
+            if seen[2] != occurrence[2] and v not in conflicts:
+                conflicts[v] = PhaseConflict(seen, occurrence)
+    return conflicts
 
 
 def is_2markable(v: str, h: UniformMorphism, U: FactorSet) -> tuple[bool, PhaseConflict | None]:
@@ -46,14 +53,8 @@ def is_2markable(v: str, h: UniformMorphism, U: FactorSet) -> tuple[bool, PhaseC
     U is meant to be the length-2 factor closure of h; any factor set is
     accepted for exploration.
     """
-    seen: tuple[str, int, str] | None = None
-    for u in U:
-        for p, phase in occurrence_phases(v, h, u):
-            if seen is None:
-                seen = (u, p, phase)
-            elif phase != seen[2]:
-                return False, PhaseConflict(seen, (u, p, phase))
-    return True, None
+    conflict = _phase_conflicts(h, U, len(v)).get(v)
+    return conflict is None, conflict
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,6 @@ def check_all_length_r_factors_markable(h: UniformMorphism) -> MarkabilityReport
     r = h.r
     probe = h.apply("0110")
     factors = sorted({probe[i : i + r] for i in range(len(probe) - r + 1)})
-    U = factor_closure(h, 2)
-    failures = []
-    for v in factors:
-        ok, conflict = is_2markable(v, h, U)
-        if not ok:
-            failures.append((v, conflict))
-    return MarkabilityReport(len(factors), tuple(failures))
+    conflicts = _phase_conflicts(h, factor_closure(h, 2), r)
+    failures = tuple((v, conflicts[v]) for v in factors if v in conflicts)
+    return MarkabilityReport(len(factors), failures)

@@ -179,7 +179,7 @@ def _screen_pair(n: int, h0: str, h1: str) -> str | None:
 
 def _packed(bits, sig) -> tuple[int, bytes]:
     """A candidate as the pools hold it (:class:`_Pairing`): the ``int`` of
-    its bits (a string or a list of "0"/"1") and its permutation image as
+    its bits (a list of "0"/"1") and its permutation image as
     ``bytes``."""
     return int("".join(bits), 2), bytes(sig)
 
@@ -230,15 +230,10 @@ class _Pairing:
 
 
 def search_convenient(n: int, length: int, limit: int = 1, *,
-                      seed_h0: Iterable[str] = (),
-                      seed_h1: Iterable[str] = (),
                       progress: Callable[[str], object] | None = None) -> list[UniformMorphism]:
     """Search for up to ``limit`` morphisms that pass full verification.
 
-    Candidates come from the legal-encoding enumeration (plus any seeds,
-    which are paired first: each must have the given length, and a
-    ``seed_h0`` word must map to cycle type (n-1, 1) and a ``seed_h1``
-    word to an n-cycle, else ``ValueError`` before any walk); each conjugacy-
+    Candidates come from the legal-encoding enumeration; each conjugacy-
     compatible pair is screened and then verified with the complete
     suite.  Leaves are paired in lexicographic order, so runs are
     reproducible.  Returns verified morphisms, sorted by image pair when
@@ -249,22 +244,6 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
     if n > 255:
         raise ValueError(f"alphabet size must be <= 255, got {n}: "
                          f"the pools key a permutation by one byte per point")
-    seeds = []
-    for role, role_seeds in (("h0", seed_h0), ("h1", seed_h1)):
-        for seed_bits in role_seeds:
-            if len(seed_bits) != length:
-                raise ValueError(f"seed {seed_bits!r} has length {len(seed_bits)}, "
-                                 f"expected {length}")
-            sig = word_permutation(seed_bits, n).images
-            kind = _classify(sig, n)
-            if kind != role:
-                raise ValueError(f"seed_{role} {seed_bits!r} has a permutation image "
-                                 f"of class {kind}, expected {role}")
-            seeds.append((*_packed(seed_bits, sig), kind))
-    # A value fixes its role, so a repeated seed or a leaf equal to a seed
-    # would only pair again: each value is pooled once.
-    seeds = list(dict.fromkeys(seeds))
-    seeded = {value for value, _, _ in seeds}
     pairing = _Pairing(n, length)
     found: list[UniformMorphism] = []
     leaves = 0
@@ -283,15 +262,8 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
         report = verify(candidate)
         if report.overall:
             found.append(candidate)
-            seen = f"after {leaves} words, " if leaves else ""
-            note(f"verified pair #{len(found)} {seen}{pairing.pairs_tried} pairs tried")
+            note(f"verified pair #{len(found)} after {leaves} words, {pairing.pairs_tried} pairs tried")
             return len(found) >= limit
-        return False
-
-    def drain(value: int, key: bytes, kind: str) -> bool:
-        for pair in pairing.add(value, key, kind):
-            if consider(pair):
-                return True
         return False
 
     def on_leaf(bits, sig):
@@ -303,14 +275,13 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
                  f"{pairing.pairs_tried} pairs tried")
         kind = _classify(sig, n)
         if kind != "neither":
-            value, key = _packed(bits, sig)
-            if value not in seeded and drain(value, key, kind):
-                return False
+            for pair in pairing.add(*_packed(bits, sig), kind):
+                if consider(pair):
+                    return False
         return None
 
-    if not any(drain(*seed) for seed in seeds):
-        _walk(n, length, on_leaf)
+    _walk(n, length, on_leaf)
     if len(found) < limit:
-        # exhausted: no seed or leaf reached the limit
+        # exhausted: no leaf reached the limit
         found.sort(key=lambda h: (h.image0, h.image1))
     return found

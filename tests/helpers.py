@@ -4,10 +4,25 @@ Everything here recomputes results straight from the definitions with plain
 loops, independently of the library's scanning strategies.
 """
 
+import importlib.util
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+from dejean.markability import MarkabilityReport, PhaseConflict
+from dejean.morphisms import factor_closure
 from dejean.perms import word_permutation
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench_mutants():
+    """The benchmark's mutant generator, ``perfbench/mutants.py``, as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_mutants", PERFBENCH / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_has_period(w, i, j, q):
@@ -122,6 +137,40 @@ def brute_kernel_repetitions(bits, n):
             if perms[i] == perms[i + q]:
                 out.append((i, q, k + q - i))
     return sorted(out)
+
+
+def brute_is_2markable(v, h, U):
+    """``markability.is_2markable`` by one ``str.find`` scan of each image
+    h(u) for v, u in U's order: the first occurrence is compared with each
+    later one, and the first whose phase word differs is the conflict."""
+    r = h.r
+    seen = None
+    for u in U:
+        image = h.apply(u)
+        p = image.find(v)
+        while p != -1:
+            occurrence = (u, p, image[(p // r) * r:p])
+            if seen is None:
+                seen = occurrence
+            elif occurrence[2] != seen[2]:
+                return False, PhaseConflict(seen, occurrence)
+            p = image.find(v, p + 1)
+    return True, None
+
+
+def brute_markability_report(h):
+    """``markability.check_all_length_r_factors_markable`` with
+    :func:`brute_is_2markable` called once per length-r factor of h(0110)."""
+    r = h.r
+    probe = h.apply("0110")
+    factors = sorted({probe[i:i + r] for i in range(len(probe) - r + 1)})
+    U = factor_closure(h, 2)
+    failures = []
+    for v in factors:
+        ok, conflict = brute_is_2markable(v, h, U)
+        if not ok:
+            failures.append((v, conflict))
+    return MarkabilityReport(len(factors), tuple(failures))
 
 
 def same_partition(a, b):

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,10 +10,39 @@ import dejean.cli as cli
 from dejean.cli import main
 from dejean.morphisms import builtin, emit_morphism_file, parse_morphism_file
 
+from helpers import PERFBENCH, load_perfbench_mutants
+
 # The ms-free reports of ``dejean verify all --json``, one JSON line per
-# builtin, as the benchmark stores them.
-EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
-                       / "perfbench" / "expected" / "verify-all.jsonl")
+# morphism, as the benchmark stores them: the builtins, and the mutants of
+# perfbench/mutants.py's default seed.
+EXPECTED_VERIFY_ALL = PERFBENCH / "expected" / "verify-all.jsonl"
+EXPECTED_VERIFY_MUTANTS = PERFBENCH / "expected" / "verify-mutants-seed1.jsonl"
+
+
+def assert_reports_match(out, expected_path, count):
+    """Each JSON line of ``out`` equals the stored line once its checks'
+    ``ms`` are removed."""
+    lines = out.splitlines()
+    expected = expected_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(expected) == count
+    for line, want in zip(lines, expected):
+        report = json.loads(line)
+        for check in report["checks"]:
+            assert type(check.pop("ms")) is int
+        assert json.dumps(report) == want
+
+
+def stub_search(monkeypatch, found):
+    """Replace the CLI's ``search_convenient`` with a stub that returns
+    ``found`` and records each call's (n, length, limit)."""
+    calls = []
+
+    def stub(n, length, limit, *, progress):
+        calls.append((n, length, limit))
+        return found
+
+    monkeypatch.setattr(cli, "search_convenient", stub)
+    return calls
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -118,14 +146,16 @@ class TestVerifyAll:
         """Byte for byte apart from each check's ms."""
         monkeypatch.delenv(cli.MORPHISM_FILE_ENV, raising=False)
         assert main(["verify", "all", "--json"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        expected = EXPECTED_VERIFY_ALL.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == len(expected) == 12
-        for line, want in zip(lines, expected):
-            report = json.loads(line)
-            for check in report["checks"]:
-                assert type(check.pop("ms")) is int
-            assert json.dumps(report) == want
+        assert_reports_match(capsys.readouterr().out, EXPECTED_VERIFY_ALL, 12)
+
+    def test_mutant_reports_match_the_stored_ones(self, capsys, tmp_path):
+        """The benchmark's seed-1 mutants, byte for byte apart from ms; the
+        n = 20 flip mutant's markability_r witness pins the conflict order."""
+        mutants = load_perfbench_mutants()
+        path = tmp_path / "mutants.txt"
+        path.write_text(mutants.stanza_text(mutants.generate(1)), encoding="utf-8")
+        assert main(["verify", "all", "--json", "--morphism-file", str(path)]) == 1
+        assert_reports_match(capsys.readouterr().out, EXPECTED_VERIFY_MUTANTS, 14)
 
     def test_verify_error_propagates_after_one_call(self, capsys, monkeypatch):
         class VerifyFailure(Exception):
@@ -151,15 +181,12 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
 
-    def test_default_length_rule(self, capsys):
-        # n=21 defaults to length 84; too big to run, so check the failure
-        # path of an invalid limit instead and the parser wiring directly
-        from dejean.cli import _build_parser
-
-        parser = _build_parser()
-        args = parser.parse_args(["search", "21"])
-        assert args.length is None  # resolved later to 4n = 84
+    def test_default_length_rule(self, capsys, monkeypatch):
+        # n=21 defaults to length 4n = 84, too big to run: the stub records it
+        calls = stub_search(monkeypatch, [builtin(21)])
+        assert main(["search", "21"]) == 0
         assert main(["search", "21", "--limit", "0"]) == 2
+        assert calls == [(21, 84, 1)]
 
     def test_small_alphabet_argument_validation(self):
         assert main(["search", "1"]) == 2
@@ -276,21 +303,13 @@ class TestKernelScanMaxPeriod:
 
 class TestSearchStanzaOutput:
     def test_seeded_search_emits_stanza(self, capsys, monkeypatch):
-        # go through the library seam: seed the real builtin pair so the
-        # command succeeds instantly and prints a parseable stanza
-        import dejean.cli as cli
-
+        # the library seam returns the builtin pair, so the command succeeds
+        # at once with the default length 4n-4 and prints a parseable stanza
         h = builtin(15)
-        real = cli.search_convenient
-
-        def seeded(n, length, limit, *, progress):
-            return real(n, length, limit,
-                        seed_h0=[h.image0], seed_h1=[h.image1], progress=progress)
-
-        monkeypatch.setattr(cli, "search_convenient", seeded)
+        calls = stub_search(monkeypatch, [h])
         assert main(["search", "15"]) == 0
-        parsed = parse_morphism_file(capsys.readouterr().out)
-        assert parsed == [h]
+        assert parse_morphism_file(capsys.readouterr().out) == [h]
+        assert calls == [(15, 56, 1)]
 
 
 class TestEntryPoints:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from dejean.markability import (check_all_length_r_factors_markable,
-                                is_2markable, occurrence_phases)
+from dejean.markability import (PhaseConflict, check_all_length_r_factors_markable,
+                                is_2markable)
 from dejean.morphisms import (BUILTIN_SIZES, FactorSet, UniformMorphism,
                               builtin, factor_closure, limit_prefix)
+
+from helpers import brute_is_2markable, brute_markability_report, load_perfbench_mutants
 
 
 @pytest.fixture(scope="module")
@@ -18,25 +20,72 @@ def U15(h15):
     return factor_closure(h15, 2)
 
 
-class TestOccurrencePhases:
-    def test_phase_is_direct_substring(self, h15, U15):
-        r = h15.r
-        rng = random.Random(4)
-        probe = h15.apply("0110")
-        for _ in range(50):
-            i = rng.randrange(len(probe) - 5)
-            v = probe[i:i + 5]
-            for u in U15:
-                image = h15.apply(u)
-                for p, phase in occurrence_phases(v, h15, u):
-                    assert image[p:p + len(v)] == v
-                    assert phase == image[(p // r) * r: p]
-                    assert len(phase) == p % r
+def _oracle_morphisms():
+    """Groups: the builtins, the benchmark's mutants of seeds 1-3 and random
+    small morphisms (h(0) starts with 0, so each has a limit word)."""
+    mutants = load_perfbench_mutants()
+    groups = {"builtins": [builtin(n) for n in BUILTIN_SIZES]}
+    for seed in (1, 2, 3):
+        groups[f"mutants-{seed}"] = [UniformMorphism(m.n, m.image0, m.image1)
+                                     for m in mutants.generate(seed)]
+    rng = random.Random(11)
+    groups["random"] = []
+    for _ in range(40):
+        r = rng.randrange(2, 9)
+        groups["random"].append(UniformMorphism(
+            rng.randrange(3, 6), "0" + "".join(rng.choice("01") for _ in range(r - 1)),
+            "".join(rng.choice("01") for _ in range(r))))
+    return groups
 
-    def test_overlapping_occurrences_found(self):
+
+ORACLE_MORPHISMS = _oracle_morphisms()
+ALL_PAIRS = FactorSet(2, frozenset({"00", "01", "10", "11"}))
+
+
+def _sample_words(h, rng):
+    """Twelve words: the empty word, factors of h(0110) from one letter to
+    2r letters, and a random binary word."""
+    r = h.r
+    probe = h.apply("0110")
+    words = [""]
+    for k in (1, 2, 3, max(1, r // 2), max(1, r - 1), r, r + 1, r + 3, 2 * r, 2 * r + 1):
+        i = rng.randrange(len(probe) - k + 1)
+        words.append(probe[i:i + k])
+    words.append("".join(rng.choice("01") for _ in range(4)))
+    return words
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("group", ORACLE_MORPHISMS)
+    def test_batch_report_matches_oracle(self, group):
+        for h in ORACLE_MORPHISMS[group]:
+            assert check_all_length_r_factors_markable(h) == brute_markability_report(h), h
+
+    @pytest.mark.parametrize("group", ORACLE_MORPHISMS)
+    def test_is_2markable_matches_oracle(self, group):
+        rng = random.Random(group)
+        for h in ORACLE_MORPHISMS[group]:
+            for U in (factor_closure(h, 2), ALL_PAIRS):
+                for v in _sample_words(h, rng):
+                    assert is_2markable(v, h, U) == brute_is_2markable(v, h, U), (h, U, v)
+
+    def test_batch_oracle_sees_failures(self):
+        # the comparisons above are not vacuous: some reports list failures
+        failing = {group: sum(not brute_markability_report(h).passed for h in hs)
+                   for group, hs in ORACLE_MORPHISMS.items()}
+        assert failing["builtins"] == 0
+        assert failing["mutants-1"] >= 1 and failing["random"] >= 10
+
+    def test_overlapping_occurrences_in_one_image(self):
+        # image(00) = 01010101: "01" at 0, 2, 4, 6 with phases "", "01", "", "01"
         h = UniformMorphism(3, "0101", "0110")
-        phases = occurrence_phases("01", h, "00")
-        assert [p for p, _ in phases] == [0, 2, 4, 6]
+        U = FactorSet(2, frozenset({"00"}))
+        ok, conflict = is_2markable("01", h, U)
+        assert (ok, conflict) == brute_is_2markable("01", h, U)
+        assert conflict == PhaseConflict(("00", 0, ""), ("00", 2, "01"))
+        # "0101" at 0 and at 2 overlap; a scan resumed after a match misses the second
+        assert (is_2markable("0101", h, U) == brute_is_2markable("0101", h, U)
+                == (False, PhaseConflict(("00", 0, ""), ("00", 2, "01"))))
 
 
 class TestIs2Markable:
