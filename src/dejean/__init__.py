@@ -17,8 +17,6 @@ from .perms import (Permutation, PrefixPermutationTable, find_conjugator,
 from .search import (classify_candidate, enumerate_legal, legal_length_counts,
                      search_convenient)
 from .verifier import (Bounds, CheckResult, VerificationReport, compute_bounds,
-                       check_big_excess_free, check_iteration_bound,
-                       check_kernel_free, check_power_free,
                        find_kernel_repetitions, probe_encoding, probe_word,
                        run_check, verify)
 from .words import (RepetitionOccurrence, SigmaWord, find_repetitions_exceeding,
@@ -31,10 +29,9 @@ __all__ = [
     "PrefixPermutationTable", "PrefixStabilityError", "RepetitionOccurrence",
     "SigmaWord", "UniformMorphism", "VerificationReport",
     "WindowDistinctnessError", "builtin", "canonical_prefix",
-    "check_all_length_r_factors_markable", "check_big_excess_free",
-    "check_iteration_bound", "check_kernel_free", "check_power_free",
-    "classify_candidate", "compute_bounds", "decode", "emit_morphism_file",
-    "encode", "enumerate_legal", "factor_closure", "find_conjugator",
+    "check_all_length_r_factors_markable", "classify_candidate",
+    "compute_bounds", "decode", "emit_morphism_file", "encode",
+    "enumerate_legal", "factor_closure", "find_conjugator",
     "find_kernel_repetitions", "find_repetitions_exceeding",
     "find_repetitions_with_excess_at_least", "has_period", "is_2markable",
     "is_kernel_word", "iteration_bound", "legal_length_counts", "limit_prefix",

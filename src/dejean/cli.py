@@ -17,7 +17,7 @@ from .morphisms import (BUILTIN_SIZES, MorphismFormatError, UniformMorphism,
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
 from .search import search_convenient
 from .verifier import find_kernel_repetitions, verify
-from .words import SigmaWord, check_binary, max_exponent
+from .words import SigmaWord, check_binary, max_exponent, parse_symbols
 
 MORPHISM_FILE_ENV = "DEJEAN_MORPHISMS"
 
@@ -130,22 +130,10 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _parse_any_word(text: str):
-    """Word for alphabet-agnostic scans: dotted/spaced decimals when present,
-    otherwise one symbol per character."""
-    if "." in text or " " in text or "\t" in text:
-        try:
-            return tuple(int(p) for p in text.replace(".", " ").split())
-        except ValueError as exc:
-            raise ValueError(f"malformed word: {exc}") from None
-    return text
-
-
 def _cmd_exponent(args) -> int:
     text = _read_word(args)
     try:
-        word = _parse_any_word(text)
-        exponent, witness = max_exponent(word)
+        exponent, witness = max_exponent(parse_symbols(text, digits=False))
     except ValueError as exc:
         return _fail(str(exc))
     if witness is None:

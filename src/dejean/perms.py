@@ -209,7 +209,6 @@ class PrefixPermutationTable:
 
     def __init__(self, bits: str, n: int):
         self.word = decode_letters(bits, n)
-        self.n = n
         packed = array("I", self.word) if n > 255 else self.word
         buf, step = bytes(packed), memoryview(packed).itemsize
         width, count = step * (n - 1), len(bits) + 1

@@ -197,7 +197,7 @@ class _Pairing:
     when it is yielded.
     """
 
-    def __init__(self, n: int, r: int):
+    def __init__(self, r: int):
         self.fmt = f"0{r}b"
         self.h0_by_perm: dict[bytes, tuple[int, ...]] = {}
         self.h1_by_perm: dict[bytes, tuple[int, ...]] = {}
@@ -244,7 +244,7 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
     if n > 255:
         raise ValueError(f"alphabet size must be <= 255, got {n}: "
                          f"the pools key a permutation by one byte per point")
-    pairing = _Pairing(n, length)
+    pairing = _Pairing(length)
     found: list[UniformMorphism] = []
     leaves = 0
 

@@ -8,11 +8,11 @@ decisive repetition searches on its decoding.  All eight always run; a
 failing check never short-circuits the rest.
 
 The ordered table ``_CHECKS`` of (name, body) is the only list of the
-checks: ``CHECK_NAMES``, :func:`verify`, :func:`run_check` and the
-``check_*`` shortcuts all read it.  Each body takes a ``_Probe``, which
-builds the probe encoding and then one ``PrefixPermutationTable`` on first
-use: the decoding, and the ids of its decoder states read off its windows.
-So one verification decodes the probe encoding once.
+checks: ``CHECK_NAMES``, :func:`verify` and :func:`run_check` all read
+it.  Each body takes a ``_Probe``, which builds the probe encoding and
+then one ``PrefixPermutationTable`` on first use: the decoding, and the
+ids of its decoder states read off its windows.  So one verification
+decodes the probe encoding once.
 
 The three repetition checks read one list: the maximal runs of the decoding
 with excess >= n-1.  Window k of length n-1 of the decoding is decoder state
@@ -34,8 +34,7 @@ pass (``Bounds.kernel_bound``), and every period when either fails.
 import json
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
-from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 from .markability import check_all_length_r_factors_markable
@@ -56,16 +55,15 @@ class Bounds:
     ``kernel_bound`` = 9n^2-6n+1 bounds the period of a kernel repetition
     once ``markability_r`` and ``iteration_bound`` hold.  ``short_bound`` =
     n^2-3n+1 bounds the period of a repetition above n/(n-1) with excess
-    e <= n-2: it forces q < e(n-1) <= (n-1)(n-2).  ``threshold`` is n/(n-1).
+    e <= n-2: it forces q < e(n-1) <= (n-1)(n-2).
     """
 
     kernel_bound: int
     short_bound: int
-    threshold: Fraction
 
 
 def compute_bounds(n: int) -> Bounds:
-    """Bounds for alphabet size n: 9n^2-6n+1, n^2-3n+1, and n/(n-1).
+    """Bounds for alphabet size n: 9n^2-6n+1 and n^2-3n+1.
 
     The kernel bound is re-derived as 4n + (n-1)(9n-1) to guard the
     arithmetic against transcription slips.
@@ -75,7 +73,7 @@ def compute_bounds(n: int) -> Bounds:
     kernel_bound = 9 * n * n - 6 * n + 1
     if kernel_bound != 4 * n + (n - 1) * (9 * n - 1):
         raise RuntimeError(f"kernel bound derivation mismatch at n={n}")
-    return Bounds(kernel_bound, n * n - 3 * n + 1, Fraction(n, n - 1))
+    return Bounds(kernel_bound, n * n - 3 * n + 1)
 
 
 @dataclass(frozen=True)
@@ -350,13 +348,6 @@ def run_check(name: str, source) -> CheckResult:
     if body is None:
         raise ValueError(f"unknown check name {name!r}; expected one of {', '.join(CHECK_NAMES)}")
     return _run(name, body, _Probe(_as_morphism(source)))
-
-
-# check_<name>(source) is run_check("<name>", source).
-check_iteration_bound = partial(run_check, "iteration_bound")
-check_kernel_free = partial(run_check, "kernel_free")
-check_big_excess_free = partial(run_check, "big_excess_free")
-check_power_free = partial(run_check, "power_free")
 
 
 def verify(source) -> VerificationReport:

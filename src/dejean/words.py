@@ -8,19 +8,14 @@ module is an integer cross-multiplication; no floating point is used anywhere.
 All repetition scans (``max_exponent`` and the ``find_``/``has_`` forms for
 an exponent threshold or a minimum excess) are calls into one generator of
 maximal runs, ``_runs``, which takes the least excess a run of each period
-must reach.  On long words it skips a period unless the bitmask of matching
-positions holds a long enough run; that mask is read off the word's bit
-planes (bit i of each symbol's number), a few operations per plane.
+must reach.  It skips a period unless the bitmask of matching positions
+holds a long enough run; that mask is read off the word's bit planes (bit i
+of each symbol's number), a few operations per plane.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
-
-# Words at least this long get the bit-plane fast path in the period scans;
-# on shorter words building the planes costs more than it saves.  Tests
-# lower it to exercise both paths on the same inputs.
-_MASK_MIN_LENGTH = 2048
 
 
 @dataclass(frozen=True)
@@ -76,18 +71,29 @@ class SigmaWord:
     @classmethod
     def from_text(cls, text: str, n: int) -> "SigmaWord":
         """Parse the :meth:`text` format; also accepts space separation."""
-        text = text.strip()
-        if not text:
-            return cls(n, ())
-        if "." in text or " " in text or "\t" in text:
-            parts = text.replace(".", " ").split()
-        else:
-            parts = list(text)
-        try:
-            letters = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"malformed word {text!r}: {exc}") from None
-        return cls(n, letters)
+        return cls(n, parse_symbols(text))
+
+
+def parse_symbols(text: str, digits: bool = True) -> tuple[int, ...] | str:
+    """The symbols of a word's text, stripped.  Dotted or spaced decimals
+    ("1.2.13.4", "1 2 13 4") give one int per field; other text gives one
+    int per character when ``digits``, else is returned as it is.  A field
+    that is empty (a dot at either end of it) or not a run of ASCII digits
+    (no sign, no "_") raises ValueError naming its index."""
+    text = text.strip()
+    if "." in text or " " in text or "\t" in text:
+        fields = [f for chunk in text.split() for f in chunk.split(".")]
+    elif digits:
+        fields = list(text)
+    else:
+        return text
+    for k, field in enumerate(fields):
+        if not field:
+            raise ValueError(f"empty field at index {k} in word {text!r}")
+        if not (field.isascii() and field.isdigit()):
+            raise ValueError(f"malformed field {field!r} at index {k} in word {text!r}")
+        fields[k] = int(field)
+    return tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -191,15 +197,15 @@ _PLANE_DIGITS = [bytes(b"01"[c >> i & 1] for c in range(256)) for i in range(8)]
 def _bit_planes(sym: Sequence) -> tuple[int, list[int]] | None:
     """(full, planes): the L low bits of ``full`` set, and bit k of planes[i]
     set iff bit i of the number of sym[k] is, the distinct symbols numbered
-    from 0 (ceil(log2 k) planes for k of them); None above 256 symbols.
-    A ``bytes`` word is renumbered by one ``translate``."""
+    from 0 (ceil(log2 k) planes for k of them, none for an empty word);
+    None above 256 symbols.  A ``bytes`` word is renumbered by one ``translate``."""
     codes = {c: i for i, c in enumerate(dict.fromkeys(sym))}
     if len(codes) > 256:
         return None
     buf = (sym.translate(bytes(codes.get(c, 0) for c in range(256))) if isinstance(sym, bytes)
            else bytes(map(codes.__getitem__, sym)))[::-1]
     planes = [int(buf.translate(_PLANE_DIGITS[i]), 2)
-              for i in range((len(codes) - 1).bit_length())]
+              for i in range(max(len(codes) - 1, 0).bit_length())]
     return (1 << len(sym)) - 1, planes
 
 
@@ -230,13 +236,14 @@ def _runs(w, min_run: Callable[[int], int],
     ``min_run`` must not decrease with q, so the scan stops at the first
     period where even the whole word falls short.  It is read again after
     each yield, so a caller may raise it as results arrive.  Periods above
-    ``max_period`` (when given) are not scanned.  Long words of at most
-    256 distinct symbols first test each period's match mask, from their
-    bit planes, for a long enough run of matches.
+    ``max_period`` (when given) are not scanned.  A word of at most 256
+    distinct symbols first tests each period's match mask, from its bit
+    planes, for a long enough run of matches; above that, the plain
+    per-period scan runs alone.
     """
     sym = _symbols(w)
     L = len(sym)
-    sliced = _bit_planes(sym) if L >= _MASK_MIN_LENGTH else None
+    sliced = _bit_planes(sym)
     last = L if max_period is None else min(L, max_period + 1)
     for q in range(1, last):
         need = min_run(q)

@@ -17,12 +17,23 @@ from dejean.perms import word_permutation
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_perfbench_mutants():
-    """The benchmark's mutant generator, ``perfbench/mutants.py``, as a module."""
-    spec = importlib.util.spec_from_file_location("perfbench_mutants", PERFBENCH / "mutants.py")
+def _load_perfbench(name):
+    """``perfbench/<name>.py`` as a module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_perfbench_mutants():
+    """The benchmark's mutant generator, ``perfbench/mutants.py``, as a module."""
+    return _load_perfbench("mutants")
+
+
+def load_tracer_sites():
+    """The (calling module, attribute, span name, keep) sites that the
+    benchmark's tracer, ``perfbench/tracer.py``, wraps."""
+    return _load_perfbench("tracer").SITES
 
 
 def brute_has_period(w, i, j, q):

@@ -13,8 +13,7 @@ from dejean.morphisms import BUILTIN_SIZES, builtin, factor_closure, iteration_b
 from dejean.pansiot import canonical_prefix, decode, encode
 from dejean.perms import find_conjugator, step0, step1, word_permutation
 from dejean.search import enumerate_legal, legal_length_counts, search_convenient
-from dejean.verifier import (check_big_excess_free, check_kernel_free,
-                             check_power_free, compute_bounds, verify)
+from dejean.verifier import compute_bounds, run_check, verify
 from dejean.words import SigmaWord, find_repetitions_exceeding, has_period, max_exponent
 
 
@@ -88,8 +87,8 @@ def test_criterion_06_decisive_searches():
     started = time.perf_counter()
     ok = True
     for n in BUILTIN_SIZES:
-        excess = check_big_excess_free(n)
-        power = check_power_free(n)
+        excess = run_check("big_excess_free", n)
+        power = run_check("power_free", n)
         ok &= excess.passed and power.passed
     elapsed = time.perf_counter() - started
     report(6, "decisive searches", ok, elapsed, detail="target < 1800s")
@@ -97,7 +96,7 @@ def test_criterion_06_decisive_searches():
 
 def test_criterion_07_kernel_freeness():
     started = time.perf_counter()
-    results = [check_kernel_free(n) for n in BUILTIN_SIZES]
+    results = [run_check("kernel_free", n) for n in BUILTIN_SIZES]
     ok = all(res.passed and "periods <= " in res.witness for res in results)
     elapsed = time.perf_counter() - started
     report(7, "kernel freeness", ok and elapsed < 600.0, elapsed)

@@ -237,6 +237,29 @@ class TestWordCommands:
     def test_exponent_empty_input(self, capsys, monkeypatch):
         assert run_cli(["exponent"], "\n", monkeypatch) == 2
 
+    @pytest.mark.parametrize("command,text,k", [
+        (["exponent"], "1..2", 1),
+        (["encode", "--n", "3"], "1.2.", 2),
+        (["encode", "--n", "12"], "1 .2", 1),
+    ], ids=["exponent", "encode", "encode-spaced"])
+    def test_empty_field_exits_2(self, capsys, monkeypatch, command, text, k):
+        assert run_cli(command, text, monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: empty field at index {k} in word {text!r}\n"
+
+    def test_decode_prefix_empty_field_exits_2(self, capsys, monkeypatch):
+        assert run_cli(["decode", "--n", "3", "--prefix", ".1"], "01\n", monkeypatch) == 2
+        assert capsys.readouterr().err == "error: empty field at index 0 in word '.1'\n"
+
+    def test_spaced_and_dotted_forms_still_parse(self, capsys, monkeypatch):
+        assert run_cli(["encode", "--n", "3"], "1 2 1 3\n", monkeypatch) == 0
+        assert run_cli(["encode", "--n", "3"], "1.2.1.3\n", monkeypatch) == 0
+        assert run_cli(["decode", "--n", "3", "--prefix", "2.1"], "01\n", monkeypatch) == 0
+        assert run_cli(["exponent"], "1 2\t1\n", monkeypatch) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "01", "01", "2123", "3/2 start=0 period=2 length=3 exponent=3/2"]
+
     def test_kernel_scan(self, capsys, monkeypatch):
         assert run_cli(["kernel-scan", "--n", "5"], "111111\n", monkeypatch) == 0
         captured = capsys.readouterr()

@@ -28,9 +28,7 @@ import pytest
 import dejean.verifier
 from dejean.morphisms import UniformMorphism, builtin
 from dejean.perms import PrefixPermutationTable
-from dejean.verifier import (_collision_runs, _Probe, _power_runs, check_big_excess_free,
-                             check_kernel_free,
-                             check_power_free, compute_bounds,
+from dejean.verifier import (_collision_runs, _Probe, _power_runs, compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
@@ -198,10 +196,10 @@ def test_verification_builds_one_run_list(monkeypatch):
 @pytest.mark.parametrize("n", [15, 16])
 def test_builtin_decisive_checks_match_unbounded_scans(n):
     v = probe_word(n)
-    _assert_matches_oracle(check_big_excess_free(n), find_repetitions_with_excess_at_least(v, n - 1))
-    _assert_matches_oracle(check_power_free(n), find_repetitions_exceeding(v, n, n - 1))
+    _assert_matches_oracle(run_check("big_excess_free", n), find_repetitions_with_excess_at_least(v, n - 1))
+    _assert_matches_oracle(run_check("power_free", n), find_repetitions_exceeding(v, n, n - 1))
     assert find_kernel_repetitions(probe_encoding(n), n) == []
-    _assert_matches_oracle(check_kernel_free(n), [])
+    _assert_matches_oracle(run_check("kernel_free", n), [])
 
 
 def test_window_mutant_power_scan_falls_back_to_all_periods(results):
@@ -209,7 +207,7 @@ def test_window_mutant_power_scan_falls_back_to_all_periods(results):
     short_bound = compute_bounds(h.n).short_bound
     assert excess, "the window must leave a repetition with excess >= n-1"
     assert any(o.period > short_bound for o in power)
-    alone = check_power_free(h)
+    alone = run_check("power_free", h)
     _assert_matches_oracle(alone, power)
     assert (alone.passed, alone.witness) == (report.check("power_free").passed,
                                              report.check("power_free").witness)

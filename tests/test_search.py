@@ -355,7 +355,7 @@ class TestPackedPairing:
         leaves = _candidate_leaves(n, length)
         kinds = [kind for _, _, kind in leaves]
         assert "h0" in kinds and "h1" in kinds
-        packed, reference = search._Pairing(n, length), _ListPairing(n)
+        packed, reference = search._Pairing(length), _ListPairing(n)
         got, expected = [], []
         for bits, sig, kind in leaves:
             got.extend(packed.add(*search._packed(bits, sig), kind))
@@ -390,7 +390,7 @@ class TestPackedPairing:
 
         n, length = 15, 44
         leaves = _candidate_leaves(n, length)
-        packed = retained_per_candidate(search._Pairing(n, length), search._packed)
+        packed = retained_per_candidate(search._Pairing(length), search._packed)
         unpacked = retained_per_candidate(_ListPairing(n), _unpacked)
         assert packed <= 250 < unpacked, (packed, unpacked)
 

@@ -3,22 +3,12 @@ program, so a renamed or dropped import fails here and not only in a
 traced benchmark run."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from helpers import load_tracer_sites
 
-
-def _sites():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.SITES
-
-
-SITES = _sites()
+SITES = load_tracer_sites()
 
 
 def test_sites_are_listed():

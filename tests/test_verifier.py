@@ -1,6 +1,5 @@
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,9 +10,7 @@ from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.pansiot import canonical_prefix, decode, decode_letters
 from dejean.perms import PrefixPermutationTable, word_permutation
 from dejean.verifier import (CHECK_NAMES, _collision_runs, _kernel_runs, _power_runs,
-                             check_big_excess_free,
-                             check_iteration_bound, check_kernel_free,
-                             check_power_free, compute_bounds,
+                             compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
@@ -24,7 +21,6 @@ class TestBounds:
     def test_examples(self):
         b = compute_bounds(15)
         assert (b.kernel_bound, b.short_bound) == (1936, 181)
-        assert b.threshold == Fraction(15, 14)
         assert compute_bounds(2).kernel_bound == 25
         assert compute_bounds(2).short_bound == -1
         assert compute_bounds(26).kernel_bound == 5929
@@ -176,17 +172,17 @@ class TestDecoderStateIdentity:
 class TestIndividualChecks:
     def test_iteration_bound_pass(self):
         for n in (15, 21, 26):
-            res = check_iteration_bound(n)
+            res = run_check("iteration_bound", n)
             assert res.passed and res.name == "iteration_bound"
 
     def test_kernel_free_pass(self):
-        assert check_kernel_free(15).passed
+        assert run_check("kernel_free", 15).passed
 
     def test_big_excess_free_pass(self):
-        assert check_big_excess_free(15).passed
+        assert run_check("big_excess_free", 15).passed
 
     def test_power_free_pass(self):
-        assert check_power_free(15).passed
+        assert run_check("power_free", 15).passed
 
     def test_boundary_strictness(self):
         # exactly the threshold is allowed: 010 over n=3 has exponent 3/2 = n/(n-1)

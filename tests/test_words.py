@@ -53,6 +53,33 @@ class TestSigmaWord:
         assert SigmaWord.from_text("1.2.13.4", 13) == w
         assert SigmaWord.from_text("1 2 13 4", 13) == w
 
+    @pytest.mark.parametrize("text,k", [("1..2", 1), ("1.2.", 2), (".1", 0), ("1. 2", 1),
+                                        ("3 .1 2", 1)])
+    def test_empty_field_is_rejected_with_its_index(self, text, k):
+        for parse in (lambda t: SigmaWord.from_text(t, 3),
+                      lambda t: words.parse_symbols(t, digits=False)):
+            with pytest.raises(ValueError, match=re.escape(f"empty field at index {k} in word {text!r}")):
+                parse(text)
+
+    def test_malformed_field_is_rejected_with_its_index(self):
+        for text, message in [("1.x.2", "malformed field 'x' at index 1"),
+                              ("12a", "malformed field 'a' at index 2"),
+                              ("1_0.2", "malformed field '1_0' at index 0"),
+                              ("2 +1", "malformed field '+1' at index 1"),
+                              ("1.\u0663", "malformed field '\u0663' at index 1")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SigmaWord.from_text(text, 3)
+
+    def test_accepted_forms(self):
+        separated = ["1.2.1", "1 2 1", " 1\t2  1\n", "1.2 1"]
+        for text in ["121", *separated]:
+            assert SigmaWord.from_text(text, 3).letters == (1, 2, 1), text
+        for text in separated:
+            assert words.parse_symbols(text, digits=False) == (1, 2, 1), text
+        assert SigmaWord.from_text("  ", 3).letters == ()
+        assert words.parse_symbols(" abab\n", digits=False) == "abab"
+        assert words.parse_symbols("10.2 7") == (10, 2, 7)
+
 
 class TestRepetitionOccurrence:
     def test_exponent_reduced(self):
@@ -221,10 +248,6 @@ class TestFindRepetitions:
 class TestMaskFastPath:
     """The bitmask path must agree with the plain scan on identical input."""
 
-    @pytest.fixture(autouse=True)
-    def force_masks(self, monkeypatch):
-        monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 1)
-
     def test_masked_matches_oracle(self):
         rng = random.Random(11)
         for _ in range(300):
@@ -258,6 +281,11 @@ class TestMaskFastPath:
             t = rng.randint(1, 12)
             longest = max((len(run) for run in bin(mask)[2:].split("0")), default=0)
             assert words._has_run(mask, t) == (longest >= t)
+
+
+def _no_planes(sym):
+    """Stands in for ``words._bit_planes`` to force the plain per-period scan."""
+    return None
 
 
 def _word_with_symbols(rng, k, length):
@@ -302,16 +330,47 @@ class TestBitPlanes:
         from dejean.pansiot import canonical_prefix, decode, decode_letters
 
         rng = random.Random(26)
+        bit_planes = words._bit_planes
         for n in range(15, 27):
             bits = "".join(rng.choice("01") for _ in range(300))
             v = decode(bits, canonical_prefix(n))
             bound = n * n - 3 * n + 1
-            monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 10 ** 9)
+            monkeypatch.setattr(words, "_bit_planes", _no_planes)
             plain = find_repetitions_exceeding(v, n, n - 1, bound)
             for w in (v, decode_letters(bits, n)):
-                for min_length in (10 ** 9, 1):
-                    monkeypatch.setattr(words, "_MASK_MIN_LENGTH", min_length)
-                    assert find_repetitions_exceeding(w, n, n - 1, bound) == plain, (n, min_length)
+                for stub in (_no_planes, bit_planes):
+                    monkeypatch.setattr(words, "_bit_planes", stub)
+                    assert find_repetitions_exceeding(w, n, n - 1, bound) == plain, (n, stub)
+
+    def test_search_screen_head_builds_its_planes(self, monkeypatch):
+        """The decoding of h(h0[:4]) that the search screen scans, 238
+        letters at n = 15, takes the mask path with the plain scan's answer."""
+        from dejean.morphisms import builtin
+        from dejean.pansiot import decode_letters
+
+        h = builtin(15)
+        head = decode_letters(h.apply(h.image0[:4]), 15)
+        assert len(head) == 238
+        calls = []
+        match_mask = words._match_mask
+
+        def counted(*args):
+            calls.append(args[2])
+            return match_mask(*args)
+
+        monkeypatch.setattr(words, "_match_mask", counted)
+        assert not has_repetition_exceeding(head, 15, 14)
+        assert calls
+        masked = [find_repetitions_with_excess_at_least(head, e) for e in (1, 2, 13)]
+        assert masked[0]
+        monkeypatch.setattr(words, "_bit_planes", _no_planes)
+        assert [find_repetitions_with_excess_at_least(head, e) for e in (1, 2, 13)] == masked
+
+    @pytest.mark.parametrize("w", ["", b"", (), "a", (7,)])
+    def test_empty_and_one_letter_words_have_no_planes(self, w):
+        assert words._bit_planes(w) == ((1 << len(w)) - 1, [])
+        assert find_repetitions_exceeding(w, 1, 1) == []
+        assert not has_repetition_with_excess_at_least(w, 1)
 
     def test_more_than_256_symbols_take_the_plain_scan(self, monkeypatch):
         rng = random.Random(257)
@@ -319,7 +378,6 @@ class TestBitPlanes:
         assert words._bit_planes(w) is None
         plain = find_repetitions_exceeding(w, 1, 1)
         assert plain
-        monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 1)
 
         def no_mask(*args):
             raise AssertionError("a mask was built")
@@ -334,8 +392,8 @@ class TestMaxPeriod:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_bounded_equals_filtered(self, monkeypatch, masked):
-        if masked:
-            monkeypatch.setattr(words, "_MASK_MIN_LENGTH", 1)
+        if not masked:
+            monkeypatch.setattr(words, "_bit_planes", _no_planes)
         rng = random.Random(21)
         for _ in range(300):
             if rng.randrange(2):
