@@ -4,13 +4,17 @@ convenient morphisms.
 A binary word is legal when its decoding over the canonical prefix stays
 below the repetition threshold n/(n-1).  The walk is one loop over an
 explicit stack, so no recursion limit bounds its depth; it tests legality
-inline as each letter is placed.
+inline as each letter is placed, and never tests a 0 after a 0, which is
+always illegal.
 At a leaf, the permutation image of the code word is read off the decoder
 state (the identity the ``perms`` docstring states) and classified by
 cycle type, (n-1,1) for h(0) and (n,) for h(1), before any string is
-built.  Candidates are pooled packed, each as the ``int`` of its r bits
-under its permutation image as ``bytes``, and paired through the
-simultaneous-conjugacy condition by splicing cycles
+built.  Only candidates whose first and last bits some passing pair can
+use are pooled (the end-bit rule of :class:`_Pairing`, which follows from
+``structure`` and ``factor_set_2``); a 0...1 leaf is dropped before it is
+classified.  Candidates are pooled packed, each as the ``int`` of its r
+bits under its last bit and its permutation image as ``bytes``, and paired
+through the simultaneous-conjugacy condition by splicing cycles
 (:func:`perms.h0_splices`); a pair is written out as two bit strings
 only when it is screened.  Each pair is screened by the suite's own
 ``structure``, ``iteration_bound`` and ``factor_set_2`` checks, then by a
@@ -41,6 +45,10 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
     image of the word; returning False aborts the walk.  ``depth_counts[d]``,
     when given, accumulates the number of legal words of each length
     d <= length.  Returns leaves visited.
+
+    After a 0 the walk tries only the 1 child: bits 00 are never legal.
+    Only that illegal child goes untested, so the leaves and
+    ``depth_counts`` are those of the full test.
     """
     if n < 2:
         raise ValueError(f"alphabet size must be >= 2, got {n}")
@@ -98,7 +106,13 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
                 bits.append("1" if b else "0")
                 if b:
                     missing = oldest
-                b = 0
+                    b = 0
+                else:
+                    # A 0 copies the letter nm1 back.  Two in a row end a
+                    # run of period nm1 and length n + 1, whose exponent
+                    # (n+1)/(n-1) is above the threshold, so the test above
+                    # would always reject the 0 child: try only the 1.
+                    b = 1
                 continue
             leaves += 1
             if on_leaf is not None:
@@ -185,9 +199,19 @@ def _packed(bits, sig) -> tuple[int, bytes]:
 
 
 class _Pairing:
-    """Candidate pools keyed by permutation image, with conjugacy-compatible
-    lookups, pairing each new candidate against earlier opposite candidates
-    in discovery order.
+    """Candidate pools keyed by last bit and permutation image, with
+    conjugacy-compatible lookups, pairing each new candidate against earlier
+    opposite candidates in discovery order.
+
+    End bits.  A pair can pass ``structure`` and ``factor_set_2`` only if
+    h1[0] = 1, h0[-1] != h1[-1], and h0[0] = 1 when h1[-1] = 0: the last
+    letters differ (``structure``), and none of h0[-1]h1[0], h1[-1]h0[0]
+    and h1[-1]h1[0], which the limit word's factors 01, 10 and 11 put
+    across image boundaries, may be 00 (``factor_set_2``).  So an h1 is
+    admitted only when it starts with 1, an h0 unless it is 0...1, and a
+    candidate is paired only against the opposite pool of the other last
+    bit.  The pairs are those of the unfiltered pairing, in the same order,
+    less pairs that fail either check; the screen still runs both checks.
 
     The pools are packed: a candidate is the ``int`` of its r bits, a key
     is the permutation image as ``bytes`` (one byte per point), and each
@@ -199,30 +223,39 @@ class _Pairing:
 
     def __init__(self, r: int):
         self.fmt = f"0{r}b"
-        self.h0_by_perm: dict[bytes, tuple[int, ...]] = {}
-        self.h1_by_perm: dict[bytes, tuple[int, ...]] = {}
+        self.top = r - 1  # value >> top is a candidate's first bit
+        # one pool per last bit
+        self.h0_by_perm: tuple[dict[bytes, tuple[int, ...]], ...] = ({}, {})
+        self.h1_by_perm: tuple[dict[bytes, tuple[int, ...]], ...] = ({}, {})
         self.pairs_tried = 0
 
     def pool_sizes(self) -> tuple[int, int]:
-        return (sum(len(v) for v in self.h0_by_perm.values()),
-                sum(len(v) for v in self.h1_by_perm.values()))
+        """Admitted h0 and h1 candidates."""
+        return tuple(sum(len(v) for pool in pools for v in pool.values())
+                     for pools in (self.h0_by_perm, self.h1_by_perm))
 
     def add(self, value: int, key: bytes, kind: str) -> Iterable[tuple[str, str]]:
         """Register a candidate (the ``int`` of its bits, its permutation
         image as ``bytes``) of the given kind (:func:`_classify`; a
-        "neither" is ignored); yield (h0, h1) bit-string pairs passing the
-        conjugacy condition, oldest opposite candidate first.  A candidate
-        added twice pairs twice: the caller adds each value once."""
-        if kind == "h1":
+        "neither", and a candidate its end bits exclude, is ignored); yield
+        (h0, h1) bit-string pairs passing the conjugacy condition and the
+        end-bit rule, oldest opposite candidate first.  A candidate added
+        twice pairs twice: the caller adds each value once."""
+        first, last = value >> self.top, value & 1
+        if kind == "h1" and first:
+            partners = self.h0_by_perm[1 - last]
             for a0 in h0_splices(key):
-                for other in self.h0_by_perm.get(a0, ()):
+                for other in partners.get(a0, ()):
                     yield self._pair(other, value)
-            self.h1_by_perm[key] = self.h1_by_perm.get(key, ()) + (value,)
-        elif kind == "h0":
+            pool = self.h1_by_perm[last]
+            pool[key] = pool.get(key, ()) + (value,)
+        elif kind == "h0" and (first or not last):
+            partners = self.h1_by_perm[1 - last]
             for a1 in h1_splices(key):
-                for other in self.h1_by_perm.get(a1, ()):
+                for other in partners.get(a1, ()):
                     yield self._pair(value, other)
-            self.h0_by_perm[key] = self.h0_by_perm.get(key, ()) + (value,)
+            pool = self.h0_by_perm[last]
+            pool[key] = pool.get(key, ()) + (value,)
 
     def _pair(self, h0: int, h1: int) -> tuple[str, str]:
         self.pairs_tried += 1
@@ -273,6 +306,8 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
             p0, p1 = pairing.pool_sizes()
             note(f"{leaves} words visited, pools h0={p0} h1={p1}, "
                  f"{pairing.pairs_tried} pairs tried")
+        if bits[0] == "0" and bits[-1] == "1":
+            return None  # 0...1 is admitted to neither pool (_Pairing)
         kind = _classify(sig, n)
         if kind != "neither":
             for pair in pairing.add(*_packed(bits, sig), kind):

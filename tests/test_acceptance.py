@@ -102,10 +102,18 @@ def test_criterion_07_kernel_freeness():
     report(7, "kernel freeness", ok and elapsed < 600.0, elapsed)
 
 
+# The first pair of the n=15, r=56 walk that passes verify; not builtin(15).
+REDISCOVERED_15 = ("10101010110110101011011010101101101010101011011010110110",
+                   "10101011010110101011010110101101101011011011011010110101")
+
+
 def test_criterion_08_search_rediscovery():
     started = time.perf_counter()
-    found = search_convenient(15, 56, limit=1)
-    ok = len(found) >= 1 and all(verify(h).overall for h in found)
+    lines = []
+    found = search_convenient(15, 56, limit=1, progress=lines.append)
+    ok = (len(found) == 1 and verify(found[0]).overall
+          and (found[0].image0, found[0].image1) == REDISCOVERED_15
+          and lines[-1] == "verified pair #1 after 417793 words, 336 pairs tried")
     elapsed = time.perf_counter() - started
     detail = f"target < 7200s; found h0={found[0].image0[:16]}..." if found else "none found"
     report(8, "search rediscovery", ok, elapsed, detail=detail)

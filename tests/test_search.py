@@ -12,7 +12,7 @@ from dejean.perms import (Permutation, find_conjugator, h0_splices, h1_splices,
 from dejean.search import (_classify, _screen_pair, _walk, classify_candidate,
                            enumerate_legal, legal_length_counts,
                            search_convenient)
-from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, verify
+from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, run_check, verify
 from dejean.words import find_repetitions_exceeding, has_repetition_exceeding
 
 from helpers import all_words
@@ -46,12 +46,16 @@ class TestEnumerateLegal:
         assert seen == expected
         assert count == len(expected)
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_brute_filter_small_alphabets(self, n):
-        for length in range(1, 7):
+        # from length 2 on, every length has prefixes 00, whose 0 child the
+        # walk never tests
+        expected = [brute_legal(n, length) for length in range(1, 9)]
+        for length, legal in enumerate(expected, start=1):
             seen = []
             enumerate_legal(n, length, seen.append)
-            assert seen == brute_legal(n, length), (n, length)
+            assert seen == legal, (n, length)
+        assert legal_length_counts(n, 8) == [1] + [len(legal) for legal in expected]
 
     def test_lexicographic_order(self):
         seen = []
@@ -299,15 +303,15 @@ def _spliced_h1_images(a0, n):
 
 
 class _ListPairing:
-    """Reference: the pairing with unpacked pools, an r-character str per
-    candidate in a list under its permutation image as an n-tuple, spliced
-    by list edits instead of ``perms.h0_splices`` and ``perms.h1_splices``."""
+    """Reference: the pairing with unpacked pools and no end-bit rule, an
+    r-character str per candidate in a list under its permutation image as
+    an n-tuple, spliced by list edits instead of ``perms.h0_splices`` and
+    ``perms.h1_splices``."""
 
     def __init__(self, n):
         self.n = n
         self.h0_by_perm = {}
         self.h1_by_perm = {}
-        self.pairs_tried = 0
 
     def pool_sizes(self):
         return (sum(len(v) for v in self.h0_by_perm.values()),
@@ -318,17 +322,13 @@ class _ListPairing:
         if kind == "h1":
             for a0 in _spliced_h0_images(sig, n):
                 for other in self.h0_by_perm.get(a0, ()):
-                    yield self._pair(other, bits)
+                    yield other, bits
             self.h1_by_perm.setdefault(sig, []).append(bits)
         elif kind == "h0":
             for a1 in _spliced_h1_images(sig, n):
                 for other in self.h1_by_perm.get(a1, ()):
-                    yield self._pair(bits, other)
+                    yield bits, other
             self.h0_by_perm.setdefault(sig, []).append(bits)
-
-    def _pair(self, h0, h1):
-        self.pairs_tried += 1
-        return h0, h1
 
 
 def _candidate_leaves(n, length):
@@ -349,29 +349,54 @@ def _unpacked(bits, sig):
     return "".join(bits), tuple(sig)
 
 
+def _end_bits_can_pass(h0, h1):
+    """The end-bit rule of ``search._Pairing``, as stated there."""
+    return (h1[0] == "1" and h0[-1] != h1[-1]
+            and (h1[-1] == "1" or h0[0] == "1"))
+
+
+def _admitted(bits, kind):
+    """Whether some pair can use a candidate of this kind by the end-bit
+    rule: an h1 that starts with 1, an h0 other than 0...1."""
+    return bits[0] == "1" if kind == "h1" else not (bits[0] == "0" and bits[-1] == "1")
+
+
+def _both_pairings(n, length):
+    """The packed pairs and the reference pairs of every candidate leaf,
+    each in discovery order."""
+    leaves = _candidate_leaves(n, length)
+    packed, reference = search._Pairing(length), _ListPairing(n)
+    got, expected = [], []
+    for bits, sig, kind in leaves:
+        got.extend(packed.add(*search._packed(bits, sig), kind))
+        expected.extend(reference.add(*_unpacked(bits, sig), kind))
+    return leaves, packed, got, expected
+
+
 class TestPackedPairing:
     @pytest.mark.parametrize("n,length", [(5, 30), (6, 30), (7, 30)])
     def test_packed_pools_pair_as_the_list_pools(self, n, length):
-        leaves = _candidate_leaves(n, length)
+        # the reference pools admit every candidate and pair every
+        # conjugacy-compatible pair; the packed ones keep those the end-bit
+        # rule allows, in the same order
+        leaves, packed, got, expected = _both_pairings(n, length)
         kinds = [kind for _, _, kind in leaves]
         assert "h0" in kinds and "h1" in kinds
-        packed, reference = search._Pairing(length), _ListPairing(n)
-        got, expected = [], []
-        for bits, sig, kind in leaves:
-            got.extend(packed.add(*search._packed(bits, sig), kind))
-            expected.extend(reference.add(*_unpacked(bits, sig), kind))
-        assert got == expected and got
-        assert packed.pairs_tried == reference.pairs_tried == len(got)
-        assert packed.pool_sizes() == reference.pool_sizes() == (
-            kinds.count("h0"), kinds.count("h1"))
+        assert got == [pair for pair in expected if _end_bits_can_pass(*pair)]
+        assert got and len(got) < len(expected)
+        assert packed.pairs_tried == len(got)
+        admitted = [kind for bits, _, kind in leaves if _admitted(bits, kind)]
+        assert packed.pool_sizes() == (admitted.count("h0"), admitted.count("h1"))
 
     def test_pool_memory_per_candidate(self):
-        # n=15, length 44: 2,606 h0 and 796 h1 candidates, 524 pairs.  Every
-        # object the pools keep is made while traced, as the search makes it;
-        # gc.collect() first empties the interpreter's free lists, which would
-        # otherwise hand out untraced tuples depending on the tests run before.
-        # Calibration: the packed pools retain about 179 bytes per candidate,
-        # the list pools (an r-character str under an n-tuple) about 394.
+        # n=15, length 44: of 2,606 h0 and 796 h1 candidates, the pools admit
+        # 1,869 and 417, and pair 156.  Every object the pools keep is made
+        # while traced, as the search makes it; gc.collect() first empties
+        # the interpreter's free lists, which would otherwise hand out
+        # untraced tuples depending on the tests run before.
+        # Calibration: the packed pools retain about 200 bytes per admitted
+        # candidate, the list pools (an r-character str under an n-tuple,
+        # every candidate admitted) about 376.
         import gc
         import tracemalloc
 
@@ -393,6 +418,35 @@ class TestPackedPairing:
         packed = retained_per_candidate(search._Pairing(length), search._packed)
         unpacked = retained_per_candidate(_ListPairing(n), _unpacked)
         assert packed <= 250 < unpacked, (packed, unpacked)
+
+
+class TestEndBitRule:
+    """The end-bit rule against the checks it stands for.  r is at most 4n
+    here: above it, ``structure`` fails every pair, whatever its end bits."""
+
+    CASES = [(5, 20), (6, 24), (7, 28), (8, 30), (8, 31), (8, 32)]
+
+    def test_excluded_pairs_fail_a_cheap_check(self):
+        # every pair the pools exclude fails `structure` or `factor_set_2`,
+        # in all 13 end-bit classes the rule excludes; and each of the 3
+        # classes it admits holds a pair passing both, so a narrower rule
+        # would exclude a pair that passes
+        excluded, passing = set(), set()
+        for n, length in self.CASES:
+            _, _, got, expected = _both_pairings(n, length)
+            kept = set(got)
+            for h0, h1 in expected:
+                h = UniformMorphism(n, h0, h1)
+                passes = all(run_check(name, h).passed
+                             for name in ("structure", "factor_set_2"))
+                end_bits = h0[0] + h0[-1] + h1[0] + h1[-1]
+                if (h0, h1) not in kept:
+                    assert not passes, (n, h0, h1)
+                    excluded.add(end_bits)
+                elif passes:
+                    passing.add(end_bits)
+        assert passing == {"0011", "1011", "1110"}
+        assert len(excluded) == 13 and not excluded & passing
 
 
 def _mutant(rng, word):
