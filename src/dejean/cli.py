@@ -5,10 +5,18 @@ Commands: verify (reports for embedded or user-supplied morphisms), search
 exponent, kernel-scan.  Results go to stdout; diagnostics and progress go
 to stderr.  Exit codes: 0 success, 1 a requested check failed or a search
 came up empty, 2 usage or input errors.
+
+One error path: a command body calls the library, which checks its own
+arguments, and lets its ``ValueError`` rise; ``main`` alone prints it as
+``error: <message>`` and exits 2.  The bodies raise ``ValueError`` only for
+what the library never sees (the input files, an empty word, the verify
+target, ``--max-period``) and to reword encode's window error.  Any other
+exception propagates.
 """
 
 import argparse
 import os
+import re
 import sys
 
 from . import __version__
@@ -17,18 +25,11 @@ from .morphisms import (BUILTIN_SIZES, MorphismFormatError, UniformMorphism,
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
 from .search import search_convenient
 from .verifier import find_kernel_repetitions, verify
-from .words import SigmaWord, check_binary, max_exponent, parse_symbols
+from .words import SigmaWord, max_exponent, parse_symbols
 
 MORPHISM_FILE_ENV = "DEJEAN_MORPHISMS"
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-class _InputError(Exception):
-    """An input file that cannot be read or parsed; main exits 2."""
+# What int() accepts as a base-10 integer ("15", "-3", " +15 ", "1_5").
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _read_file(path: str) -> str:
@@ -36,45 +37,42 @@ def _read_file(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:  # strerror: the reason without the path
-        raise _InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+        raise ValueError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _read_word(args) -> str:
-    text = (_read_file(args.file) if getattr(args, "file", None) else sys.stdin.read()).strip()
+    text = (_read_file(args.file) if args.file else sys.stdin.read()).strip()
     if not text:
-        raise _InputError("empty input word")
+        raise ValueError("empty input word")
     return text
 
 
-def _morphism_sources(args) -> list[UniformMorphism]:
-    """Morphisms the verify command should consider."""
-    path = args.morphism_file or os.environ.get(MORPHISM_FILE_ENV)
-    if path:
-        try:
-            morphs = parse_morphism_file(_read_file(path))
-        except MorphismFormatError as exc:
-            raise _InputError(f"{path}: {exc}") from None
-        if not morphs:
-            raise _InputError(f"{path}: no morphism stanza")
-        return morphs
-    return [builtin(n) for n in BUILTIN_SIZES]
+def _morphism_sources(path: str | None) -> list[UniformMorphism]:
+    """The stanzas of the file at ``path``, else the embedded table."""
+    if not path:
+        return [builtin(n) for n in BUILTIN_SIZES]
+    try:
+        morphs = parse_morphism_file(_read_file(path))
+    except MorphismFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not morphs:
+        raise ValueError(f"{path}: no morphism stanza")
+    return morphs
 
 
 def _cmd_verify(args) -> int:
-    morphs = _morphism_sources(args)
-    if args.target == "all":
-        selected = morphs
-    else:
-        try:
-            n = int(args.target)
-        except ValueError:
-            return _fail(f"target must be an integer or 'all', got {args.target!r}")
-        selected = [h for h in morphs if h.n == n]
+    path = args.morphism_file or os.environ.get(MORPHISM_FILE_ENV)
+    selected = _morphism_sources(path)
+    if args.target != "all":
+        if not _INTEGER.fullmatch(args.target):
+            raise ValueError(f"target must be an integer or 'all', got {args.target!r}")
+        n = int(args.target)
+        selected = [h for h in selected if h.n == n]
+        if not selected and path:
+            raise ValueError(f"no morphism for n={n} in the supplied file")
         if not selected:
-            if args.morphism_file or os.environ.get(MORPHISM_FILE_ENV):
-                return _fail(f"no morphism for n={n} in the supplied file")
-            return _fail(f"n={n} is outside the embedded range "
-                         f"{BUILTIN_SIZES[0]}..{BUILTIN_SIZES[-1]}; supply --morphism-file")
+            raise ValueError(f"n={n} is outside the embedded range "
+                             f"{BUILTIN_SIZES[0]}..{BUILTIN_SIZES[-1]}; supply --morphism-file")
     reports = [verify(h) for h in selected]
     for report in reports:
         print(report.to_json_text() if args.json else report.render_text())
@@ -82,17 +80,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.n < 2:
-        return _fail(f"alphabet size must be >= 2, got {args.n}")
-    if args.n > 255:
-        return _fail(f"alphabet size must be <= 255, got {args.n}")
     length = args.length
     if length is None:
         length = 4 * args.n if args.n == 21 else 4 * args.n - 4
-    if length < 1:
-        return _fail(f"length must be >= 1, got {length}")
-    if args.limit < 1:
-        return _fail(f"limit must be >= 1, got {args.limit}")
     found = search_convenient(
         args.n, length, args.limit,
         progress=lambda msg: print(f"search: {msg}", file=sys.stderr),
@@ -105,53 +95,34 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    text = _read_word(args)
+    word = SigmaWord.from_text(_read_word(args), args.n)
     try:
-        word = SigmaWord.from_text(text, args.n)
         print(encode(word))
     except WindowDistinctnessError as exc:
-        return _fail(f"input is not Pansiot-encodable: {exc} (window index {exc.index})")
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError(f"input is not Pansiot-encodable: {exc} (window index {exc.index})") from None
     return 0
 
 
 def _cmd_decode(args) -> int:
-    text = _read_word(args)
-    try:
-        bits = check_binary(text)
-        if args.prefix is not None:
-            prefix = SigmaWord.from_text(args.prefix, args.n)
-        else:
-            prefix = canonical_prefix(args.n)
-        print(decode(bits, prefix).text())
-    except ValueError as exc:
-        return _fail(str(exc))
+    bits = _read_word(args)
+    if args.prefix is None:
+        prefix = canonical_prefix(args.n)
+    else:
+        prefix = SigmaWord.from_text(args.prefix, args.n)
+    print(decode(bits, prefix).text())
     return 0
 
 
 def _cmd_exponent(args) -> int:
-    text = _read_word(args)
-    try:
-        exponent, witness = max_exponent(parse_symbols(text, digits=False))
-    except ValueError as exc:
-        return _fail(str(exc))
-    if witness is None:
-        print(exponent)
-    else:
-        print(f"{exponent} {witness.describe()}")
+    exponent, witness = max_exponent(parse_symbols(_read_word(args), digits=False))
+    print(exponent if witness is None else f"{exponent} {witness.describe()}")
     return 0
 
 
 def _cmd_kernel_scan(args) -> int:
     if args.max_period is not None and args.max_period < 1:
-        return _fail(f"max-period must be >= 1, got {args.max_period}")
-    text = _read_word(args)
-    try:
-        bits = check_binary(text)
-        occs = find_kernel_repetitions(bits, args.n, args.max_period)
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError(f"max-period must be >= 1, got {args.max_period}")
+    occs = find_kernel_repetitions(_read_word(args), args.n, args.max_period)
     for occ in occs:
         print(occ.describe())
     print(f"kernel-scan: {len(occs)} occurrence(s)", file=sys.stderr)
@@ -212,8 +183,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _InputError as exc:
-        return _fail(str(exc))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

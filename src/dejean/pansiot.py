@@ -30,9 +30,7 @@ class WindowDistinctnessError(ValueError):
 
 
 def canonical_prefix(n: int) -> SigmaWord:
-    """The word 1 2 ... n-1 over the alphabet {1..n}."""
-    if n < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {n}")
+    """The word 1 2 ... n-1 over the alphabet {1..n}; ``SigmaWord`` checks n."""
     return SigmaWord(n, tuple(range(1, n)))
 
 

@@ -9,12 +9,11 @@ always illegal.
 At a leaf, the permutation image of the code word is read off the decoder
 state (the identity the ``perms`` docstring states) and classified by
 cycle type, (n-1,1) for h(0) and (n,) for h(1), before any string is
-built.  Only candidates whose first and last bits some passing pair can
-use are pooled (the end-bit rule of :class:`_Pairing`, which follows from
-``structure`` and ``factor_set_2``); a 0...1 leaf is dropped before it is
-classified.  Candidates are pooled packed, each as the ``int`` of its r
-bits under its last bit and its permutation image as ``bytes``, and paired
-through the simultaneous-conjugacy condition by splicing cycles
+built.  Only candidates that the end-bit rule (:class:`_Pairing`) admits
+are pooled; a 0...1 leaf is dropped before it is classified.  Candidates
+are pooled packed, each as the ``int`` of its r bits under its last bit
+and its permutation image as ``bytes``, and paired through the
+simultaneous-conjugacy condition by splicing cycles
 (:func:`perms.h0_splices`); a pair is written out as two bit strings
 only when it is screened.  Each pair is screened by the suite's own
 ``structure``, ``iteration_bound`` and ``factor_set_2`` checks, then by a
@@ -307,7 +306,7 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
             note(f"{leaves} words visited, pools h0={p0} h1={p1}, "
                  f"{pairing.pairs_tried} pairs tried")
         if bits[0] == "0" and bits[-1] == "1":
-            return None  # 0...1 is admitted to neither pool (_Pairing)
+            return None  # the end-bit rule (_Pairing) admits no 0...1
         kind = _classify(sig, n)
         if kind != "neither":
             for pair in pairing.add(*_packed(bits, sig), kind):

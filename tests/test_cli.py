@@ -9,6 +9,10 @@ import pytest
 import dejean.cli as cli
 from dejean.cli import main
 from dejean.morphisms import builtin, emit_morphism_file, parse_morphism_file
+from dejean.pansiot import canonical_prefix, decode, encode
+from dejean.search import search_convenient
+from dejean.verifier import find_kernel_repetitions
+from dejean.words import SigmaWord, max_exponent, parse_symbols
 
 from helpers import PERFBENCH, load_perfbench_mutants
 
@@ -69,6 +73,14 @@ class TestVerifyCommand:
 
     def test_bad_target(self, capsys):
         assert main(["verify", "lots"]) == 2
+        assert capsys.readouterr().err == "error: target must be an integer or 'all', got 'lots'\n"
+        assert main(["verify", "-3"]) == 2
+        assert capsys.readouterr().err.startswith("error: n=-3 is outside the embedded range 15..26")
+
+    @pytest.mark.parametrize("target", ["+15", " 15 ", "1_5"])
+    def test_target_accepts_int_spellings(self, capsys, target):
+        assert main(["verify", target, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 15
 
     def test_morphism_file(self, tmp_path, capsys):
         path = tmp_path / "morphs.txt"
@@ -185,8 +197,21 @@ class TestSearchCommand:
         # n=21 defaults to length 4n = 84, too big to run: the stub records it
         calls = stub_search(monkeypatch, [builtin(21)])
         assert main(["search", "21"]) == 0
-        assert main(["search", "21", "--limit", "0"]) == 2
         assert calls == [(21, 84, 1)]
+        capsys.readouterr()
+        # the real search_convenient rejects --limit 0 before its walk
+        monkeypatch.undo()
+        assert main(["search", "21", "--limit", "0"]) == 2
+        assert capsys.readouterr().err == "error: limit must be >= 1, got 0\n"
+
+    def test_search_error_propagates(self, capsys, monkeypatch):
+        def failing_search(n, length, limit, *, progress):
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(cli, "search_convenient", failing_search)
+        with pytest.raises(RuntimeError, match="^search failed$"):
+            main(["search", "15"])
+        assert capsys.readouterr().out == ""
 
     def test_small_alphabet_argument_validation(self):
         assert main(["search", "1"]) == 2
@@ -312,6 +337,34 @@ class TestUnreadableInput:
         assert main(["verify", "15", "--morphism-file", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}: ") and err.endswith(f"{reason}\n")
+
+
+class TestLibraryMessages:
+    """A bad argument exits 2 with the message of the ValueError that the
+    library raises for the same arguments; the CLI adds only ``error: ``."""
+
+    @pytest.mark.parametrize("argv,stdin_text,call", [
+        (["search", "1"], None, lambda: search_convenient(1, 0, 1)),
+        (["search", "256"], None, lambda: search_convenient(256, 1020, 1)),
+        (["search", "15", "--length", "0"], None, lambda: search_convenient(15, 0, 1)),
+        (["search", "15", "--limit", "0"], None, lambda: search_convenient(15, 56, 0)),
+        (["decode", "--n", "3"], "01x", lambda: decode("01x", canonical_prefix(3))),
+        (["decode", "--n", "3", "--prefix", "11"], "01",
+         lambda: decode("01", SigmaWord.from_text("11", 3))),
+        (["kernel-scan", "--n", "5"], "10x", lambda: find_kernel_repetitions("10x", 5)),
+        (["kernel-scan", "--n", "1"], "0110", lambda: find_kernel_repetitions("0110", 1)),
+        (["encode", "--n", "3"], "1214", lambda: encode(SigmaWord.from_text("1214", 3))),
+        (["exponent"], "1..2", lambda: max_exponent(parse_symbols("1..2", digits=False))),
+    ], ids=["search-n=1", "search-n=256", "search-length=0", "search-limit=0",
+            "decode-non-binary", "decode-prefix=11", "kernel-scan-non-binary",
+            "kernel-scan-n=1", "encode-letter", "exponent-empty-field"])
+    def test_exits_2_with_library_message(self, capsys, monkeypatch, argv, stdin_text, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert run_cli(argv, stdin_text, monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {info.value}\n"
 
 
 class TestKernelScanMaxPeriod:

@@ -25,8 +25,9 @@ class TestCanonicalPrefix:
         assert canonical_prefix(2).letters == (1,)
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            canonical_prefix(1)
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError, match=f"^alphabet size must be >= 2, got {n}$"):
+                canonical_prefix(n)
 
 
 class TestEncode:

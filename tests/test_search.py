@@ -350,7 +350,7 @@ def _unpacked(bits, sig):
 
 
 def _end_bits_can_pass(h0, h1):
-    """The end-bit rule of ``search._Pairing``, as stated there."""
+    """The end-bit rule, as ``search._Pairing``'s docstring states it."""
     return (h1[0] == "1" and h0[-1] != h1[-1]
             and (h1[-1] == "1" or h0[0] == "1"))
 
