@@ -3,23 +3,25 @@ convenient morphisms.
 
 A binary word is legal when its decoding over the canonical prefix stays
 below the repetition threshold n/(n-1).  The walk is one loop over an
-explicit stack, so no recursion limit bounds its depth; it tests legality
-inline as each letter is placed, and never tests a 0 after a 0, which is
-always illegal.
-At a leaf, the permutation image of the code word is read off the decoder
-state (the identity the ``perms`` docstring states) and classified by
-cycle type, (n-1,1) for h(0) and (n,) for h(1), before any string is
-built.  Only candidates that the end-bit rule (:class:`_Pairing`) admits
-are pooled; a 0...1 leaf is dropped before it is classified.  Candidates
-are pooled packed, each as the ``int`` of its r bits under its last bit
-and its permutation image as ``bytes``, and paired through the
-simultaneous-conjugacy condition by splicing cycles
-(:func:`perms.h0_splices`); a pair is written out as two bit strings
-only when it is screened.  Each pair is screened by the suite's own
-``structure``, ``iteration_bound`` and ``factor_set_2`` checks, then by a
-power scan of the decoding of the probe encoding's first 4r bits, a prefix
-of the probe word; a pair is returned once the full verification suite
-passes.
+explicit stack, so no recursion limit bounds its depth.  It places each
+letter into one preallocated decoding and each bit into one preallocated
+code buffer of digits, tests legality inline, and never tests a 0 after a
+0, which is always illegal.  At a leaf the search reads the permutation
+image of the code word off the decoder state (the identity the ``perms``
+docstring states), but only for a leaf that might be pooled: a 0-led leaf
+is pooled only as an h(0) ending in 0 (the end-bit rule of
+:class:`_Pairing`), so a 0...1 leaf, and a 0...0 leaf whose image has the
+sign of an n-cycle, is dropped unread.  The image is classified by cycle
+type, (n-1,1) for h(0) and (n,) for h(1).  Candidates are pooled packed,
+each as the ``int`` of its r bits under its last bit and its permutation
+image as ``bytes``, and paired through the simultaneous-conjugacy
+condition by splicing cycles (:func:`perms.h0_splices`), against the
+opposite pool when it is not empty; a pair is written out as two bit
+strings only when it is screened.  Each pair is screened by the suite's
+own ``structure``, ``iteration_bound`` and ``factor_set_2`` checks, then
+by a power scan of the decoding of the probe encoding's first 4r bits, a
+prefix of the probe word; a pair is returned once the full verification
+suite passes.
 """
 
 from typing import Callable, Iterable
@@ -40,10 +42,13 @@ from .words import has_repetition_with_excess_at_least
 def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
     """Depth-first traversal of legal encodings of the given length.
 
-    ``on_leaf(bits, sigma)`` receives the bit list and the permutation
-    image of the word; returning False aborts the walk.  ``depth_counts[d]``,
-    when given, accumulates the number of legal words of each length
-    d <= length.  Returns leaves visited.
+    ``on_leaf(code, w, end)`` receives the walk's own buffers: the code
+    word as a ``bytearray`` of ASCII digits, and the decoding w, in which
+    w[end - n:end] is the permutation image of the code word (its last
+    n - 1 letters, then the missing letter).  Both are overwritten once the
+    callback returns.  Returning False aborts the walk.
+    ``depth_counts[d]``, when given, accumulates the number of legal words
+    of each length d <= length.  Returns leaves visited.
 
     After a 0 the walk tries only the 1 child: bits 00 are never legal.
     Only that illegal child goes untested, so the leaves and
@@ -54,18 +59,20 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     nm1 = n - 1
-    w = list(range(1, n))
+    twice = 2 * nm1
+    leaf = nm1 + length - 1  # where a letter completes a leaf
+    w = list(range(1, n)) + [0] * (length + 1)
+    code = bytearray(length)
     # after[a][x]: the positions j > 0 of letter x with letter a at j - 1.
     after = [[[a] if x == a + 1 and 0 < a < n - 1 else [] for x in range(n + 1)]
              for a in range(n + 1)]
-    bits: list[str] = []
     missing = n
     if depth_counts is not None:
         depth_counts[0] += 1
 
-    # The path in bits is the whole stack: b is the next bit to try below
-    # it (2 when both are done), M = len(w) is where its letter goes, and
-    # backing out of a 1 restores the missing letter it consumed.
+    # The path in w[nm1:M] is the whole stack, and code[d] is its bit d as a
+    # digit: b is the next bit to try below it (2 when both are done), and M
+    # is where its letter goes.
     leaves = 0
     M = nm1
     b = 0
@@ -74,9 +81,11 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
             if M == nm1:
                 return leaves
             M -= 1
-            x = w.pop()
+            x = w[M]
             after[w[M - 1]][x].pop()
-            if bits.pop() == "1":
+            if x != w[M - nm1]:
+                # A 1 placed the missing letter, never the one nm1 back;
+                # backing out of it restores the missing letter.
                 missing = x
                 continue
             b = 1
@@ -87,40 +96,41 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
         # of x, the shortest such run has L + 1 letters, with L = q // nm1,
         # so it exists exactly when the L letters before j and before M
         # agree.  Only a letter absent from the last nm1 - 1 positions is
-        # placed, so L >= 1 and the letters before j and M are compared
-        # first, by looking only at the occurrences of x after the same letter.
+        # placed, so L >= 1, and only the occurrences of x after the same
+        # letter are looked at: for L = 1 that is the whole test.  Equal
+        # letters are at least nm1 apart, so only the latest occurrence
+        # can have q < 2 * nm1, that is L = 1.
         last = w[M - 1]
-        for j in after[last][x]:
-            L = (M - j) // nm1
-            if L <= j and w[j - L:j] == w[M - L:M]:
-                break
-        else:
-            d = M - nm1 + 1
-            if depth_counts is not None:
-                depth_counts[d] += 1
-            if d < length:
-                w.append(x)
-                after[last][x].append(M)
-                M += 1
-                bits.append("1" if b else "0")
-                if b:
-                    missing = oldest
-                    b = 0
-                else:
+        js = after[last][x]
+        if not js or js[-1] <= M - twice:
+            for j in js:
+                L = (M - j) // nm1
+                if (L <= j and w[j - 2] == w[M - 2]
+                        and (L == 2 or w[j - L:j - 2] == w[M - L:M - 2])):
+                    break
+            else:
+                code[M - nm1] = 48 + b
+                if depth_counts is not None:
+                    depth_counts[M - nm1 + 1] += 1
+                if M < leaf:
+                    w[M] = x
+                    js.append(M)
+                    M += 1
+                    if b:
+                        missing = oldest
                     # A 0 copies the letter nm1 back.  Two in a row end a
                     # run of period nm1 and length n + 1, whose exponent
                     # (n+1)/(n-1) is above the threshold, so the test above
-                    # would always reject the 0 child: try only the 1.
-                    b = 1
-                continue
-            leaves += 1
-            if on_leaf is not None:
-                bits.append("1" if b else "0")
-                sig = tuple(w[M - nm1 + 1:]) + (x, oldest if b else missing)
-                stop = on_leaf(bits, sig) is False
-                bits.pop()
-                if stop:
-                    return leaves
+                    # would always reject the 0 child: after a 0, try only
+                    # the 1.
+                    b ^= 1
+                    continue
+                leaves += 1
+                if on_leaf is not None:
+                    w[M] = x
+                    w[M + 1] = oldest if b else missing
+                    if on_leaf(code, w, M + 2) is False:
+                        return leaves
         b += 1
 
 
@@ -132,9 +142,8 @@ def enumerate_legal(n: int, length: int, visitor: Callable[[str], object] | None
     the incremental suffix check, so a pruned prefix has no legal extension
     and every visited leaf decodes to a threshold-free word.
     """
-    if visitor is None:
-        return _walk(n, length, None)
-    return _walk(n, length, lambda bits, sig: visitor("".join(bits)))
+    on_leaf = None if visitor is None else lambda code, w, end: visitor(code.decode())
+    return _walk(n, length, on_leaf)
 
 
 def legal_length_counts(n: int, max_length: int) -> list[int]:
@@ -190,13 +199,6 @@ def _screen_pair(n: int, h0: str, h1: str) -> str | None:
     return None
 
 
-def _packed(bits, sig) -> tuple[int, bytes]:
-    """A candidate as the pools hold it (:class:`_Pairing`): the ``int`` of
-    its bits (a list of "0"/"1") and its permutation image as
-    ``bytes``."""
-    return int("".join(bits), 2), bytes(sig)
-
-
 class _Pairing:
     """Candidate pools keyed by last bit and permutation image, with
     conjugacy-compatible lookups, pairing each new candidate against earlier
@@ -243,14 +245,14 @@ class _Pairing:
         first, last = value >> self.top, value & 1
         if kind == "h1" and first:
             partners = self.h0_by_perm[1 - last]
-            for a0 in h0_splices(key):
+            for a0 in h0_splices(key) if partners else ():
                 for other in partners.get(a0, ()):
                     yield self._pair(other, value)
             pool = self.h1_by_perm[last]
             pool[key] = pool.get(key, ()) + (value,)
         elif kind == "h0" and (first or not last):
             partners = self.h1_by_perm[1 - last]
-            for a1 in h1_splices(key):
+            for a1 in h1_splices(key) if partners else ():
                 for other in partners.get(a1, ()):
                     yield self._pair(value, other)
             pool = self.h0_by_perm[last]
@@ -280,37 +282,34 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
     found: list[UniformMorphism] = []
     leaves = 0
 
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
+    note = progress if progress is not None else (lambda msg: None)
 
-    def consider(pair: tuple[str, str]) -> bool:
-        """Screen and verify one pair; True once the limit is reached."""
-        h0, h1 = pair
-        why = _screen_pair(n, h0, h1)
-        if why is not None:
-            return False
-        candidate = UniformMorphism(n, h0, h1)
-        report = verify(candidate)
-        if report.overall:
-            found.append(candidate)
-            note(f"verified pair #{len(found)} after {leaves} words, {pairing.pairs_tried} pairs tried")
-            return len(found) >= limit
-        return False
-
-    def on_leaf(bits, sig):
+    def on_leaf(code, w, end):
         nonlocal leaves
         leaves += 1
         if leaves % 200_000 == 0:
             p0, p1 = pairing.pool_sizes()
             note(f"{leaves} words visited, pools h0={p0} h1={p1}, "
                  f"{pairing.pairs_tried} pairs tried")
-        if bits[0] == "0" and bits[-1] == "1":
-            return None  # the end-bit rule (_Pairing) admits no 0...1
+        # The end-bit rule (_Pairing) pools a 0-led leaf only as an h0 ending
+        # in 0.  So a 0...1 leaf goes, and so does a 0...0 leaf of z zeros and
+        # o ones unless its sign (-1)^(z(n-2) + o(n-1)) is an h0's, (-1)^n:
+        # unless o + n(length + 1) is even.
+        if code[0] == 48 and (code[-1] == 49 or (code.count(49) + n * (length + 1)) % 2):
+            return None
+        sig = w[end - n:end]
         kind = _classify(sig, n)
-        if kind != "neither":
-            for pair in pairing.add(*_packed(bits, sig), kind):
-                if consider(pair):
+        if kind == "neither":
+            return None
+        for h0, h1 in pairing.add(int(code, 2), bytes(sig), kind):
+            if _screen_pair(n, h0, h1) is not None:
+                continue
+            candidate = UniformMorphism(n, h0, h1)
+            if verify(candidate).overall:
+                found.append(candidate)
+                note(f"verified pair #{len(found)} after {leaves} words, "
+                     f"{pairing.pairs_tried} pairs tried")
+                if len(found) >= limit:
                     return False
         return None
 

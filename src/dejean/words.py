@@ -202,8 +202,8 @@ def _bit_planes(sym: Sequence) -> tuple[int, list[int]] | None:
     codes = {c: i for i, c in enumerate(dict.fromkeys(sym))}
     if len(codes) > 256:
         return None
-    buf = (sym.translate(bytes(codes.get(c, 0) for c in range(256))) if isinstance(sym, bytes)
-           else bytes(map(codes.__getitem__, sym)))[::-1]
+    buf = (sym.translate(bytes.maketrans(bytes(codes), bytes(range(len(codes)))))
+           if isinstance(sym, bytes) else bytes(map(codes.__getitem__, sym)))[::-1]
     planes = [int(buf.translate(_PLANE_DIGITS[i]), 2)
               for i in range(max(len(codes) - 1, 0).bit_length())]
     return (1 << len(sym)) - 1, planes

@@ -126,8 +126,9 @@ class TestLegalLengthCounts:
 
 
 def _leaves(n, length):
+    """(bits, sig) of every leaf, as a string and a tuple."""
     out = []
-    _walk(n, length, lambda bits, sig: out.append(("".join(bits), sig)))
+    _walk(n, length, lambda code, w, end: out.append((code.decode(), tuple(w[end - n:end]))))
     return out
 
 
@@ -235,6 +236,39 @@ class TestHotPathIdentities:
                 assert _factors(s, k) == window, (len(s), k)
 
 
+def _sign_by_count(bits, n):
+    """The sign rule: each 0 maps to an (n-1)-cycle, each 1 to an n-cycle."""
+    zeros = bits.count("0")
+    return (-1) ** (zeros * (n - 2) + (len(bits) - zeros) * (n - 1))
+
+
+def _sign(images):
+    """(-1)^(n - number of cycles), the cycles fixed points included."""
+    return (-1) ** (len(images) - len(Permutation(images).cycle_type()))
+
+
+class TestSignRule:
+    @pytest.mark.parametrize("n", range(2, 27))
+    def test_sign_counts_the_bits(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            bits = "".join(rng.choice("01") for _ in range(rng.randrange(80)))
+            assert _sign(word_permutation(bits, n).images) == _sign_by_count(bits, n), (n, bits)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_candidate_leaves_have_their_kind_sign(self, n):
+        kinds = set()
+        for length in range(1, 15):
+            for bits, sig in _leaves(n, length):
+                sign = _sign_by_count(bits, n)
+                assert _sign(sig) == sign, (n, bits)
+                kind = _classify(sig, n)
+                if kind != "neither":
+                    kinds.add(kind)
+                    assert sign == (-1) ** (n if kind == "h0" else n - 1), (n, bits, kind)
+        assert kinds == {"h0", "h1"}
+
+
 class TestClassifyCandidate:
     def test_builtin_images(self):
         h = builtin(15)
@@ -332,17 +366,23 @@ class _ListPairing:
 
 
 def _candidate_leaves(n, length):
-    """(bits, sig, kind) of every h0 or h1 leaf, bits and sig as lists, as
-    the walk hands them to its leaf callback."""
+    """(bits, sig, kind) of every h0 or h1 leaf, bits a list of "0"/"1" and
+    sig a list, so that packing either way makes new objects."""
     out = []
 
-    def on_leaf(bits, sig):
+    def on_leaf(code, w, end):
+        sig = w[end - n:end]
         kind = _classify(sig, n)
         if kind != "neither":
-            out.append((list(bits), list(sig), kind))
+            out.append((list(code.decode()), sig, kind))
 
     _walk(n, length, on_leaf)
     return out
+
+
+def _packed(bits, sig):
+    """A candidate as ``search._Pairing`` pools it."""
+    return int("".join(bits), 2), bytes(sig)
 
 
 def _unpacked(bits, sig):
@@ -368,7 +408,7 @@ def _both_pairings(n, length):
     packed, reference = search._Pairing(length), _ListPairing(n)
     got, expected = [], []
     for bits, sig, kind in leaves:
-        got.extend(packed.add(*search._packed(bits, sig), kind))
+        got.extend(packed.add(*_packed(bits, sig), kind))
         expected.extend(reference.add(*_unpacked(bits, sig), kind))
     return leaves, packed, got, expected
 
@@ -415,9 +455,59 @@ class TestPackedPairing:
 
         n, length = 15, 44
         leaves = _candidate_leaves(n, length)
-        packed = retained_per_candidate(search._Pairing(length), search._packed)
+        packed = retained_per_candidate(search._Pairing(length), _packed)
         unpacked = retained_per_candidate(_ListPairing(n), _unpacked)
         assert packed <= 250 < unpacked, (packed, unpacked)
+
+
+class TestSearchLeafPath:
+    """``search_convenient``'s own leaf callback, every pair rejected by a
+    stubbed screen: its end-bit and sign filters drop no pair and no pooled
+    candidate of the reference pairing."""
+
+    @staticmethod
+    def _search(monkeypatch, n, length):
+        screened, pairings, lines = [], [], []
+
+        class Recording(search._Pairing):
+            def __init__(self, r):
+                super().__init__(r)
+                pairings.append(self)
+
+        monkeypatch.setattr(search, "_Pairing", Recording)
+        monkeypatch.setattr(search, "_screen_pair",
+                            lambda n, a, b: screened.append((a, b)) or "structure")
+        assert search_convenient(n, length, progress=lines.append) == []
+        return screened, pairings[0], lines
+
+    @pytest.mark.parametrize("n,length", [(5, 20), (6, 24), (7, 28), (8, 30)])
+    def test_screens_the_reference_pairs(self, monkeypatch, n, length):
+        leaves, _, _, expected = _both_pairings(n, length)
+        screened, pairing, lines = self._search(monkeypatch, n, length)
+        assert screened == [pair for pair in expected if _end_bits_can_pass(*pair)]
+        admitted = [kind for bits, _, kind in leaves if _admitted(bits, kind)]
+        assert pairing.pool_sizes() == (admitted.count("h0"), admitted.count("h1"))
+        assert screened and lines == []
+        # the sign rule has 0...0 leaves to drop here
+        assert any(bits[0] == bits[-1] == "0" and _sign_by_count(bits, n) != (-1) ** n
+                   for bits, _ in _leaves(n, length))
+
+    def test_progress_line(self, monkeypatch):
+        # 236,385 leaves: one line, before the 200,000th leaf is pooled
+        n, length = 10, 52
+        leaves = []
+        _walk(n, length, lambda code, w, end: leaves.append(
+            (code.decode(), tuple(w[end - n:end]))) or len(leaves) < 199_999)
+        reference, pools, pairs = _ListPairing(n), {"h0": 0, "h1": 0}, 0
+        for bits, sig in leaves:
+            kind = _classify(sig, n)
+            if kind != "neither" and _admitted(bits, kind):
+                pools[kind] += 1
+            pairs += sum(_end_bits_can_pass(*pair) for pair in reference.add(bits, sig, kind))
+        _, _, lines = self._search(monkeypatch, n, length)
+        assert pools["h0"] and pools["h1"] and pairs
+        assert lines == [f"200000 words visited, pools h0={pools['h0']} h1={pools['h1']}, "
+                         f"{pairs} pairs tried"]
 
 
 class TestEndBitRule:

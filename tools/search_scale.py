@@ -8,7 +8,9 @@ imports ``dejean`` from ``--src`` (default: ``src/`` of this checkout), so
 another checkout's program can be measured with the same script.  Per run
 it records:
 
-- ``wall_s``: the search's wall time in that process;
+- ``wall_s`` and ``cpu_s``: the search's wall and CPU time
+  (``time.process_time``) in that process; the CPU time is the steadier
+  of the two on a shared host;
 - ``leaves`` and ``pairs_tried``: read off the search's progress lines;
 - ``peak_rss_mb``: ``ru_maxrss`` of the search process;
 - the found morphism, whether it passes ``verify`` and whether it is the
@@ -44,14 +46,14 @@ def _one(n: int) -> dict:
     target = builtin(n)
     r = len(target.image0)
     lines: list[str] = []
-    start = time.perf_counter()
+    start, start_cpu = time.perf_counter(), time.process_time()
     found = search_convenient(n, r, limit=1, progress=lines.append)
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - start_cpu
     last = next((line for line in reversed(lines) if line.startswith("verified")), "")
     leaves = re.search(r"after (\d+) words", last)
     pairs = re.search(r"(\d+) pairs tried", last)
     run = {
-        "n": n, "r": r, "wall_s": round(wall, 2),
+        "n": n, "r": r, "wall_s": round(wall, 2), "cpu_s": round(cpu, 2),
         "leaves": int(leaves.group(1)) if leaves else None,
         "pairs_tried": int(pairs.group(1)) if pairs else None,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
