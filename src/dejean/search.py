@@ -17,11 +17,20 @@ each as the ``int`` of its r bits under its last bit and its permutation
 image as ``bytes``, and paired through the simultaneous-conjugacy
 condition by splicing cycles (:func:`perms.h0_splices`), against the
 opposite pool when it is not empty; a pair is written out as two bit
-strings only when it is screened.  Each pair is screened by the suite's
-own ``structure``, ``iteration_bound`` and ``factor_set_2`` checks, then
-by a power scan of the decoding of the probe encoding's first 4r bits, a
-prefix of the probe word; a pair is returned once the full verification
-suite passes.
+strings only when it is screened.
+
+The search walks the 1-led words first, then the 0-led ones, each part
+in lexicographic order.  A 0-led leaf can only be an h(0) ending in 0 and
+every h(1) is 1-led, so the 1-led part alone forms every pair whose h(0)
+starts with 1, and most of the walk's leaves are 0-led (354,362 of the
+first 417,793 at n = 15).  Each pair is still formed once, when its later
+member arrives, so an exhaustive run forms the same pairs as one walk in
+lexicographic order.
+
+Each pair is screened by the suite's own ``structure``,
+``iteration_bound`` and ``factor_set_2`` checks, then by a power scan of
+the decoding of the probe encoding's first 4r bits, a prefix of the probe
+word; a pair is returned once the full verification suite passes.
 """
 
 from typing import Callable, Iterable
@@ -39,8 +48,9 @@ from .verifier import find_kernel_repetitions, probe_encoding, probe_word
 from .words import has_repetition_with_excess_at_least
 
 
-def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
-    """Depth-first traversal of legal encodings of the given length.
+def _walk(n: int, length: int, on_leaf, depth_counts=None, *, first=None) -> int:
+    """Depth-first traversal of legal encodings of the given length, in
+    lexicographic order.
 
     ``on_leaf(code, w, end)`` receives the walk's own buffers: the code
     word as a ``bytearray`` of ASCII digits, and the decoding w, in which
@@ -48,7 +58,9 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
     n - 1 letters, then the missing letter).  Both are overwritten once the
     callback returns.  Returning False aborts the walk.
     ``depth_counts[d]``, when given, accumulates the number of legal words
-    of each length d <= length.  Returns leaves visited.
+    of each length d <= length.  ``first``, when given, restricts the walk
+    to the words that start with that bit, and the empty word is not
+    counted.  Returns leaves visited.
 
     After a 0 the walk tries only the 1 child: bits 00 are never legal.
     Only that illegal child goes untested, so the leaves and
@@ -67,15 +79,19 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
     after = [[[a] if x == a + 1 and 0 < a < n - 1 else [] for x in range(n + 1)]
              for a in range(n + 1)]
     missing = n
-    if depth_counts is not None:
+    if depth_counts is not None and first is None:
         depth_counts[0] += 1
+    # The root's 0 child is always legal (its run has exponent exactly
+    # n/(n-1)).  A walk restricted to the first bit 0 ends after it: when it
+    # backs out to M = nm1, or at once when that child is a leaf.
+    stop = nm1 if first == 0 else -1
 
     # The path in w[nm1:M] is the whole stack, and code[d] is its bit d as a
     # digit: b is the next bit to try below it (2 when both are done), and M
     # is where its letter goes.
     leaves = 0
     M = nm1
-    b = 0
+    b = first or 0
     while True:
         if b == 2:
             if M == nm1:
@@ -88,6 +104,8 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
                 # backing out of it restores the missing letter.
                 missing = x
                 continue
+            if M == stop:
+                return leaves
             b = 1
         oldest = w[M - nm1]
         x = missing if b else oldest
@@ -131,6 +149,8 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None) -> int:
                     w[M + 1] = oldest if b else missing
                     if on_leaf(code, w, M + 2) is False:
                         return leaves
+                if M == stop:  # length 1: the leaf is the root's 0 child
+                    return leaves
         b += 1
 
 
@@ -269,15 +289,20 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
 
     Candidates come from the legal-encoding enumeration; each conjugacy-
     compatible pair is screened and then verified with the complete
-    suite.  Leaves are paired in lexicographic order, so runs are
+    suite.  Leaves are pooled as they are walked, the 1-led ones first,
+    then the 0-led ones, each part in lexicographic order, so runs are
     reproducible.  Returns verified morphisms, sorted by image pair when
     the enumeration was exhausted (discovery order when cut off by limit).
+    Images longer than 4n fail ``structure``, so such a length returns []
+    without a walk.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if n > 255:
         raise ValueError(f"alphabet size must be <= 255, got {n}: "
                          f"the pools key a permutation by one byte per point")
+    if n >= 2 and length > 4 * n:
+        return []  # `structure` fails every pair of images longer than 4n
     pairing = _Pairing(length)
     found: list[UniformMorphism] = []
     leaves = 0
@@ -313,7 +338,9 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
                     return False
         return None
 
-    _walk(n, length, on_leaf)
+    _walk(n, length, on_leaf, first=1)
+    if len(found) < limit:
+        _walk(n, length, on_leaf, first=0)
     if len(found) < limit:
         # exhausted: no leaf reached the limit
         found.sort(key=lambda h: (h.image0, h.image1))

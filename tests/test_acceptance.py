@@ -113,7 +113,7 @@ def test_criterion_08_search_rediscovery():
     found = search_convenient(15, 56, limit=1, progress=lines.append)
     ok = (len(found) == 1 and verify(found[0]).overall
           and (found[0].image0, found[0].image1) == REDISCOVERED_15
-          and lines[-1] == "verified pair #1 after 417793 words, 336 pairs tried")
+          and lines[-1] == "verified pair #1 after 63431 words, 327 pairs tried")
     elapsed = time.perf_counter() - started
     detail = f"target < 7200s; found h0={found[0].image0[:16]}..." if found else "none found"
     report(8, "search rediscovery", ok, elapsed, detail=detail)

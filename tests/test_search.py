@@ -90,7 +90,8 @@ class TestEnumerateLegal:
     @pytest.mark.parametrize("entry,n,length", [(legal_length_counts, 1, 5),
                                                 (legal_length_counts, 1, 0),
                                                 (enumerate_legal, 0, 3),
-                                                (search_convenient, 1, 4)])
+                                                (search_convenient, 1, 4),
+                                                (search_convenient, 1, 9)])
     def test_alphabet_below_two_is_rejected(self, entry, n, length):
         with pytest.raises(ValueError, match=f"^alphabet size must be >= 2, got {n}$"):
             entry(n, length)
@@ -125,11 +126,38 @@ class TestLegalLengthCounts:
             legal_length_counts(15, -1)
 
 
-def _leaves(n, length):
+def _leaves(n, length, first=None):
     """(bits, sig) of every leaf, as a string and a tuple."""
     out = []
-    _walk(n, length, lambda code, w, end: out.append((code.decode(), tuple(w[end - n:end]))))
+    _walk(n, length, lambda code, w, end: out.append((code.decode(), tuple(w[end - n:end]))),
+          first=first)
     return out
+
+
+class TestSplitWalk:
+    """The walk under one first bit, which the search runs twice: 1, then 0."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("length", [1, 2, 9, 22])
+    def test_the_two_subtrees_are_the_full_walk(self, n, length):
+        full = _leaves(n, length)
+        ones, zeros = _leaves(n, length, first=1), _leaves(n, length, first=0)
+        assert ones == [leaf for leaf in full if leaf[0][0] == "1"]
+        assert zeros == [leaf for leaf in full if leaf[0][0] == "0"]
+        assert ones == sorted(ones) and zeros == sorted(zeros)
+        assert _walk(n, length, None, first=1) == len(ones)
+        assert _walk(n, length, None, first=0) == len(zeros)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("length", [1, 2, 9, 22])
+    def test_depth_counts_add_up(self, n, length):
+        # the empty word is in neither subtree
+        full, ones, zeros = ([0] * (length + 1) for _ in range(3))
+        _walk(n, length, None, depth_counts=full)
+        _walk(n, length, None, depth_counts=ones, first=1)
+        _walk(n, length, None, depth_counts=zeros, first=0)
+        assert [a + b for a, b in zip(ones, zeros)] == [0] + full[1:]
+        assert full[0] == 1 and full == legal_length_counts(n, length)
 
 
 def _random_cycle(rng, points):
@@ -289,12 +317,18 @@ class TestSearchConvenient:
         with pytest.raises(ValueError, match="alphabet size must be <= 255, got 256"):
             search_convenient(256, 8)
 
+    @pytest.mark.parametrize("n,length", [(2, 9), (6, 25), (6, 54), (15, 61)])
+    def test_images_longer_than_4n_return_nothing_before_the_walk(self, monkeypatch, n, length):
+        # `structure` fails every pair with r > 4n
+        monkeypatch.setattr(search, "_walk", None)
+        assert search_convenient(n, length) == []
+
     def test_bad_limit(self):
         with pytest.raises(ValueError):
             search_convenient(15, 8, limit=0)
 
-    @pytest.mark.parametrize("n,length", [(5, 30), (6, 30), (7, 30)])
-    def test_seeds_that_repeat_or_are_leaves_pair_once(self, monkeypatch, n, length):
+    @pytest.mark.parametrize("n,length", [(5, 20), (6, 24), (7, 28)])
+    def test_each_pair_is_screened_once(self, monkeypatch, n, length):
         # every leaf is pooled once, so no pair is screened twice
         screened = []
         monkeypatch.setattr(search, "_screen_pair",
@@ -401,10 +435,16 @@ def _admitted(bits, kind):
     return bits[0] == "1" if kind == "h1" else not (bits[0] == "0" and bits[-1] == "1")
 
 
-def _both_pairings(n, length):
+def _search_order(leaves):
+    """Leaves in the order ``search_convenient`` pools them: the 1-led ones,
+    then the 0-led ones, each in walk order."""
+    return sorted(leaves, key=lambda leaf: leaf[0][0] == "0")
+
+
+def _both_pairings(n, length, order=list):
     """The packed pairs and the reference pairs of every candidate leaf,
-    each in discovery order."""
-    leaves = _candidate_leaves(n, length)
+    each in discovery order, the leaves taken in ``order(leaves)``."""
+    leaves = order(_candidate_leaves(n, length))
     packed, reference = search._Pairing(length), _ListPairing(n)
     got, expected = [], []
     for bits, sig, kind in leaves:
@@ -482,7 +522,7 @@ class TestSearchLeafPath:
 
     @pytest.mark.parametrize("n,length", [(5, 20), (6, 24), (7, 28), (8, 30)])
     def test_screens_the_reference_pairs(self, monkeypatch, n, length):
-        leaves, _, _, expected = _both_pairings(n, length)
+        leaves, _, _, expected = _both_pairings(n, length, _search_order)
         screened, pairing, lines = self._search(monkeypatch, n, length)
         assert screened == [pair for pair in expected if _end_bits_can_pass(*pair)]
         admitted = [kind for bits, _, kind in leaves if _admitted(bits, kind)]
@@ -492,12 +532,29 @@ class TestSearchLeafPath:
         assert any(bits[0] == bits[-1] == "0" and _sign_by_count(bits, n) != (-1) ** n
                    for bits, _ in _leaves(n, length))
 
+    @pytest.mark.parametrize("n,length", [(5, 20), (6, 24), (7, 28), (8, 30)])
+    def test_exhaustive_run_screens_the_walk_orders_pairs(self, monkeypatch, n, length):
+        # pairing all leaves in plain walk order forms the same pairs
+        _, _, _, expected = _both_pairings(n, length)
+        screened, _, _ = self._search(monkeypatch, n, length)
+        assert len(screened) == len(set(screened))
+        assert set(screened) == {pair for pair in expected if _end_bits_can_pass(*pair)}
+
     def test_progress_line(self, monkeypatch):
-        # 236,385 leaves: one line, before the 200,000th leaf is pooled
-        n, length = 10, 52
+        # 244,378 leaves: one line, before the 200,000th leaf is pooled
+        n, length = 13, 51
         leaves = []
-        _walk(n, length, lambda code, w, end: leaves.append(
-            (code.decode(), tuple(w[end - n:end]))) or len(leaves) < 199_999)
+
+        def keep(lead):
+            def on_leaf(code, w, end):
+                if code[0] == lead:
+                    leaves.append((code.decode(), tuple(w[end - n:end])))
+                return len(leaves) < 199_999
+            return on_leaf
+
+        # the search's order, from two full walks
+        for lead in b"10":
+            _walk(n, length, keep(lead))
         reference, pools, pairs = _ListPairing(n), {"h0": 0, "h1": 0}, 0
         for bits, sig in leaves:
             kind = _classify(sig, n)
@@ -508,6 +565,25 @@ class TestSearchLeafPath:
         assert pools["h0"] and pools["h1"] and pairs
         assert lines == [f"200000 words visited, pools h0={pools['h0']} h1={pools['h1']}, "
                          f"{pairs} pairs tried"]
+
+
+# The first pair of the n=18, r=68 search that passes verify; not builtin(18).
+REDISCOVERED_18 = ("10101010101010110101010110110110101101101011010101010110110110110110",
+                   "10101010101010110101010110110101101101101011010110110110110110110101")
+
+
+class TestRediscovery:
+    """Sizes the search reaches in about a second at the builtin r."""
+
+    @pytest.mark.parametrize("n", [16, 20, 22, 23])
+    def test_finds_the_builtin(self, n):
+        target = builtin(n)
+        assert search_convenient(n, target.r, limit=1) == [target]
+
+    def test_n18_finds_a_verified_morphism(self):
+        found = search_convenient(18, 68, limit=1)
+        assert [(h.image0, h.image1) for h in found] == [REDISCOVERED_18]
+        assert verify(found[0]).overall
 
 
 class TestEndBitRule:

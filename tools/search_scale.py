@@ -78,7 +78,7 @@ def _measure(label: str, n: int, src: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[15, 16, 17, 18])
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(range(15, 27)))
     parser.add_argument("--label", required=True, help="names the program measured")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_search-scale.json")
