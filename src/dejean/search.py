@@ -25,7 +25,9 @@ every h(1) is 1-led, so the 1-led part alone forms every pair whose h(0)
 starts with 1, and most of the walk's leaves are 0-led (354,362 of the
 first 417,793 at n = 15).  Each pair is still formed once, when its later
 member arrives, so an exhaustive run forms the same pairs as one walk in
-lexicographic order.
+lexicographic order.  Once the 1-led part is over no h(1) can arrive, so
+the pools that only an h(1) reads are dropped, and a 0-led h(0) pairs
+against the h(1) ending in 1 without being pooled.
 
 Each pair is screened by the suite's own ``structure``,
 ``iteration_bound`` and ``factor_set_2`` checks, then by a power scan of
@@ -249,11 +251,22 @@ class _Pairing:
         self.h0_by_perm: tuple[dict[bytes, tuple[int, ...]], ...] = ({}, {})
         self.h1_by_perm: tuple[dict[bytes, tuple[int, ...]], ...] = ({}, {})
         self.pairs_tried = 0
+        self.h1_closed = False
 
     def pool_sizes(self) -> tuple[int, int]:
-        """Admitted h0 and h1 candidates."""
+        """Pooled h0 and h1 candidates: every admitted one until
+        :meth:`close_h1`, then the h1 ending in 1."""
         return tuple(sum(len(v) for pool in pools for v in pool.values())
                      for pools in (self.h0_by_perm, self.h1_by_perm))
+
+    def close_h1(self) -> None:
+        """No h1 arrives from now on (the search's 1-led pass is over): drop
+        the pools only a later h1 could pair with, both h0 pools and the h1
+        pool ending in 0, which no 0-led h0 reads, and pool no further h0.
+        An h0 still pairs against the h1 pool ending in 1."""
+        for pool in (*self.h0_by_perm, self.h1_by_perm[0]):
+            pool.clear()
+        self.h1_closed = True
 
     def add(self, value: int, key: bytes, kind: str) -> Iterable[tuple[str, str]]:
         """Register a candidate (the ``int`` of its bits, its permutation
@@ -264,6 +277,8 @@ class _Pairing:
         twice pairs twice: the caller adds each value once."""
         first, last = value >> self.top, value & 1
         if kind == "h1" and first:
+            if self.h1_closed:
+                raise RuntimeError("an h1 added after close_h1() would miss its pairs")
             partners = self.h0_by_perm[1 - last]
             for a0 in h0_splices(key) if partners else ():
                 for other in partners.get(a0, ()):
@@ -275,8 +290,9 @@ class _Pairing:
             for a1 in h1_splices(key) if partners else ():
                 for other in partners.get(a1, ()):
                     yield self._pair(value, other)
-            pool = self.h0_by_perm[last]
-            pool[key] = pool.get(key, ()) + (value,)
+            if not self.h1_closed:
+                pool = self.h0_by_perm[last]
+                pool[key] = pool.get(key, ()) + (value,)
 
     def _pair(self, h0: int, h1: int) -> tuple[str, str]:
         self.pairs_tried += 1
@@ -340,6 +356,7 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
 
     _walk(n, length, on_leaf, first=1)
     if len(found) < limit:
+        pairing.close_h1()  # every h1 is 1-led
         _walk(n, length, on_leaf, first=0)
     if len(found) < limit:
         # exhausted: no leaf reached the limit

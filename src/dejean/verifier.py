@@ -17,8 +17,11 @@ decodes the probe encoding once.
 The three repetition checks read one list: the maximal runs of the decoding
 with excess >= n-1.  Window k of length n-1 of the decoding is decoder state
 k, so two equal ids q apart start such a run of period q, and the bits
-between them map to the identity.  ``big_excess_free`` reports the runs
-without a scan.  ``power_free`` scans periods up to n^2-3n+1
+between them map to the identity.  Equal windows after equal letters come
+after equal windows, so a run extends left past a pair of equal ids exactly
+onto another such pair, and only the pair at the run's start, at position 0
+or after unequal letters, is extended: one pair per run.
+``big_excess_free`` reports the runs without a scan.  ``power_free`` scans periods up to n^2-3n+1
 (``Bounds.short_bound``) and takes the longer periods from the runs, with no
 premise.  ``kernel_free`` keeps the runs with excess >= n, each n-1 letters
 shorter: a kernel repetition of the bits with period q and excess e is
@@ -35,7 +38,6 @@ import json
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 from .markability import check_all_length_r_factors_markable
 from .morphisms import UniformMorphism, builtin, factor_closure, iteration_bound
@@ -44,8 +46,8 @@ from .perms import (PrefixPermutationTable, find_conjugator, step0, step1,
                     word_permutation)
 # find_repetitions_with_excess_at_least is not called here; perfbench/tracer.py
 # wraps it under this module, so it stays importable.
-from .words import (RepetitionOccurrence, SigmaWord, find_repetitions_exceeding,
-                    find_repetitions_with_excess_at_least, maximal_extension)
+from .words import (RepetitionOccurrence, SigmaWord, _agreement, find_repetitions_exceeding,
+                    find_repetitions_with_excess_at_least)
 
 
 @dataclass(frozen=True)
@@ -154,29 +156,46 @@ def probe_word(source) -> SigmaWord:
 def _collision_runs(w, keys, span: int,
                     max_period: int | None = None) -> list[RepetitionOccurrence]:
     """The maximal runs of ``w`` through equal keys, once each, sorted by
-    (start, period).  keys[a] == keys[b] for a < b must make w[a:b+span] a
-    factor of period b - a; it is extended to its maximal run.  Periods
-    above ``max_period`` (when given) are skipped."""
+    (start, period).  Periods above ``max_period`` (when given) are skipped.
+
+    Two premises, both enforced (ValueError): keys[a] == keys[b] for a < b
+    must make w[a:b+span] a factor of period b - a, and equal keys whose
+    previous letters agree must have equal previous keys.  The run through
+    such a pair extends left exactly when w[a-1] == w[b-1], and then, by the
+    second premise, (a-1, b-1) is again a pair of equal keys.  So each run
+    holds exactly one pair at its start, the pair with a == 0 or
+    w[a-1] != w[b-1], and only that pair is extended: each bucket of equal
+    keys is split by the letter before each position (none before 0), and
+    a position pairs only with earlier ones of the other groups."""
+    L = len(w)
     buckets: dict = {}
-    slots = []
-    for a, key in enumerate(keys):
-        positions = buckets.setdefault(key, [])
-        positions.append(a)
-        slots.append((positions, len(positions)))
+    for b, key in enumerate(keys):
+        buckets.setdefault(key, []).append(b)
     occs = []
-    # Left to right, every later pair of a period-q run lies inside the run
-    # its first pair extended to, so one extension per run suffices.
-    covered: dict[int, int] = {}
-    for a, (positions, later) in enumerate(slots):
-        for b in islice(positions, later, None):
-            q = b - a
-            if max_period is not None and q > max_period:
-                break
-            if a + q + span <= covered.get(q, -1):
-                continue
-            start, end = maximal_extension(w, a, b + span, q)
-            occs.append(RepetitionOccurrence(start, q, end - start))
-            covered[q] = end
+    for bucket in buckets.values():
+        if len(bucket) < 2:
+            continue
+        # letter before -> the bucket's positions so far; 0 has no letter before
+        groups: dict = {}
+        for b in bucket:
+            before = w[b - 1] if b else None
+            group = groups.setdefault(before, [])
+            if group and keys[group[0] - 1] != keys[b - 1]:
+                raise ValueError(f"equal keys at {group[0]} and {b} after equal letters"
+                                 f" follow unequal keys")
+            group.append(b)
+            for letter, positions in groups.items():
+                if letter == before:
+                    continue
+                for a in reversed(positions):
+                    q = b - a
+                    if max_period is not None and q > max_period:
+                        break
+                    m = _agreement(w, b, a, L - b)
+                    if m < span:
+                        raise ValueError(f"equal keys at {a} and {b} do not start a factor"
+                                         f" of period {q}")
+                    occs.append(RepetitionOccurrence(a, q, q + m))
     occs.sort(key=lambda occ: (occ.start, occ.period))
     return occs
 

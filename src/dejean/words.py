@@ -8,9 +8,9 @@ module is an integer cross-multiplication; no floating point is used anywhere.
 All repetition scans (``max_exponent`` and the ``find_``/``has_`` forms for
 an exponent threshold or a minimum excess) are calls into one generator of
 maximal runs, ``_runs``, which takes the least excess a run of each period
-must reach.  It skips a period unless the bitmask of matching positions
-holds a long enough run; that mask is read off the word's bit planes (bit i
-of each symbol's number), a few operations per plane.
+must reach.  It reads each period's runs off the bitmask of matching
+positions, which is read off the word's bit planes (bit i of each
+symbol's number), a few operations per plane, and a few more per run.
 """
 
 from dataclasses import dataclass
@@ -150,7 +150,34 @@ def has_period(w, i: int, j: int, q: int) -> bool:
         raise IndexError(f"interval [{i}, {j}) outside word of length {len(sym)}")
     if q < 1:
         raise ValueError(f"period must be >= 1, got {q}")
-    return all(sym[k] == sym[k + q] for k in range(i, j - q))
+    return sym[i:max(i, j - q)] == sym[i + q:j]
+
+
+def _agreement(sym: Sequence, a: int, b: int, limit: int, back: bool = False) -> int:
+    """The largest m <= limit with sym[a+k] == sym[b+k] for 0 <= k < m, or
+    for -m <= k < 0 when ``back``.  Slices of 1, 2, 4, ... letters are
+    compared until one differs, then halved down to the first mismatch;
+    the caller keeps every slice inside the word."""
+    m, step = 0, 1
+    while True:
+        step = min(step, limit - m)
+        if not step:
+            return m
+        i, j = (a - m - step, b - m - step) if back else (a + m, b + m)
+        if sym[i:i + step] != sym[j:j + step]:
+            break
+        m += step
+        step *= 2
+    # The next ``step`` letters hold a mismatch; keep halving them.
+    while step > 1:
+        half = step // 2
+        i, j = (a - m - half, b - m - half) if back else (a + m, b + m)
+        if sym[i:i + half] == sym[j:j + half]:
+            m += half
+            step -= half
+        else:
+            step = half
+    return m
 
 
 def maximal_extension(w, i: int, j: int, q: int) -> tuple[int, int]:
@@ -164,14 +191,11 @@ def maximal_extension(w, i: int, j: int, q: int) -> tuple[int, int]:
     if not has_period(sym, i, j, q):
         raise ValueError(f"interval [{i}, {j}) does not have period {q}")
     L = len(sym)
-    while j < L:
-        if j - q >= i and sym[j - q] != sym[j]:
-            break
-        j += 1
-    while i > 0:
-        if i - 1 + q < j and sym[i - 1] != sym[i - 1 + q]:
-            break
-        i -= 1
+    # Positions less than q past i constrain nothing.
+    j = max(j, min(i + q, L))
+    j += _agreement(sym, j, j - q, L - j)
+    i = min(i, max(j - q, 0))
+    i -= _agreement(sym, i, i + q, i, back=True)
     return i, j
 
 
@@ -218,14 +242,31 @@ def _match_mask(full: int, planes: list[int], q: int) -> int:
     return (full >> q) & ~diff
 
 
-def _has_run(mask: int, t: int) -> bool:
-    """True when the mask contains t consecutive set bits."""
+def _long_matches(mask: int, t: int) -> int:
+    """Bit k set iff bits k..k+t-1 of the mask are all set: the mask
+    AND-shifted onto itself, by doubling shifts."""
     s = 1
     while s < t and mask:
         shift = min(s, t - s)
         mask &= mask >> shift
         s += shift
-    return mask != 0
+    return mask
+
+
+def _mask_runs(mask: int, long: int, q: int) -> Iterator[tuple[int, int]]:
+    """The maximal intervals [i, j) of period q with excess j - i - q >= t,
+    left to right, read off the match mask of period q and its
+    :func:`_long_matches` for t: a run of set bits [i, e) is the interval
+    [i, e + q).  The bits of ``long`` that follow a clear bit of the mask
+    start the long enough runs, and each run ends at the first clear bit
+    past its start."""
+    starts = long & ~(mask << 1)
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        i = low.bit_length() - 1
+        run = mask >> i
+        yield i, i + (run ^ (run + 1)).bit_length() - 1 + q
 
 
 def _runs(w, min_run: Callable[[int], int],
@@ -237,9 +278,10 @@ def _runs(w, min_run: Callable[[int], int],
     period where even the whole word falls short.  It is read again after
     each yield, so a caller may raise it as results arrive.  Periods above
     ``max_period`` (when given) are not scanned.  A word of at most 256
-    distinct symbols first tests each period's match mask, from its bit
-    planes, for a long enough run of matches; above that, the plain
-    per-period scan runs alone.
+    distinct symbols reads each period's runs off its match mask, from its
+    bit planes (:func:`_mask_runs`), so a period costs a few operations on
+    whole masks and a few more per run it yields; above 256 symbols the
+    plain per-period scan, :func:`_period_match_runs`, runs alone.
     """
     sym = _symbols(w)
     L = len(sym)
@@ -249,9 +291,15 @@ def _runs(w, min_run: Callable[[int], int],
         need = min_run(q)
         if L - q < need:
             break
-        if sliced is not None and not _has_run(_match_mask(*sliced, q), need):
-            continue
-        for i, j in _period_match_runs(sym, q):
+        if sliced is None:
+            runs = _period_match_runs(sym, q)
+        else:
+            mask = _match_mask(*sliced, q)
+            long = _long_matches(mask, need)
+            if not long:
+                continue
+            runs = _mask_runs(mask, long, q)
+        for i, j in runs:
             if j - i - q >= need:
                 yield i, j, q
                 need = min_run(q)

@@ -435,6 +435,19 @@ def _admitted(bits, kind):
     return bits[0] == "1" if kind == "h1" else not (bits[0] == "0" and bits[-1] == "1")
 
 
+def _live_pools(leaves):
+    """The (h0, h1) pool sizes ``search_convenient`` holds once it has
+    pooled ``leaves``, (bits, kind) pairs in its order: every admitted
+    candidate while the leaves are 1-led; once a 0-led leaf has come, no
+    h1 can, and only the h1 ending in 1 stay pooled."""
+    admitted = [(bits, kind) for bits, kind in leaves
+                if kind != "neither" and _admitted(bits, kind)]
+    if any(bits[0] == "0" for bits, _ in leaves):
+        return 0, sum(kind == "h1" and bits[-1] == "1" for bits, kind in admitted)
+    kinds = [kind for _, kind in admitted]
+    return kinds.count("h0"), kinds.count("h1")
+
+
 def _search_order(leaves):
     """Leaves in the order ``search_convenient`` pools them: the 1-led ones,
     then the 0-led ones, each in walk order."""
@@ -467,6 +480,24 @@ class TestPackedPairing:
         assert packed.pairs_tried == len(got)
         admitted = [kind for bits, _, kind in leaves if _admitted(bits, kind)]
         assert packed.pool_sizes() == (admitted.count("h0"), admitted.count("h1"))
+
+    def test_no_h1_after_closing(self):
+        # close_h1 drops both h0 pools and the h1 pool ending in 0; a 0-led
+        # h0 ending in 0 still pairs against the h1 ending in 1, unpooled
+        n, length = 6, 24
+        leaves = _search_order(_candidate_leaves(n, length))
+        split = next(k for k, (bits, _, _) in enumerate(leaves) if bits[0] == "0")
+        pairing = search._Pairing(length)
+        for bits, sig, kind in leaves[:split]:
+            list(pairing.add(*_packed(bits, sig), kind))
+        pairing.close_h1()
+        assert not any(pairing.h0_by_perm) and not pairing.h1_by_perm[0]
+        late = [pair for bits, sig, kind in leaves[split:]
+                for pair in pairing.add(*_packed(bits, sig), kind)]
+        assert late and pairing.pool_sizes() == _live_pools([(b, k) for b, _, k in leaves])
+        h1 = next(leaf for leaf in leaves[:split] if leaf[2] == "h1")
+        with pytest.raises(RuntimeError):
+            list(pairing.add(*_packed(h1[0], h1[1]), "h1"))
 
     def test_pool_memory_per_candidate(self):
         # n=15, length 44: of 2,606 h0 and 796 h1 candidates, the pools admit
@@ -525,8 +556,9 @@ class TestSearchLeafPath:
         leaves, _, _, expected = _both_pairings(n, length, _search_order)
         screened, pairing, lines = self._search(monkeypatch, n, length)
         assert screened == [pair for pair in expected if _end_bits_can_pass(*pair)]
-        admitted = [kind for bits, _, kind in leaves if _admitted(bits, kind)]
-        assert pairing.pool_sizes() == (admitted.count("h0"), admitted.count("h1"))
+        # the exhaustive run ends in the 0-led pass, which pools no h0
+        live = _live_pools([(bits, kind) for bits, _, kind in leaves])
+        assert pairing.pool_sizes() == live and live[1]
         assert screened and lines == []
         # the sign rule has 0...0 leaves to drop here
         assert any(bits[0] == bits[-1] == "0" and _sign_by_count(bits, n) != (-1) ** n
@@ -555,16 +587,16 @@ class TestSearchLeafPath:
         # the search's order, from two full walks
         for lead in b"10":
             _walk(n, length, keep(lead))
-        reference, pools, pairs = _ListPairing(n), {"h0": 0, "h1": 0}, 0
+        reference, kinds, pairs = _ListPairing(n), [], 0
         for bits, sig in leaves:
-            kind = _classify(sig, n)
-            if kind != "neither" and _admitted(bits, kind):
-                pools[kind] += 1
-            pairs += sum(_end_bits_can_pass(*pair) for pair in reference.add(bits, sig, kind))
+            kinds.append(_classify(sig, n))
+            pairs += sum(_end_bits_can_pass(*pair) for pair in reference.add(bits, sig, kinds[-1]))
+        # the 200,000th leaf is 0-led (141,147 are 1-led): the live pools
+        # hold no h0 and only the h1 ending in 1
+        h0, h1 = _live_pools([(bits, kind) for (bits, _), kind in zip(leaves, kinds)])
         _, _, lines = self._search(monkeypatch, n, length)
-        assert pools["h0"] and pools["h1"] and pairs
-        assert lines == [f"200000 words visited, pools h0={pools['h0']} h1={pools['h1']}, "
-                         f"{pairs} pairs tried"]
+        assert leaves[-1][0][0] == "0" and h0 == 0 and h1 and pairs
+        assert lines == [f"200000 words visited, pools h0={h0} h1={h1}, {pairs} pairs tried"]
 
 
 # The first pair of the n=18, r=68 search that passes verify; not builtin(18).

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -167,6 +168,74 @@ class TestDecoderStateIdentity:
                     seen.update("long" if o.period > bound else "at bound"
                                 for o in power if o.period >= bound)
         assert seen == {"runs", "no runs", "long", "at bound"}
+
+
+def _equal_key_pairs(keys):
+    return sum(c * (c - 1) // 2 for c in Counter(keys).values())
+
+
+def _counted_pairs(monkeypatch):
+    """Counts the key pairs ``_collision_runs`` extends, one call each."""
+    calls = []
+    agreement = dejean.verifier._agreement
+
+    def counted(*args, **kwargs):
+        calls.append((args[2], args[1]))  # (a, b): keys[a] == keys[b], a < b
+        return agreement(*args, **kwargs)
+
+    monkeypatch.setattr(dejean.verifier, "_agreement", counted)
+    return calls
+
+
+class TestCollisionPairs:
+    """``_collision_runs`` extends one pair of equal keys per run it
+    reports: the pair at the run's start."""
+
+    def test_window_mutants(self, monkeypatch):
+        # 8,008 and 4,516 pairs of equal ids give 476 and 160 runs
+        from helpers import load_perfbench_mutants
+
+        windows = [m for m in load_perfbench_mutants().generate(1) if m.kind.startswith("window")]
+        counts = []
+        for m in windows:
+            table = PrefixPermutationTable(probe_encoding(UniformMorphism(m.n, m.image0, m.image1)), m.n)
+            ids = table.ids
+            equal = _equal_key_pairs(ids)
+            calls = _counted_pairs(monkeypatch)
+            runs = _collision_runs(table.word, ids, m.n - 1)
+            assert len(calls) == len(runs) == len(set(calls))
+            assert [(o.start, o.start + o.period) for o in runs] == sorted(calls)
+            counts.append((equal, len(runs)))
+        assert counts == [(8008, 476), (4516, 160)]
+
+    def test_periodic_26(self, monkeypatch):
+        """All zeros but the last bit of h(1) at n = 26: the ids repeat at
+        period 25 nearly everywhere: 1,729 runs out of 14,017,111 pairs."""
+        h = UniformMorphism(26, "0" * 104, "0" * 103 + "1")
+        assert _equal_key_pairs(PrefixPermutationTable(probe_encoding(h), 26).ids) == 14_017_111
+        calls = _counted_pairs(monkeypatch)
+        report = verify(h)
+        assert len(calls) == 1729
+        assert [(c.name, c.passed) for c in report.checks][5:] == [
+            ("kernel_free", False), ("big_excess_free", False), ("power_free", False)]
+        assert report.check("kernel_free").witness == (
+            "1729 kernel repetitions (all periods: markability_r or iteration_bound failed);"
+            " first: start=0 period=25 length=21631 exponent=21631/25")
+        assert report.check("big_excess_free").witness == (
+            "1729 repetitions with excess >= 25;"
+            " first: start=0 period=25 length=21656 exponent=21656/25")
+        assert report.check("power_free").witness == (
+            "2170 repetitions above 26/25;"
+            " first: start=0 period=25 length=21656 exponent=21656/25")
+
+    def test_key_premises_are_enforced(self):
+        # keys equal at 1 and 3, after equal letters, but the keys before differ
+        with pytest.raises(ValueError, match="follow unequal keys"):
+            _collision_runs("abab", [0, 1, 2, 1], 1)
+        # keys equal at 0 and 2 over unequal letters: no factor of period 2
+        with pytest.raises(ValueError, match="do not start a factor of period 2"):
+            _collision_runs("abcd", [0, 1, 0, 3], 1)
+        assert occ_triples(_collision_runs("abab", [0, 1, 0, 1], 1)) == [(0, 2, 4)]
 
 
 class TestIndividualChecks:

@@ -107,6 +107,16 @@ class TestHasPeriod:
         with pytest.raises(ValueError):
             has_period("010", 0, 3, 0)
 
+    def test_matches_brute(self):
+        # every interval and period of short words, vacuous ones included
+        rng = random.Random(8)
+        for _ in range(60):
+            w = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 9)))
+            for i in range(len(w) + 1):
+                for j in range(i, len(w) + 1):
+                    for q in range(1, len(w) + 2):
+                        assert has_period(w, i, j, q) == brute_has_period(w, i, j, q), (w, i, j, q)
+
 
 class TestMaximalExtension:
     def test_examples(self):
@@ -280,7 +290,11 @@ class TestMaskFastPath:
             mask = rng.getrandbits(n_bits)
             t = rng.randint(1, 12)
             longest = max((len(run) for run in bin(mask)[2:].split("0")), default=0)
-            assert words._has_run(mask, t) == (longest >= t)
+            long = words._long_matches(mask, t)
+            assert (long != 0) == (longest >= t)
+            # bit k is set exactly where t set bits of the mask begin
+            assert all((long >> k & 1) == all(mask >> (k + d) & 1 for d in range(t))
+                       for k in range(n_bits)), (mask, t)
 
 
 def _no_planes(sym):
@@ -384,6 +398,74 @@ class TestBitPlanes:
 
         monkeypatch.setattr(words, "_match_mask", no_mask)
         assert find_repetitions_exceeding(w, 1, 1) == plain
+
+
+class TestMaskRuns:
+    """The runs read off the match masks against the plain per-period scan
+    that a word without bit planes takes, on inputs whose masks hold many
+    long runs."""
+
+    @staticmethod
+    def _both(monkeypatch, scan, w):
+        masked = scan(w)
+        with monkeypatch.context() as m:
+            m.setattr(words, "_bit_planes", _no_planes)
+            plain = scan(w)
+        assert masked == plain, w
+        return masked
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mutant_decodings(self, monkeypatch, seed):
+        """The power scan the verifier runs, up to n^2-3n+1, on the first
+        2,000 letters of each benchmark mutant's probe word."""
+        from dejean.morphisms import UniformMorphism
+        from dejean.verifier import compute_bounds, probe_word
+        from helpers import load_perfbench_mutants
+
+        found = 0
+        for m in load_perfbench_mutants().generate(seed):
+            v = probe_word(UniformMorphism(m.n, m.image0, m.image1))[:2000]
+            bound = compute_bounds(m.n).short_bound
+            found += len(self._both(
+                monkeypatch, lambda w: find_repetitions_exceeding(w, m.n, m.n - 1, bound), v))
+        assert found > 100
+
+    def test_periodic_and_random_words(self, monkeypatch):
+        rng = random.Random(24)
+        for _ in range(60):
+            k = rng.randint(3, 20)
+            base = [rng.randrange(k) for _ in range(rng.randint(1, 25))]
+            periodic = (base * 40)[:rng.randint(1, 200)]
+            for p in rng.sample(range(len(periodic)), min(3, len(periodic) // 20)):
+                periodic[p] = rng.randrange(k)  # a few breaks, so a period holds several runs
+            for w in (tuple(periodic), bytes(periodic),
+                      tuple(rng.randrange(k) for _ in range(rng.randint(1, 200)))):
+                for num, den in ((1, 1), (k, k - 1), (3, 2)):
+                    self._both(monkeypatch, lambda w: find_repetitions_exceeding(w, num, den), w)
+                self._both(monkeypatch, lambda w: find_repetitions_with_excess_at_least(w, 2), w)
+                self._both(monkeypatch, max_exponent, w)
+
+    def test_max_exponent_when_need_rises_mid_period(self, monkeypatch):
+        """Several runs of one period, shorter ones after a longer: the run
+        starts of that period were read at the lower need, and those that
+        fall short of the raised one must not be reported."""
+        crafted = ["aabccc", "aaabccdaaaa", "abcabcdabdabdab", "0110110" + "1" * 5 + "00",
+                   "abaabaabcabc" + "d" * 6 + "ee"]
+        rng = random.Random(25)
+        rising = 0
+        for w in crafted + ["".join(rng.choice("abc") for _ in range(rng.randint(1, 16)))
+                            for _ in range(300)]:
+            exp, wit = self._both(monkeypatch, max_exponent, w)
+            b_exp, b_wit = brute_max_exponent(w)
+            assert exp == b_exp and (wit and (wit.start, wit.period, wit.length)) == b_wit, w
+            # the plain oracle's yields, with need read as max_exponent does
+            best = [1, 1]
+            periods = []
+            for i, j, q in words._runs(w, lambda q: (best[0] - best[1]) * q // best[1] + 1):
+                periods.append(q)
+                best = [j - i, q]
+            rising += len(periods) != len(set(periods))
+        assert rising > 10
 
 
 class TestMaxPeriod:
