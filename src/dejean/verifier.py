@@ -17,10 +17,11 @@ decodes the probe encoding once.
 The three repetition checks read one list: the maximal runs of the decoding
 with excess >= n-1.  Window k of length n-1 of the decoding is decoder state
 k, so two equal ids q apart start such a run of period q, and the bits
-between them map to the identity.  Equal windows after equal letters come
-after equal windows, so a run extends left past a pair of equal ids exactly
-onto another such pair, and only the pair at the run's start, at position 0
-or after unequal letters, is extended: one pair per run.
+between them map to the identity.  Two equal windows preceded by equal
+letters are preceded by equal windows, so a run extends left past a pair of
+equal ids exactly onto another such pair, and only the pair at the run's
+start, at position 0 or after unequal letters, is extended: one pair per
+run.
 ``big_excess_free`` reports the runs without a scan.  ``power_free`` scans periods up to n^2-3n+1
 (``Bounds.short_bound``) and takes the longer periods from the runs, with no
 premise.  ``kernel_free`` keeps the runs with excess >= n, each n-1 letters
