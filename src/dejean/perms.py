@@ -19,7 +19,7 @@ search's pairing both read them.
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import eq, ne
 
@@ -202,9 +202,16 @@ class PrefixPermutationTable:
     missing letter.  ``ids[k]`` is the first position of a window equal to
     window k, so equal ids mark equal prefix permutations and the factor
     bits[i:j] maps to the identity iff ids[i] == ids[j].  ``distinct``
-    holds when ids[k] == k throughout.  Each window is keyed by the int of
-    its first 1, 2, 4 or 8 bytes in the decoding, four bytes a letter for
-    n > 255.
+    holds when ids[k] == k throughout.
+
+    Every g-letter factor of the decoding, at each of its len(word)-g+1
+    positions, is keyed by the int of its 1, 2, 4 or 8 bytes, four bytes a
+    letter for n > 255, so g is at most n-1.  The first len(bits)+1 keys
+    start the windows; the last n-1-g start past the last decoder state.
+    ``unique_factor_length`` is g when all the keys differ: every g-letter
+    factor of the decoding then occurs once, so no repetition in it has
+    excess >= g.  Otherwise it is None.  ``distinct`` and ``ids`` read the
+    window keys only, and ``ids`` is built on first read when they differ.
     """
 
     def __init__(self, bits: str, n: int):
@@ -213,19 +220,25 @@ class PrefixPermutationTable:
         buf, step = bytes(packed), memoryview(packed).itemsize
         width, count = step * (n - 1), len(bits) + 1
         size = max(s for s in (1, 2, 4, 8) if s <= width)
+        g = size // step
         # The view shifted by s bytes holds the keys of positions
-        # s/step, (s+size)/step, ...
-        keys, stride = [0] * count, size // step
+        # s/step, s/step+g, ...
+        keys = [0] * (len(self.word) - g + 1)
         for s in range(0, size, step):
-            lane = len(range(s // step, count, stride))
+            lane = len(range(s // step, len(keys), g))
             view = memoryview(buf)[s:s + lane * size].cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size])
-            keys[s // step::stride] = view.tolist()
-        self.ids = ids = list(range(count))
-        self.distinct = len(set(keys)) == count
+            keys[s // step::g] = view.tolist()
+        tail = keys[count:]
+        del keys[count:]
+        seen = set(keys)
+        self.distinct = len(seen) == count
+        seen.update(tail)
+        self.unique_factor_length = g if len(seen) == count + len(tail) else None
+        self._count = count
         if not self.distinct:
             # The first position of each key, then of each window among
             # those that share a key but differ past it.
-            first = dict(zip(reversed(keys), reversed(ids)))
+            first = dict(zip(reversed(keys), range(count - 1, -1, -1)))
             self.ids = ids = list(map(first.__getitem__, keys))
             windows: dict[bytes, int] = {}
             for k in compress(range(count), map(ne, ids, range(count))):
@@ -233,3 +246,9 @@ class PrefixPermutationTable:
                 if window != buf[ids[k] * step:ids[k] * step + width]:
                     ids[k] = windows.setdefault(window, k)
             self.distinct = all(map(eq, ids, range(count)))
+
+    @cached_property
+    def ids(self) -> list[int]:
+        """Built on first read only when the window keys all differ, so
+        that each decoder state is its own first."""
+        return list(range(self._count))

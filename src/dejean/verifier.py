@@ -24,7 +24,10 @@ start, at position 0 or after unequal letters, is extended: one pair per
 run.
 ``big_excess_free`` reports the runs without a scan.  ``power_free`` scans periods up to n^2-3n+1
 (``Bounds.short_bound``) and takes the longer periods from the runs, with no
-premise.  ``kernel_free`` keeps the runs with excess >= n, each n-1 letters
+premise.  When the table proves every g-letter factor of the decoding
+unique (``unique_factor_length``), no repetition has excess >= g, and a
+period above (g-1)(n-1)-1 would need it, so the scan stops there; when a
+g-letter factor repeats, it reads up to n^2-3n+1.  ``kernel_free`` keeps the runs with excess >= n, each n-1 letters
 shorter: a kernel repetition of the bits with period q and excess e is
 exactly a maximal run of the decoding with period q and excess e+n-1, with
 the same start.  A letter is fixed by the window before it and the bit
@@ -58,7 +61,9 @@ class Bounds:
     ``kernel_bound`` = 9n^2-6n+1 bounds the period of a kernel repetition
     once ``markability_r`` and ``iteration_bound`` hold.  ``short_bound`` =
     n^2-3n+1 bounds the period of a repetition above n/(n-1) with excess
-    e <= n-2: it forces q < e(n-1) <= (n-1)(n-2).
+    e <= n-2: it forces q < e(n-1) <= (n-1)(n-2).  A word whose g-letter
+    factors are all unique has e <= g-1, so the same bound becomes
+    (g-1)(n-1)-1 there; ``power_free`` takes it only on that premise.
     """
 
     kernel_bound: int
@@ -216,11 +221,19 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) ->
     return _kernel_runs(_collision_runs(table.word, table.ids, n - 1, max_period), n)
 
 
-def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence]) -> list[RepetitionOccurrence]:
+def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
+                unique: int | None = None) -> list[RepetitionOccurrence]:
     """Every maximal repetition of v above n/(n-1), given ``runs``, all of
-    excess >= n-1.  Periods up to n^2-3n+1 are scanned; a longer period
-    exceeds n/(n-1) only with excess >= q//(n-1)+1 >= n-1, so is in ``runs``."""
+    excess >= n-1.  A period q exceeds n/(n-1) only with excess >=
+    q//(n-1)+1.  Periods up to n^2-3n+1 are scanned; a longer one needs
+    excess >= n-1, so is in ``runs``.  When ``unique`` is given, every
+    factor of v of that length must occur once (the premise, which
+    ``PrefixPermutationTable.unique_factor_length`` proves of its word):
+    then no repetition has excess >= unique, a period above
+    (unique-1)(n-1)-1 would need it, and the scan stops there."""
     bound = compute_bounds(n).short_bound
+    if unique is not None:
+        bound = min(bound, (unique - 1) * (n - 1) - 1)
     occs = find_repetitions_exceeding(v, n, n - 1, bound)
     occs += [o for o in runs if o.period > bound and (n - 1) * o.length > n * o.period]
     occs.sort(key=lambda occ: (occ.start, occ.period))
@@ -330,7 +343,7 @@ def _check_big_excess(p: _Probe) -> tuple[bool, str]:
 
 def _check_power(p: _Probe) -> tuple[bool, str]:
     n, v = p.h.n, p.table.word
-    occs = _power_runs(v, n, p.runs)
+    occs = _power_runs(v, n, p.runs, p.table.unique_factor_length)
     if occs:
         return False, (f"{len(occs)} repetitions above {n}/{n - 1}; "
                        f"first: {occs[0].describe()}")

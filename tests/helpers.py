@@ -199,3 +199,29 @@ def all_words(alphabet, length):
 
 def occ_triples(occurrences):
     return [(o.start, o.period, o.length) for o in occurrences]
+
+
+def repeated_factor_starts(word, g):
+    """Positions k whose factor word[k:k+g] occurs earlier in the word."""
+    seen, repeats = set(), []
+    for k in range(len(word) - g + 1):
+        factor = tuple(word[k:k + g])
+        if factor in seen:
+            repeats.append(k)
+        seen.add(factor)
+    return repeats
+
+
+def spy_power_bounds(monkeypatch):
+    """The ``max_period`` of each power scan the verifier makes, in order."""
+    import dejean.verifier
+
+    bounds = []
+    scan = dejean.verifier.find_repetitions_exceeding
+
+    def spy(w, num, den, max_period=None):
+        bounds.append(max_period)
+        return scan(w, num, den, max_period)
+
+    monkeypatch.setattr(dejean.verifier, "find_repetitions_exceeding", spy)
+    return bounds

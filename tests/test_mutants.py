@@ -1,14 +1,17 @@
 """Seeded mutants of the builtin morphisms against the unbounded scanners.
 
 The verifier builds one list of runs from equal decoder-state ids: they
-are the ``big_excess_free`` witnesses, ``power_free`` always bounds its
-scan by n^2-3n+1 and adds the long-period runs among them, and
-``kernel_free`` keeps those with excess >= n, each n-1 letters shorter,
-cut to periods within 9n^2-6n+1.  The unbounded scans are the oracle: on
-every mutant each of the three checks must report the count and the first
-witness that the oracle finds, the kernel oracle cut to periods within the
-bound, and the runs read off the ids must equal the oracle's lists in
-full.  The kernel oracle is a separate pass over the code bits: the runs
+are the ``big_excess_free`` witnesses, ``power_free`` bounds its scan by
+n^2-3n+1 and adds the long-period runs among them, and ``kernel_free``
+keeps those with excess >= n, each n-1 letters shorter, cut to periods
+within 9n^2-6n+1.  ``power_free`` scans only up to (g-1)(n-1)-1 where the
+table proves every g-letter factor of the probe word unique (g = 8 here),
+and up to n^2-3n+1 wherever one repeats: the window mutants, three of the
+builtins and the periodic n = 26 morphism.  The unbounded scans are the
+oracle: on every mutant each of the three checks must report the count
+and the first witness that the oracle finds, the kernel oracle cut to
+periods within the bound, and the runs read off the ids must equal the
+oracle's lists in full.  The kernel oracle is a separate pass over the code bits: the runs
 through equal keys (id, bit), since a kernel repetition of period q
 starts at some a with bits[a] == bits[a+q] and equal ids at a and a+q.
 The mutants are fixed by the seed: one bit flip and one swap of adjacent
@@ -26,13 +29,13 @@ import re
 import pytest
 
 import dejean.verifier
-from dejean.morphisms import UniformMorphism, builtin
+from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.perms import PrefixPermutationTable
 from dejean.verifier import (_collision_runs, _Probe, _power_runs, compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
-from helpers import brute_kernel_repetitions, occ_triples
+from helpers import brute_kernel_repetitions, occ_triples, repeated_factor_starts, spy_power_bounds
 
 SEED = 20261018
 _COUNT_AND_FIRST = re.compile(r"^(\d+) (?:kernel )?repetitions .*; first: (.*)$")
@@ -70,6 +73,8 @@ MUTANTS = _mutants()
 PERIODIC = [("periodic-6", UniformMorphism(6, "0" * 24, "0" * 23 + "1")),
             ("near-periodic-6", UniformMorphism(6, "0" * 11 + "1" + "0" * 12, "0" * 23 + "1"))]
 ALL = MUTANTS + PERIODIC
+# All zeros but the last bit of h(1) at n = 26: its ids repeat at period 25.
+PERIODIC_26 = UniformMorphism(26, "0" * 104, "0" * 103 + "1")
 
 
 def _bit_runs(h: UniformMorphism):
@@ -134,6 +139,8 @@ def test_collision_runs_equal_unbounded_scans(results, label):
     probe = _Probe(h)
     assert probe.runs == excess
     assert _power_runs(probe.table.word, h.n, probe.runs) == power
+    assert _power_runs(probe.table.word, h.n, probe.runs,
+                       probe.table.unique_factor_length) == power
 
 
 def test_distinct_states_leave_no_kernel_repetition(results):
@@ -200,6 +207,53 @@ def test_builtin_decisive_checks_match_unbounded_scans(n):
     _assert_matches_oracle(run_check("power_free", n), find_repetitions_exceeding(v, n, n - 1))
     assert find_kernel_repetitions(probe_encoding(n), n) == []
     _assert_matches_oracle(run_check("kernel_free", n), [])
+
+
+@pytest.mark.parametrize("n", BUILTIN_SIZES)
+def test_builtin_power_scan_matches_unbounded_scan(n):
+    """Where the table proves its premise the power check scans fewer
+    periods; it still reports the unbounded scan's count and first witness,
+    and ``_power_runs`` returns its full list."""
+    probe = _Probe(builtin(n))
+    v = probe.table.word
+    power = find_repetitions_exceeding(v, n, n - 1)
+    _assert_matches_oracle(run_check("power_free", n), power)
+    assert _power_runs(v, n, probe.runs, probe.table.unique_factor_length) == power
+
+
+def test_periodic_26_power_scan_matches_unbounded_scan():
+    probe = _Probe(PERIODIC_26)
+    v = probe.table.word
+    power = find_repetitions_exceeding(v, 26, 25)
+    assert len(power) == 2170
+    _assert_matches_oracle(run_check("power_free", PERIODIC_26), power)
+    assert _power_runs(v, 26, probe.runs, probe.table.unique_factor_length) == power
+
+
+def test_power_scan_bound_follows_premise(monkeypatch):
+    """The power check scans periods up to (g-1)(n-1)-1, for the key width
+    g = 8, exactly where no 8-letter factor of the probe word repeats
+    (found here by slicing the plain decoding), and up to n^2-3n+1
+    wherever one does."""
+    cases = [(f"builtin-{n}", builtin(n)) for n in BUILTIN_SIZES] + MUTANTS
+    cases.append(("periodic-26", PERIODIC_26))
+    bounds = spy_power_bounds(monkeypatch)
+    scanned, tight = {}, []
+    for label, h in cases:
+        run_check("power_free", h)
+        scanned[label] = bounds.pop()
+        assert not bounds, label
+        short = compute_bounds(h.n).short_bound
+        if repeated_factor_starts(probe_word(h).letters, 8):
+            assert scanned[label] == short, label
+        else:
+            assert scanned[label] == min(short, 7 * (h.n - 1) - 1), label
+            tight.append(label)
+    assert tight == [f"builtin-{n}" for n in (15, 16, 17, 19, 20, 21, 24, 25, 26)] + [
+        "swap-15", "flip-16", "swap-16"]
+    assert (scanned["builtin-15"], scanned["builtin-26"]) == (97, 174)
+    assert (scanned["builtin-18"], scanned["builtin-23"]) == (271, 461)
+    assert (scanned["window-15"], scanned["periodic-26"]) == (181, 599)
 
 
 def test_window_mutant_power_scan_falls_back_to_all_periods(results):

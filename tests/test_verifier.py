@@ -15,7 +15,7 @@ from dejean.verifier import (CHECK_NAMES, _collision_runs, _kernel_runs, _power_
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
-from helpers import brute_kernel_repetitions, occ_triples
+from helpers import brute_kernel_repetitions, occ_triples, repeated_factor_starts, spy_power_bounds
 
 
 class TestBounds:
@@ -168,6 +168,57 @@ class TestDecoderStateIdentity:
                     seen.update("long" if o.period > bound else "at bound"
                                 for o in power if o.period >= bound)
         assert seen == {"runs", "no runs", "long", "at bound"}
+
+
+class TestUniqueFactorPremise:
+    """``unique_factor_length`` against its definition, and the power scan it
+    bounds against the unbounded scan.  The key width g is 1 letter at
+    n = 2, 2 at n = 3 and 4, 4 at n = 5..8, 8 at n = 9, and 2 at n = 300,
+    four bytes a letter; the bound (g-1)(n-1)-1 is below n^2-3n+1 at
+    n = 4, 6, 7, 8 and 300."""
+
+    WIDTHS = {2: 1, 3: 2, 4: 2, 5: 4, 6: 4, 7: 4, 8: 4, 9: 8, 300: 2}
+
+    def test_every_key_width(self):
+        rng = random.Random(25)
+        seen = set()
+        for n, g in self.WIDTHS.items():
+            words = ["", "1", "0" * rng.randint(2, 60), "1" * rng.randint(2, 60)]
+            for _ in range(4 if n > 255 else 30):
+                length = rng.randint(0, 300 if n > 255 else rng.choice((20, 300)))
+                words.append("".join(rng.choice("01") for _ in range(length)))
+            for bits in words:
+                table = PrefixPermutationTable(bits, n)
+                letters = decode(bits, canonical_prefix(n)).letters
+                first: dict = {}
+                ids = [first.setdefault(letters[k:k + n - 1], k) for k in range(len(bits) + 1)]
+                assert table.ids == ids, (n, bits)
+                assert table.distinct == (ids == list(range(len(bits) + 1))), (n, bits)
+                unique = not repeated_factor_starts(letters, g)
+                assert table.unique_factor_length == (g if unique else None), (n, bits)
+                runs = _collision_runs(table.word, table.ids, n - 1)
+                power = find_repetitions_exceeding(table.word, n, n - 1)
+                assert _power_runs(table.word, n, runs, table.unique_factor_length) == power, (n, bits)
+                seen.add((n, unique))
+                if unique and power:
+                    seen.add("repetitions under the premise")
+        assert seen >= {(n, u) for n in self.WIDTHS for u in (False, True)}
+        assert "repetitions under the premise" in seen
+
+    @pytest.mark.parametrize("n,bits", [(6, "110110011011001101001010011111"),
+                                        (12, "11100101010011111111100")])
+    def test_repeat_past_the_last_state_voids_the_premise(self, n, bits, monkeypatch):
+        """The only repeated g-letter factor starts past the last decoder
+        state: the states stay distinct, the premise fails, and the power
+        scan reads up to n^2-3n+1."""
+        table = PrefixPermutationTable(bits, n)
+        assert repeated_factor_starts(table.word, self.WIDTHS.get(n, 8)) == [len(bits) + 1]
+        assert table.distinct
+        assert table.unique_factor_length is None
+        bounds = spy_power_bounds(monkeypatch)
+        occs = _power_runs(table.word, n, [], table.unique_factor_length)
+        assert bounds == [compute_bounds(n).short_bound]
+        assert occs == find_repetitions_exceeding(table.word, n, n - 1)
 
 
 def _equal_key_pairs(keys):
