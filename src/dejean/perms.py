@@ -234,6 +234,7 @@ class PrefixPermutationTable:
         self.distinct = len(seen) == count
         seen.update(tail)
         self.unique_factor_length = g if len(seen) == count + len(tail) else None
+        del seen  # before the slow path below builds its dict
         self._count = count
         if not self.distinct:
             # The first position of each key, then of each window among
