@@ -22,20 +22,21 @@ letters are preceded by equal windows, so a run extends left past a pair of
 equal ids exactly onto another such pair, and only the pair at the run's
 start, at position 0 or after unequal letters, is extended: one pair per
 run.
-``big_excess_free`` reports the runs without a scan.  ``power_free`` scans periods up to n^2-3n+1
-(``Bounds.short_bound``) and takes the longer periods from the runs, with no
-premise.  When the table proves every g-letter factor of the decoding
-unique (``unique_factor_length``), no repetition has excess >= g, and a
-period above (g-1)(n-1)-1 would need it, so the scan stops there; when a
-g-letter factor repeats, it reads up to n^2-3n+1.  ``kernel_free`` keeps the runs with excess >= n, each n-1 letters
-shorter: a kernel repetition of the bits with period q and excess e is
-exactly a maximal run of the decoding with period q and excess e+n-1, with
-the same start.  A letter is fixed by the window before it and the bit
-between, and a bit by that window and letter.  So equal windows at a and a+q
-(an identity period word) and e equal bit pairs give a run of excess e+n-1,
-such a run gives those e pairs, and maximality carries over both ways.  It
-reads periods up to 9n^2-6n+1 when ``markability_r`` and ``iteration_bound``
-pass (``Bounds.kernel_bound``), and every period when either fails.
+``big_excess_free`` reports the runs without a scan.  ``power_free`` scans
+periods up to n^2-3n+1 (``Bounds.short_bound``) and takes the longer periods
+from the runs, with no premise.  When the table proves every g-letter factor
+of the decoding unique (``unique_factor_length``), no repetition has excess
+>= g, and a period above (g-1)(n-1)-1 would need it, so the scan stops
+there; when a g-letter factor repeats, it reads up to n^2-3n+1.
+``kernel_free`` keeps the runs with excess >= n, each n-1 letters shorter: a
+kernel repetition of the bits with period q and excess e is exactly a
+maximal run of the decoding with period q and excess e+n-1, with the same
+start.  A letter is fixed by the window before it and the bit between, and a
+bit by that window and letter.  So equal windows at a and a+q (an identity
+period word) and e equal bit pairs give a run of excess e+n-1, such a run
+gives those e pairs, and maximality carries over both ways.  It reads
+periods up to 9n^2-6n+1 when ``markability_r`` and ``iteration_bound`` pass
+(``Bounds.kernel_bound``), and every period when either fails.
 """
 
 import json

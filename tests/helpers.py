@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import dejean.verifier
 from dejean.markability import MarkabilityReport, PhaseConflict
 from dejean.morphisms import factor_closure
 from dejean.perms import word_permutation
@@ -214,8 +215,6 @@ def repeated_factor_starts(word, g):
 
 def spy_power_bounds(monkeypatch):
     """The ``max_period`` of each power scan the verifier makes, in order."""
-    import dejean.verifier
-
     bounds = []
     scan = dejean.verifier.find_repetitions_exceeding
 
