@@ -20,8 +20,7 @@ from .verifier import (Bounds, CheckResult, VerificationReport, compute_bounds,
                        find_kernel_repetitions, probe_encoding, probe_word,
                        run_check, verify)
 from .words import (RepetitionOccurrence, SigmaWord, find_repetitions_exceeding,
-                    find_repetitions_with_excess_at_least, has_period,
-                    max_exponent, maximal_extension)
+                    find_repetitions_with_excess_at_least, max_exponent)
 
 __all__ = [
     "BUILTIN_SIZES", "Bounds", "CheckResult", "FactorSet", "MarkabilityReport",
@@ -33,9 +32,8 @@ __all__ = [
     "compute_bounds", "decode", "emit_morphism_file", "encode",
     "enumerate_legal", "factor_closure", "find_conjugator",
     "find_kernel_repetitions", "find_repetitions_exceeding",
-    "find_repetitions_with_excess_at_least", "has_period", "is_2markable",
-    "is_kernel_word", "iteration_bound", "legal_length_counts", "limit_prefix",
-    "max_exponent", "maximal_extension", "parse_morphism_file",
-    "probe_encoding", "probe_word", "run_check", "search_convenient", "step0",
-    "step1", "verify", "word_permutation",
+    "find_repetitions_with_excess_at_least", "is_2markable", "is_kernel_word",
+    "iteration_bound", "legal_length_counts", "limit_prefix", "max_exponent",
+    "parse_morphism_file", "probe_encoding", "probe_word", "run_check",
+    "search_convenient", "step0", "step1", "verify", "word_permutation",
 ]

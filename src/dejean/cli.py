@@ -15,8 +15,6 @@ exception propagates.
 """
 
 import argparse
-import os
-import re
 import sys
 
 from . import __version__
@@ -26,10 +24,6 @@ from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
 from .search import search_convenient
 from .verifier import find_kernel_repetitions, verify
 from .words import SigmaWord, max_exponent, parse_symbols
-
-MORPHISM_FILE_ENV = "DEJEAN_MORPHISMS"
-# What int() accepts as a base-10 integer ("15", "-3", " +15 ", "1_5").
-_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _read_file(path: str) -> str:
@@ -61,14 +55,14 @@ def _morphism_sources(path: str | None) -> list[UniformMorphism]:
 
 
 def _cmd_verify(args) -> int:
-    path = args.morphism_file or os.environ.get(MORPHISM_FILE_ENV)
-    selected = _morphism_sources(path)
+    selected = _morphism_sources(args.morphism_file)
     if args.target != "all":
-        if not _INTEGER.fullmatch(args.target):
-            raise ValueError(f"target must be an integer or 'all', got {args.target!r}")
-        n = int(args.target)
+        try:
+            n = int(args.target)
+        except ValueError:
+            raise ValueError(f"target must be an integer or 'all', got {args.target!r}") from None
         selected = [h for h in selected if h.n == n]
-        if not selected and path:
+        if not selected and args.morphism_file:
             raise ValueError(f"no morphism for n={n} in the supplied file")
         if not selected:
             raise ValueError(f"n={n} is outside the embedded range "
@@ -141,8 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="alphabet size, or 'all'")
     p.add_argument("--json", action="store_true", help="one JSON report per line")
     p.add_argument("--morphism-file", metavar="PATH",
-                   help=f"stanza file to verify instead of the embedded table "
-                        f"(default: ${MORPHISM_FILE_ENV})")
+                   help="stanza file to verify instead of the embedded table")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="search for convenient morphisms")

@@ -192,6 +192,12 @@ def h1_splices(a0: bytes) -> list[bytes]:
     return [a0.translate(swaps[a0[y - 1]]) for y in reversed(cyc)]
 
 
+def key_letters(n: int) -> int:
+    """g, the letters in a :class:`PrefixPermutationTable` key: the most of 1,
+    2, 4 or 8 bytes within n-1 letters, four bytes a letter for n > 255."""
+    return 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
+
+
 class PrefixPermutationTable:
     """Decoder-state ids of a binary word, read off its decoding.
 
@@ -204,23 +210,22 @@ class PrefixPermutationTable:
     bits[i:j] maps to the identity iff ids[i] == ids[j].  ``distinct``
     holds when ids[k] == k throughout.
 
-    Every g-letter factor of the decoding, at each of its len(word)-g+1
-    positions, is keyed by the int of its 1, 2, 4 or 8 bytes, four bytes a
-    letter for n > 255, so g is at most n-1.  The first len(bits)+1 keys
-    start the windows; the last n-1-g start past the last decoder state.
-    ``unique_factor_length`` is g when all the keys differ: every g-letter
-    factor of the decoding then occurs once, so no repetition in it has
-    excess >= g.  Otherwise it is None.  ``distinct`` and ``ids`` read the
-    window keys only, and ``ids`` is built on first read when they differ.
+    Every g-letter factor of the decoding (g = :func:`key_letters`, at most
+    n-1), at each of its len(word)-g+1 positions, is keyed by the int of its
+    bytes.  The first len(bits)+1 keys start the windows; the last n-1-g
+    start past the last decoder state.  ``unique_factor_length`` is g when
+    all the keys differ: every g-letter factor of the decoding then occurs
+    once, so no repetition in it has excess >= g.  Otherwise it is None.
+    ``distinct`` and ``ids`` read the window keys only, and ``ids`` is built
+    on first read when they differ.
     """
 
     def __init__(self, bits: str, n: int):
         self.word = decode_letters(bits, n)
         packed = array("I", self.word) if n > 255 else self.word
         buf, step = bytes(packed), memoryview(packed).itemsize
-        width, count = step * (n - 1), len(bits) + 1
-        size = max(s for s in (1, 2, 4, 8) if s <= width)
-        g = size // step
+        width, count, g = step * (n - 1), len(bits) + 1, key_letters(n)
+        size = g * step
         # The view shifted by s bytes holds the keys of positions
         # s/step, s/step+g, ...
         keys = [0] * (len(self.word) - g + 1)

@@ -47,7 +47,7 @@ from functools import cached_property
 from .markability import check_all_length_r_factors_markable
 from .morphisms import UniformMorphism, builtin, factor_closure, iteration_bound
 from .pansiot import canonical_prefix, decode
-from .perms import (PrefixPermutationTable, find_conjugator, step0, step1,
+from .perms import (PrefixPermutationTable, find_conjugator, key_letters, step0, step1,
                     word_permutation)
 # find_repetitions_with_excess_at_least is not called here; perfbench/tracer.py
 # wraps it under this module, so it stays importable.
@@ -124,13 +124,15 @@ class VerificationReport:
         return json.dumps(self.to_json(), sort_keys=False)
 
     def render_text(self) -> str:
-        bounds = compute_bounds(self.n)
+        g, bounds = key_letters(self.n), compute_bounds(self.n)
+        tight = (g - 1) * (self.n - 1) - 1
         lines = [
             f"verification n={self.n} r={self.r}",
             f"  kernel scan period bound {bounds.kernel_bound} = 9n^2-6n+1; the iteration_bound and",
             f"  markability_r checks are what confine kernel repetitions below it",
-            f"  power scan periods <= {bounds.short_bound} = n^2-3n+1; longer periods read off"
-            f" equal decoder states",
+            f"  power scan periods <= {bounds.short_bound} = n^2-3n+1, or <= {tight} = (g-1)(n-1)-1"
+            f" when every g-letter",
+            f"  factor is unique (g = {g}); longer periods read off equal decoder states",
         ]
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"

@@ -139,64 +139,29 @@ def _symbols(w) -> Sequence:
     return tuple(w)
 
 
-def has_period(w, i: int, j: int, q: int) -> bool:
-    """True when w[k] == w[k+q] for every i <= k < j-q.
-
-    Vacuously true when j - i <= q.  Raises on indices outside the word or
-    a non-positive period.
-    """
-    sym = _symbols(w)
-    if not 0 <= i <= j <= len(sym):
-        raise IndexError(f"interval [{i}, {j}) outside word of length {len(sym)}")
-    if q < 1:
-        raise ValueError(f"period must be >= 1, got {q}")
-    return sym[i:max(i, j - q)] == sym[i + q:j]
-
-
-def _agreement(sym: Sequence, a: int, b: int, limit: int, back: bool = False) -> int:
-    """The largest m <= limit with sym[a+k] == sym[b+k] for 0 <= k < m, or
-    for -m <= k < 0 when ``back``.  Slices of 1, 2, 4, ... letters are
-    compared until one differs, then halved down to the first mismatch;
-    the caller keeps every slice inside the word."""
+def _agreement(sym: Sequence, a: int, b: int, limit: int) -> int:
+    """The largest m <= limit with sym[a+k] == sym[b+k] for 0 <= k < m.
+    Slices of 1, 2, 4, ... letters are compared until one differs, then
+    halved down to the first mismatch; the caller keeps every slice inside
+    the word."""
     m, step = 0, 1
     while True:
         step = min(step, limit - m)
         if not step:
             return m
-        i, j = (a - m - step, b - m - step) if back else (a + m, b + m)
-        if sym[i:i + step] != sym[j:j + step]:
+        if sym[a + m:a + m + step] != sym[b + m:b + m + step]:
             break
         m += step
         step *= 2
     # The next ``step`` letters hold a mismatch; keep halving them.
     while step > 1:
         half = step // 2
-        i, j = (a - m - half, b - m - half) if back else (a + m, b + m)
-        if sym[i:i + half] == sym[j:j + half]:
+        if sym[a + m:a + m + half] == sym[b + m:b + m + half]:
             m += half
             step -= half
         else:
             step = half
     return m
-
-
-def maximal_extension(w, i: int, j: int, q: int) -> tuple[int, int]:
-    """Largest interval [i', j') containing [i, j) that still has period q.
-
-    The input interval must have period q.  Extension is rightward first,
-    then leftward; a boundary position is absorbed whenever the periodicity
-    constraint it introduces holds (or is vacuous).
-    """
-    sym = _symbols(w)
-    if not has_period(sym, i, j, q):
-        raise ValueError(f"interval [{i}, {j}) does not have period {q}")
-    L = len(sym)
-    # Positions less than q past i constrain nothing.
-    j = max(j, min(i + q, L))
-    j += _agreement(sym, j, j - q, L - j)
-    i = min(i, max(j - q, 0))
-    i -= _agreement(sym, i, i + q, i, back=True)
-    return i, j
 
 
 def _period_match_runs(sym: Sequence, q: int) -> Iterator[tuple[int, int]]:

@@ -14,7 +14,9 @@ from dejean.pansiot import canonical_prefix, decode, encode
 from dejean.perms import find_conjugator, step0, step1, word_permutation
 from dejean.search import enumerate_legal, legal_length_counts, search_convenient
 from dejean.verifier import compute_bounds, run_check, verify
-from dejean.words import SigmaWord, find_repetitions_exceeding, has_period, max_exponent
+from dejean.words import SigmaWord, find_repetitions_exceeding, max_exponent
+
+from helpers import brute_has_period
 
 
 def report(number, name, passed, elapsed, detail=""):
@@ -166,7 +168,7 @@ def test_criterion_09_property_suites():
             assert exp == _oracle_max_exponent(w), w
             if witness is not None:
                 assert witness.exponent == exp
-                assert has_period(w, witness.start, witness.end, witness.period)
+                assert brute_has_period(w, witness.start, witness.end, witness.period)
 
     # pruned enumeration equals the unpruned filter for n=15, lengths <= 14
     for length in range(1, 15):

@@ -96,15 +96,6 @@ class TestVerifyCommand:
     def test_unreadable_file(self, capsys):
         assert main(["verify", "15", "--morphism-file", "/nonexistent/x"]) == 2
 
-    def test_env_var_source(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "morphs.txt"
-        path.write_text("n=15\nr=4\nh0=0110\nh1=1100\n")
-        monkeypatch.setenv("DEJEAN_MORPHISMS", str(path))
-        code = main(["verify", "15", "--json"])
-        data = json.loads(capsys.readouterr().out)
-        assert data["r"] == 4
-        assert code == 1  # a length-4 morphism cannot pass the suite
-
     def test_failing_morphism_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("n=15\nr=4\nh0=0110\nh1=1100\n")
@@ -125,17 +116,11 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
     @pytest.mark.parametrize("target", ["all", "15"])
-    def test_file_without_stanza_exits_2(self, tmp_path, capsys, monkeypatch, via_env, target):
+    def test_file_without_stanza_exits_2(self, tmp_path, capsys, target):
         path = tmp_path / "morphs.txt"
         path.write_text("# only a comment\n")
-        if via_env:
-            monkeypatch.setenv("DEJEAN_MORPHISMS", str(path))
-            argv = ["verify", target]
-        else:
-            argv = ["verify", target, "--morphism-file", str(path)]
-        assert main(argv) == 2
+        assert main(["verify", target, "--morphism-file", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}: no morphism stanza\n"
 
@@ -154,9 +139,8 @@ class TestVerifyCommand:
 
 
 class TestVerifyAll:
-    def test_reports_match_the_stored_ones(self, capsys, monkeypatch):
+    def test_reports_match_the_stored_ones(self, capsys):
         """Byte for byte apart from each check's ms."""
-        monkeypatch.delenv(cli.MORPHISM_FILE_ENV, raising=False)
         assert main(["verify", "all", "--json"]) == 0
         assert_reports_match(capsys.readouterr().out, EXPECTED_VERIFY_ALL, 12)
 
@@ -179,7 +163,6 @@ class TestVerifyAll:
             calls.append((os.getpid(), h.n))
             raise VerifyFailure(f"verify failed for n={h.n}")
 
-        monkeypatch.delenv(cli.MORPHISM_FILE_ENV, raising=False)
         monkeypatch.setattr(cli, "verify", failing_verify)
         with pytest.raises(VerifyFailure):
             main(["verify", "all", "--json"])
@@ -390,9 +373,11 @@ class TestSearchStanzaOutput:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # The child imports the package under test, installed or not.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "dejean", "verify", "15", "--json"],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["overall"] is True

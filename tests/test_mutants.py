@@ -267,8 +267,9 @@ def test_window_mutant_power_scan_falls_back_to_all_periods(results):
                                              report.check("power_free").witness)
     by_name = run_check("power_free", h)
     assert (by_name.passed, by_name.witness) == (alone.passed, alone.witness)
-    assert ("power scan periods <= 181 = n^2-3n+1; longer periods read off"
-            " equal decoder states") in report.render_text()
+    assert ("power scan periods <= 181 = n^2-3n+1, or <= 97 = (g-1)(n-1)-1 when every"
+            " g-letter\n  factor is unique (g = 8); longer periods read off equal decoder"
+            " states") in report.render_text()
 
 
 # Morphisms that fail the kernel bound's premise, whose decoder-state ids

@@ -375,8 +375,9 @@ class TestVerify:
 
     def test_render_text_states_power_scan_scope(self):
         text = verify(15).render_text()
-        assert ("power scan periods <= 181 = n^2-3n+1; longer periods read off"
-                " equal decoder states") in text
+        assert ("power scan periods <= 181 = n^2-3n+1, or <= 97 = (g-1)(n-1)-1 when every"
+                " g-letter\n  factor is unique (g = 8); longer periods read off equal decoder"
+                " states") in text
 
     def test_unbounded_kernel_scan_agrees_for_builtin(self):
         bounded = verify(15).check("kernel_free")

@@ -7,10 +7,9 @@ import pytest
 from dejean import words
 from dejean.words import (RepetitionOccurrence, SigmaWord,
                           find_repetitions_exceeding,
-                          find_repetitions_with_excess_at_least, has_period,
+                          find_repetitions_with_excess_at_least,
                           has_repetition_exceeding,
-                          has_repetition_with_excess_at_least, max_exponent,
-                          maximal_extension)
+                          has_repetition_with_excess_at_least, max_exponent)
 
 from helpers import (all_words, brute_find_exceeding, brute_find_excess,
                      brute_has_period, brute_max_exponent, brute_repetition_triples,
@@ -91,58 +90,6 @@ class TestRepetitionOccurrence:
     def test_empty_excess_rejected(self):
         with pytest.raises(ValueError):
             RepetitionOccurrence(0, 2, 2)
-
-
-class TestHasPeriod:
-    def test_examples(self):
-        assert has_period("010", 0, 3, 2) is True
-        assert has_period("01", 0, 2, 5) is True  # vacuous
-        assert has_period("0110", 0, 4, 2) is False
-
-    def test_index_errors(self):
-        with pytest.raises(IndexError):
-            has_period("010", 0, 4, 1)
-        with pytest.raises(IndexError):
-            has_period("010", 2, 1, 1)
-        with pytest.raises(ValueError):
-            has_period("010", 0, 3, 0)
-
-    def test_matches_brute(self):
-        # every interval and period of short words, vacuous ones included
-        rng = random.Random(8)
-        for _ in range(60):
-            w = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 9)))
-            for i in range(len(w) + 1):
-                for j in range(i, len(w) + 1):
-                    for q in range(1, len(w) + 2):
-                        assert has_period(w, i, j, q) == brute_has_period(w, i, j, q), (w, i, j, q)
-
-
-class TestMaximalExtension:
-    def test_examples(self):
-        assert maximal_extension("0010100", 2, 4, 2) == (1, 6)
-        assert maximal_extension("000", 1, 2, 1) == (0, 3)
-        assert maximal_extension("011011011", 0, 6, 3) == (0, 9)
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            maximal_extension("0110", 0, 4, 2)
-
-    def test_idempotent_and_matches_brute(self):
-        from helpers import brute_has_period, brute_maximal_extension
-
-        rng = random.Random(7)
-        for _ in range(300):
-            L = rng.randint(2, 14)
-            w = "".join(rng.choice("01") for _ in range(L))
-            i = rng.randrange(L)
-            j = rng.randint(i + 1, L)
-            q = rng.randint(1, L)
-            if not brute_has_period(w, i, j, q):
-                continue
-            got = maximal_extension(w, i, j, q)
-            assert got == brute_maximal_extension(w, i, j, q)
-            assert maximal_extension(w, *got, q) == got
 
 
 class TestMaxExponent:
