@@ -11,10 +11,12 @@ arguments, and lets its ``ValueError`` rise; ``main`` alone prints it as
 ``error: <message>`` and exits 2.  The bodies raise ``ValueError`` only for
 what the library never sees (the input files, an empty word, the verify
 target, ``--max-period``) and to reword encode's window error.  Any other
-exception propagates.
+exception propagates, but a closed stdout (``dejean verify 26 | head -2``)
+ends the command with exit code 1 and nothing on stderr.
 """
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -175,10 +177,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
-from operator import eq, ne
+from operator import ne
 
 from .pansiot import decode_letters
-from .words import check_binary
+from .words import _agreement, check_binary
 
 
 @dataclass(frozen=True)
@@ -192,14 +192,8 @@ def h1_splices(a0: bytes) -> list[bytes]:
     return [a0.translate(swaps[a0[y - 1]]) for y in reversed(cyc)]
 
 
-def key_letters(n: int) -> int:
-    """g, the letters in a :class:`PrefixPermutationTable` key: the most of 1,
-    2, 4 or 8 bytes within n-1 letters, four bytes a letter for n > 255."""
-    return 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
-
-
 class PrefixPermutationTable:
-    """Decoder-state ids of a binary word, read off its decoding.
+    """Decoder-state ids of a binary word and the repeat fact of its decoding.
 
     ``word`` is the decoding of ``bits`` over ``canonical_prefix(n)`` as
     :func:`pansiot.decode_letters` gives it.  Its window word[k:k+n-1] is
@@ -207,54 +201,60 @@ class PrefixPermutationTable:
     length-k prefix (the module identity), and the window alone fixes the
     missing letter.  ``ids[k]`` is the first position of a window equal to
     window k, so equal ids mark equal prefix permutations and the factor
-    bits[i:j] maps to the identity iff ids[i] == ids[j].  ``distinct``
-    holds when ids[k] == k throughout.
+    bits[i:j] maps to the identity iff ids[i] == ids[j].
 
-    Every g-letter factor of the decoding (g = :func:`key_letters`, at most
-    n-1), at each of its len(word)-g+1 positions, is keyed by the int of its
-    bytes.  The first len(bits)+1 keys start the windows; the last n-1-g
-    start past the last decoder state.  ``unique_factor_length`` is g when
-    all the keys differ: every g-letter factor of the decoding then occurs
-    once, so no repetition in it has excess >= g.  Otherwise it is None.
-    ``distinct`` and ``ids`` read the window keys only, and ``ids`` is built
-    on first read when they differ.
+    ``repeat`` is n-1 when a window repeats, else the length of the longest
+    factor of the decoding that occurs twice when that is g or more, else
+    g-1.  So no factor longer than ``repeat`` < n-1 letters occurs twice,
+    and ``repeat`` < n-1 exactly when ids[k] == k throughout.
+
+    Every g-letter factor of the decoding (g is the most of 1, 2, 4 or 8
+    bytes within n-1 letters, four bytes a letter for n > 255), at each of
+    its len(word)-g+1 positions, is keyed by the int of its bytes; the
+    first len(bits)+1 keys start the windows.  When the keys all differ,
+    ``ids`` is built on first read.  Otherwise only windows with repeated
+    keys are compared, and when they all differ, the starts of the repeated
+    keys are sorted by their windows: the longest common prefix of any two
+    lies between neighbours.
     """
 
     def __init__(self, bits: str, n: int):
-        self.word = decode_letters(bits, n)
-        packed = array("I", self.word) if n > 255 else self.word
+        self.word = word = decode_letters(bits, n)
+        packed = array("I", word) if n > 255 else word
         buf, step = bytes(packed), memoryview(packed).itemsize
-        width, count, g = step * (n - 1), len(bits) + 1, key_letters(n)
-        size = g * step
+        g = 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
+        width, count, size = step * (n - 1), len(bits) + 1, g * step
         # The view shifted by s bytes holds the keys of positions
         # s/step, s/step+g, ...
-        keys = [0] * (len(self.word) - g + 1)
+        keys = [0] * (len(word) - g + 1)
         for s in range(0, size, step):
             lane = len(range(s // step, len(keys), g))
             view = memoryview(buf)[s:s + lane * size].cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size])
             keys[s // step::g] = view.tolist()
-        tail = keys[count:]
-        del keys[count:]
-        seen = set(keys)
-        self.distinct = len(seen) == count
-        seen.update(tail)
-        self.unique_factor_length = g if len(seen) == count + len(tail) else None
-        del seen  # before the slow path below builds its dict
-        self._count = count
-        if not self.distinct:
+        self._count, self.repeat = count, g - 1
+        if len(set(keys)) < len(keys):
             # The first position of each key, then of each window among
             # those that share a key but differ past it.
-            first = dict(zip(reversed(keys), range(count - 1, -1, -1)))
-            self.ids = ids = list(map(first.__getitem__, keys))
+            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            firsts = list(map(first.__getitem__, keys))
+            del first  # before the windows and the sort below
+            self.ids = ids = firsts[:count]
             windows: dict[bytes, int] = {}
             for k in compress(range(count), map(ne, ids, range(count))):
                 window = buf[k * step:k * step + width]
                 if window != buf[ids[k] * step:ids[k] * step + width]:
                     ids[k] = windows.setdefault(window, k)
-            self.distinct = all(map(eq, ids, range(count)))
+            if any(map(ne, ids, range(count))):
+                self.repeat = n - 1
+            else:
+                later = list(compress(range(len(keys)), map(ne, firsts, range(len(keys)))))
+                starts = sorted({*later, *map(firsts.__getitem__, later)},
+                                key=lambda k: buf[k * step:k * step + width])
+                self.repeat = max(_agreement(word, a, b, len(word) - max(a, b))
+                                  for a, b in zip(starts, starts[1:]))
 
     @cached_property
     def ids(self) -> list[int]:
-        """Built on first read only when the window keys all differ, so
-        that each decoder state is its own first."""
+        """Built on first read only when the keys all differ, so that each
+        decoder state is its own first."""
         return list(range(self._count))

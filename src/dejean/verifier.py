@@ -24,10 +24,10 @@ start, at position 0 or after unequal letters, is extended: one pair per
 run.
 ``big_excess_free`` reports the runs without a scan.  ``power_free`` scans
 periods up to n^2-3n+1 (``Bounds.short_bound``) and takes the longer periods
-from the runs, with no premise.  When the table proves every g-letter factor
-of the decoding unique (``unique_factor_length``), no repetition has excess
->= g, and a period above (g-1)(n-1)-1 would need it, so the scan stops
-there; when a g-letter factor repeats, it reads up to n^2-3n+1.
+from the runs.  The table proves that no factor of the decoding longer than
+its ``repeat`` < n-1 letters occurs twice (or else ``repeat`` = n-1).  A
+period q above n/(n-1) needs an e-letter factor twice with e > q/(n-1), so
+the scan stops at repeat(n-1)-1 when that is lower.
 ``kernel_free`` keeps the runs with excess >= n, each n-1 letters shorter: a
 kernel repetition of the bits with period q and excess e is exactly a
 maximal run of the decoding with period q and excess e+n-1, with the same
@@ -47,8 +47,7 @@ from functools import cached_property
 from .markability import check_all_length_r_factors_markable
 from .morphisms import UniformMorphism, builtin, factor_closure, iteration_bound
 from .pansiot import canonical_prefix, decode
-from .perms import (PrefixPermutationTable, find_conjugator, key_letters, step0, step1,
-                    word_permutation)
+from .perms import PrefixPermutationTable, find_conjugator, step0, step1, word_permutation
 # find_repetitions_with_excess_at_least is not called here; perfbench/tracer.py
 # wraps it under this module, so it stays importable.
 from .words import (RepetitionOccurrence, SigmaWord, _agreement, find_repetitions_exceeding,
@@ -62,9 +61,9 @@ class Bounds:
     ``kernel_bound`` = 9n^2-6n+1 bounds the period of a kernel repetition
     once ``markability_r`` and ``iteration_bound`` hold.  ``short_bound`` =
     n^2-3n+1 bounds the period of a repetition above n/(n-1) with excess
-    e <= n-2: it forces q < e(n-1) <= (n-1)(n-2).  A word whose g-letter
-    factors are all unique has e <= g-1, so the same bound becomes
-    (g-1)(n-1)-1 there; ``power_free`` takes it only on that premise.
+    e <= n-2: it forces q < e(n-1) <= (n-1)(n-2).  Where no factor longer
+    than l < n-1 letters occurs twice, e <= l and the same bound becomes
+    l(n-1)-1; ``power_free`` takes it only on that premise.
     """
 
     kernel_bound: int
@@ -124,15 +123,13 @@ class VerificationReport:
         return json.dumps(self.to_json(), sort_keys=False)
 
     def render_text(self) -> str:
-        g, bounds = key_letters(self.n), compute_bounds(self.n)
-        tight = (g - 1) * (self.n - 1) - 1
+        bounds = compute_bounds(self.n)
         lines = [
             f"verification n={self.n} r={self.r}",
             f"  kernel scan period bound {bounds.kernel_bound} = 9n^2-6n+1; the iteration_bound and",
             f"  markability_r checks are what confine kernel repetitions below it",
-            f"  power scan periods <= {bounds.short_bound} = n^2-3n+1, or <= {tight} = (g-1)(n-1)-1"
-            f" when every g-letter",
-            f"  factor is unique (g = {g}); longer periods read off equal decoder states",
+            f"  power scan periods <= {bounds.short_bound} = n^2-3n+1, or l(n-1)-1 when no factor",
+            f"  longer than l < n-1 letters occurs twice; longer periods read off equal decoder states",
         ]
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"
@@ -225,18 +222,14 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) ->
 
 
 def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
-                unique: int | None = None) -> list[RepetitionOccurrence]:
+                repeat: int) -> list[RepetitionOccurrence]:
     """Every maximal repetition of v above n/(n-1), given ``runs``, all of
-    excess >= n-1.  A period q exceeds n/(n-1) only with excess >=
-    q//(n-1)+1.  Periods up to n^2-3n+1 are scanned; a longer one needs
-    excess >= n-1, so is in ``runs``.  When ``unique`` is given, every
-    factor of v of that length must occur once (the premise, which
-    ``PrefixPermutationTable.unique_factor_length`` proves of its word):
-    then no repetition has excess >= unique, a period above
-    (unique-1)(n-1)-1 would need it, and the scan stops there."""
-    bound = compute_bounds(n).short_bound
-    if unique is not None:
-        bound = min(bound, (unique - 1) * (n - 1) - 1)
+    excess >= n-1, and ``repeat`` as ``PrefixPermutationTable.repeat``
+    proves it of v: no factor longer than ``repeat`` < n-1 letters occurs
+    twice, or else ``repeat`` = n-1.  A period q exceeds n/(n-1) only with
+    excess >= q//(n-1)+1, so periods up to min(n^2-3n+1, repeat(n-1)-1) are
+    scanned: a longer one needs excess >= n-1, in ``runs``, or > ``repeat``."""
+    bound = min(compute_bounds(n).short_bound, repeat * (n - 1) - 1)
     occs = find_repetitions_exceeding(v, n, n - 1, bound)
     occs += [o for o in runs if o.period > bound and (n - 1) * o.length > n * o.period]
     occs.sort(key=lambda occ: (occ.start, occ.period))
@@ -245,8 +238,8 @@ def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
 
 class _Probe:
     """The morphism under test and what its checks read, each built on
-    first use: the probe encoding, its table (the decoding and the
-    decoder-state ids), their distinctness, the runs they give, and the
+    first use: the probe encoding, its table (the decoding, the
+    decoder-state ids and the repeat fact), the runs they give, and the
     verdicts of the checks run on it."""
 
     def __init__(self, h: UniformMorphism):
@@ -270,7 +263,7 @@ class _Probe:
     @cached_property
     def runs(self) -> list[RepetitionOccurrence]:
         """Every maximal run of the decoding with excess >= n-1."""
-        if self.table.distinct:
+        if self.table.repeat < self.h.n - 1:
             return []
         return _collision_runs(self.table.word, self.table.ids, self.h.n - 1)
 
@@ -346,7 +339,7 @@ def _check_big_excess(p: _Probe) -> tuple[bool, str]:
 
 def _check_power(p: _Probe) -> tuple[bool, str]:
     n, v = p.h.n, p.table.word
-    occs = _power_runs(v, n, p.runs, p.table.unique_factor_length)
+    occs = _power_runs(v, n, p.runs, p.table.repeat)
     if occs:
         return False, (f"{len(occs)} repetitions above {n}/{n - 1}; "
                        f"first: {occs[0].describe()}")

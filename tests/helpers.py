@@ -213,6 +213,34 @@ def repeated_factor_starts(word, g):
     return repeats
 
 
+def brute_longest_repeat(word, cap):
+    """The length of the longest factor that occurs at two positions of
+    ``word``, capped at ``cap``: the largest m <= cap for which two of its
+    m-letter slices are equal (0 when none is)."""
+    letters = tuple(word)
+    m = 0
+    while m < cap and len({letters[k:k + m + 1] for k in range(len(letters) - m)}) < len(letters) - m:
+        m += 1
+    return m
+
+
+def repeat_case(table, n, g):
+    """Asserts ``table.repeat`` against :func:`brute_longest_repeat` of its
+    word, capped at n-1, for key width g: n-1 exactly when the brute length
+    reaches n-1, the brute length when it is g or more, and otherwise g-1,
+    which the brute length does not exceed.  Returns the case met:
+    "window", "longest" or "keys"."""
+    brute = brute_longest_repeat(table.word, n - 1)
+    if brute >= n - 1:
+        assert table.repeat == n - 1, (n, brute, table.repeat)
+        return "window"
+    if brute >= g:
+        assert table.repeat == brute, (n, brute, table.repeat)
+        return "longest"
+    assert brute <= g - 1 == table.repeat, (n, brute, table.repeat)
+    return "keys"
+
+
 def spy_power_bounds(monkeypatch):
     """The ``max_period`` of each power scan the verifier makes, in order."""
     bounds = []

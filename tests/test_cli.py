@@ -382,6 +382,26 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["overall"] is True
 
+    @pytest.mark.parametrize("target", ["all", "26"])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_closed_stdout_exits_quietly(self, target, buffered):
+        """stdout is a pipe whose read end is already closed, so the first
+        write to it raises: in ``print`` when unbuffered, and at the latest
+        in ``main``'s flush.  Exit 1, nothing on stderr."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dejean", "verify", target],
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=300, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
 

@@ -4,10 +4,10 @@ The verifier builds one list of runs from equal decoder-state ids: they
 are the ``big_excess_free`` witnesses, ``power_free`` bounds its scan by
 n^2-3n+1 and adds the long-period runs among them, and ``kernel_free``
 keeps those with excess >= n, each n-1 letters shorter, cut to periods
-within 9n^2-6n+1.  ``power_free`` scans only up to (g-1)(n-1)-1 where the
-table proves every g-letter factor of the probe word unique (g = 8 here),
-and up to n^2-3n+1 wherever one repeats: the window mutants, three of the
-builtins and the periodic n = 26 morphism.  The unbounded scans are the
+within 9n^2-6n+1.  ``power_free`` scans only up to repeat(n-1)-1 where the
+table proves that no factor of the probe word longer than ``repeat`` < n-1
+letters occurs twice, and up to n^2-3n+1 where a decoder state repeats:
+the window mutants and the periodic n = 26 morphism.  The unbounded scans are the
 oracle: on every mutant each of the three checks must report the count
 and the first witness that the oracle finds, the kernel oracle cut to
 periods within the bound, and the runs read off the ids must equal the
@@ -35,7 +35,8 @@ from dejean.verifier import (_collision_runs, _Probe, _power_runs, compute_bound
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
-from helpers import brute_kernel_repetitions, occ_triples, repeated_factor_starts, spy_power_bounds
+from helpers import (brute_kernel_repetitions, brute_longest_repeat, load_perfbench_mutants,
+                     occ_triples, repeat_case, spy_power_bounds)
 
 SEED = 20261018
 _COUNT_AND_FIRST = re.compile(r"^(\d+) (?:kernel )?repetitions .*; first: (.*)$")
@@ -138,16 +139,15 @@ def test_collision_runs_equal_unbounded_scans(results, label):
     h, _, excess, power, _ = results[label]
     probe = _Probe(h)
     assert probe.runs == excess
-    assert _power_runs(probe.table.word, h.n, probe.runs) == power
-    assert _power_runs(probe.table.word, h.n, probe.runs,
-                       probe.table.unique_factor_length) == power
+    assert _power_runs(probe.table.word, h.n, probe.runs, h.n - 1) == power
+    assert _power_runs(probe.table.word, h.n, probe.runs, probe.table.repeat) == power
 
 
 def test_distinct_states_leave_no_kernel_repetition(results):
     """While the decoder states are distinct the verifier builds no runs,
     so the kernel check reads none; on those mutants the unbounded scan
     finds nothing."""
-    distinct = [label for label, h in MUTANTS if _Probe(h).table.distinct]
+    distinct = [label for label, h in MUTANTS if _Probe(h).table.repeat < h.n - 1]
     assert distinct and len(distinct) < len(MUTANTS)
     for label in distinct:
         assert results[label][4] == [], label
@@ -187,7 +187,7 @@ def test_verification_builds_one_run_list(monkeypatch):
     """All three repetition checks read the same runs: one collision pass
     per verification, also when the decoder-state ids repeat."""
     h = dict(PERIODIC)["periodic-6"]
-    assert not _Probe(h).table.distinct
+    assert _Probe(h).table.repeat == h.n - 1
     calls = []
 
     def counted(*args, **kwargs):
@@ -218,7 +218,7 @@ def test_builtin_power_scan_matches_unbounded_scan(n):
     v = probe.table.word
     power = find_repetitions_exceeding(v, n, n - 1)
     _assert_matches_oracle(run_check("power_free", n), power)
-    assert _power_runs(v, n, probe.runs, probe.table.unique_factor_length) == power
+    assert _power_runs(v, n, probe.runs, probe.table.repeat) == power
 
 
 def test_periodic_26_power_scan_matches_unbounded_scan():
@@ -227,14 +227,14 @@ def test_periodic_26_power_scan_matches_unbounded_scan():
     power = find_repetitions_exceeding(v, 26, 25)
     assert len(power) == 2170
     _assert_matches_oracle(run_check("power_free", PERIODIC_26), power)
-    assert _power_runs(v, 26, probe.runs, probe.table.unique_factor_length) == power
+    assert _power_runs(v, 26, probe.runs, probe.table.repeat) == power
 
 
 def test_power_scan_bound_follows_premise(monkeypatch):
-    """The power check scans periods up to (g-1)(n-1)-1, for the key width
-    g = 8, exactly where no 8-letter factor of the probe word repeats
-    (found here by slicing the plain decoding), and up to n^2-3n+1
-    wherever one does."""
+    """The power check scans periods up to repeat(n-1)-1, for the longest
+    repeated factor of the probe word (found here by slicing the plain
+    decoding) or g-1 = 7 when that is shorter, wherever its decoder states
+    are distinct, and up to n^2-3n+1 wherever one repeats."""
     cases = [(f"builtin-{n}", builtin(n)) for n in BUILTIN_SIZES] + MUTANTS
     cases.append(("periodic-26", PERIODIC_26))
     bounds = spy_power_bounds(monkeypatch)
@@ -244,16 +244,32 @@ def test_power_scan_bound_follows_premise(monkeypatch):
         scanned[label] = bounds.pop()
         assert not bounds, label
         short = compute_bounds(h.n).short_bound
-        if repeated_factor_starts(probe_word(h).letters, 8):
+        longest = brute_longest_repeat(probe_word(h).letters, h.n - 1)
+        if longest == h.n - 1:
             assert scanned[label] == short, label
         else:
-            assert scanned[label] == min(short, 7 * (h.n - 1) - 1), label
+            assert scanned[label] == min(short, max(longest, 7) * (h.n - 1) - 1), label
             tight.append(label)
-    assert tight == [f"builtin-{n}" for n in (15, 16, 17, 19, 20, 21, 24, 25, 26)] + [
-        "swap-15", "flip-16", "swap-16"]
+    assert tight == [f"builtin-{n}" for n in BUILTIN_SIZES] + ["swap-15", "flip-16", "swap-16"]
     assert (scanned["builtin-15"], scanned["builtin-26"]) == (97, 174)
-    assert (scanned["builtin-18"], scanned["builtin-23"]) == (271, 461)
+    assert [scanned[f"builtin-{n}"] for n in (18, 22, 23)] == [135, 209, 241]
     assert (scanned["window-15"], scanned["periodic-26"]) == (181, 599)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_repeat_matches_brute_on_benchmark_mutants(seed):
+    """``repeat`` against the brute-force longest repeated factor of the
+    probe word, on the benchmark's mutants (g = 8 at n = 15..20): the
+    window mutants repeat a decoder state, the point mutants do not."""
+    cases = []
+    for m in load_perfbench_mutants().generate(seed):
+        table = PrefixPermutationTable(probe_encoding(UniformMorphism(m.n, m.image0, m.image1)), m.n)
+        cases.append(repeat_case(table, m.n, 8) == "window")
+    assert cases == [False] * 12 + [True] * 2
+
+
+def test_repeat_of_periodic_26():
+    assert repeat_case(_Probe(PERIODIC_26).table, 26, 8) == "window"
 
 
 def test_window_mutant_power_scan_falls_back_to_all_periods(results):
@@ -267,9 +283,9 @@ def test_window_mutant_power_scan_falls_back_to_all_periods(results):
                                              report.check("power_free").witness)
     by_name = run_check("power_free", h)
     assert (by_name.passed, by_name.witness) == (alone.passed, alone.witness)
-    assert ("power scan periods <= 181 = n^2-3n+1, or <= 97 = (g-1)(n-1)-1 when every"
-            " g-letter\n  factor is unique (g = 8); longer periods read off equal decoder"
-            " states") in report.render_text()
+    assert ("power scan periods <= 181 = n^2-3n+1, or l(n-1)-1 when no factor\n  longer than"
+            " l < n-1 letters occurs twice; longer periods read off equal decoder states"
+            ) in report.render_text()
 
 
 # Morphisms that fail the kernel bound's premise, whose decoder-state ids

@@ -15,7 +15,8 @@ from dejean.verifier import (CHECK_NAMES, _collision_runs, _kernel_runs, _power_
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
-from helpers import brute_kernel_repetitions, occ_triples, repeated_factor_starts, spy_power_bounds
+from helpers import (brute_kernel_repetitions, occ_triples, repeat_case, repeated_factor_starts,
+                     spy_power_bounds)
 
 
 class TestBounds:
@@ -163,62 +164,93 @@ class TestDecoderStateIdentity:
                     runs = _collision_runs(v, v_ids, n - 1)
                     assert runs == find_repetitions_with_excess_at_least(v, n - 1), (n, v)
                     power = find_repetitions_exceeding(v, n, n - 1)
-                    assert _power_runs(v, n, runs) == power, (n, v)
+                    assert _power_runs(v, n, runs, n - 1) == power, (n, v)
                     seen.add("runs" if runs else "no runs")
                     seen.update("long" if o.period > bound else "at bound"
                                 for o in power if o.period >= bound)
         assert seen == {"runs", "no runs", "long", "at bound"}
 
 
-class TestUniqueFactorPremise:
-    """``unique_factor_length`` against its definition, and the power scan it
-    bounds against the unbounded scan.  The key width g is 1 letter at
-    n = 2, 2 at n = 3 and 4, 4 at n = 5..8, 8 at n = 9, and 2 at n = 300,
-    four bytes a letter; the bound (g-1)(n-1)-1 is below n^2-3n+1 at
-    n = 4, 6, 7, 8 and 300."""
+class TestRepeatFact:
+    """``repeat`` against the brute-force longest repeated factor, and the
+    power scan it bounds against the unbounded scan.  The key width g is 1
+    letter at n = 2, 2 at n = 3 and 4, 4 at n = 5..8, 8 at n = 9..12, and 2
+    at n = 300, four bytes a letter; g = n-1 at n = 2, 3, 5 and 9."""
 
-    WIDTHS = {2: 1, 3: 2, 4: 2, 5: 4, 6: 4, 7: 4, 8: 4, 9: 8, 300: 2}
+    WIDTHS = {2: 1, 3: 2, 4: 2, 5: 4, 6: 4, 7: 4, 8: 4, 9: 8, 10: 8, 11: 8, 12: 8, 300: 2}
 
-    def test_every_key_width(self):
-        rng = random.Random(25)
+    def test_random_and_periodic_words(self):
+        rng = random.Random(28)
         seen = set()
         for n, g in self.WIDTHS.items():
-            words = ["", "1", "0" * rng.randint(2, 60), "1" * rng.randint(2, 60)]
+            words = ["", "1", "0" * rng.randint(2, 60), "1" * rng.randint(2, 60),
+                     "0" * rng.randint(n - 1, n + 9)]
             for _ in range(4 if n > 255 else 30):
                 length = rng.randint(0, 300 if n > 255 else rng.choice((20, 300)))
                 words.append("".join(rng.choice("01") for _ in range(length)))
+            for _ in range(4):
+                unit = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
+                words.append(unit * rng.randint(1, 40))
             for bits in words:
                 table = PrefixPermutationTable(bits, n)
                 letters = decode(bits, canonical_prefix(n)).letters
                 first: dict = {}
                 ids = [first.setdefault(letters[k:k + n - 1], k) for k in range(len(bits) + 1)]
                 assert table.ids == ids, (n, bits)
-                assert table.distinct == (ids == list(range(len(bits) + 1))), (n, bits)
-                unique = not repeated_factor_starts(letters, g)
-                assert table.unique_factor_length == (g if unique else None), (n, bits)
+                assert (table.repeat < n - 1) == (ids == list(range(len(bits) + 1))), (n, bits)
+                case = repeat_case(table, n, g)
                 runs = _collision_runs(table.word, table.ids, n - 1)
                 power = find_repetitions_exceeding(table.word, n, n - 1)
-                assert _power_runs(table.word, n, runs, table.unique_factor_length) == power, (n, bits)
-                seen.add((n, unique))
-                if unique and power:
-                    seen.add("repetitions under the premise")
-        assert seen >= {(n, u) for n in self.WIDTHS for u in (False, True)}
-        assert "repetitions under the premise" in seen
+                assert _power_runs(table.word, n, runs, table.repeat) == power, (n, bits)
+                seen.add((n, case == "window"))
+                seen.add(case)
+                if case != "window" and power:
+                    seen.add("repetitions under the fact")
+        assert seen >= {(n, w) for n in self.WIDTHS for w in (False, True)}
+        assert seen >= {"window", "longest", "keys", "repetitions under the fact"}
 
-    @pytest.mark.parametrize("n,bits", [(6, "110110011011001101001010011111"),
-                                        (12, "11100101010011111111100")])
-    def test_repeat_past_the_last_state_voids_the_premise(self, n, bits, monkeypatch):
+    @pytest.mark.parametrize("n,bits,repeat", [(6, "110110011011001101001010011111", 4),
+                                               (12, "11100101010011111111100", 8)])
+    def test_repeat_past_the_last_state(self, n, bits, repeat, monkeypatch):
         """The only repeated g-letter factor starts past the last decoder
-        state: the states stay distinct, the premise fails, and the power
-        scan reads up to n^2-3n+1."""
+        state: the states stay distinct, the tail key counts, and the power
+        scan reads up to repeat(n-1)-1."""
         table = PrefixPermutationTable(bits, n)
-        assert repeated_factor_starts(table.word, self.WIDTHS.get(n, 8)) == [len(bits) + 1]
-        assert table.distinct
-        assert table.unique_factor_length is None
+        assert repeated_factor_starts(table.word, self.WIDTHS[n]) == [len(bits) + 1]
+        assert table.ids == list(range(len(bits) + 1))
+        assert table.repeat == repeat
+        assert repeat_case(table, n, self.WIDTHS[n]) == "longest"
         bounds = spy_power_bounds(monkeypatch)
-        occs = _power_runs(table.word, n, [], table.unique_factor_length)
-        assert bounds == [compute_bounds(n).short_bound]
+        occs = _power_runs(table.word, n, [], table.repeat)
+        assert bounds == [min(compute_bounds(n).short_bound, repeat * (n - 1) - 1)]
         assert occs == find_repetitions_exceeding(table.word, n, n - 1)
+
+    @pytest.mark.parametrize("n,bits,repeat", [(7, "000011101001011110111010111", 5),
+                                               (8, "10001010100000101000000", 6)])
+    def test_longest_repeat_between_later_occurrences(self, n, bits, repeat):
+        """The longest repeated factor starts at two later positions of its
+        g-letter key: each position against the key's first finds less."""
+        table = PrefixPermutationTable(bits, n)
+        word, g = table.word, self.WIDTHS[n]
+        first: dict = {}
+        against_first = 0
+        for p in range(len(word) - g + 1):
+            f = first.setdefault(word[p:p + g], p)
+            m = 0
+            while f != p and p + m < len(word) and word[f + m] == word[p + m]:
+                m += 1
+            against_first = max(against_first, m)
+        assert against_first < repeat == table.repeat
+        assert repeat_case(table, n, g) == "longest"
+
+    def test_builtins(self):
+        """g = 8 from n = 9 on; the longest repeated factor of the builtin
+        probe words is 8, 10 and 11 letters at n = 18, 22 and 23, and
+        shorter than 8 at the others."""
+        tables = {n: PrefixPermutationTable(probe_encoding(n), n) for n in BUILTIN_SIZES}
+        assert {n: t.repeat for n, t in tables.items()} == {
+            n: {18: 8, 22: 10, 23: 11}.get(n, 7) for n in BUILTIN_SIZES}
+        assert [n for n, t in tables.items() if repeat_case(t, n, 8) == "longest"] == [18, 22, 23]
 
 
 def _equal_key_pairs(keys):
@@ -375,9 +407,8 @@ class TestVerify:
 
     def test_render_text_states_power_scan_scope(self):
         text = verify(15).render_text()
-        assert ("power scan periods <= 181 = n^2-3n+1, or <= 97 = (g-1)(n-1)-1 when every"
-                " g-letter\n  factor is unique (g = 8); longer periods read off equal decoder"
-                " states") in text
+        assert ("power scan periods <= 181 = n^2-3n+1, or l(n-1)-1 when no factor\n  longer than"
+                " l < n-1 letters occurs twice; longer periods read off equal decoder states") in text
 
     def test_unbounded_kernel_scan_agrees_for_builtin(self):
         bounded = verify(15).check("kernel_free")
