@@ -213,12 +213,16 @@ def test_builtin_decisive_checks_match_unbounded_scans(n):
 def test_builtin_power_scan_matches_unbounded_scan(n):
     """Where the table proves its premise the power check scans fewer
     periods; it still reports the unbounded scan's count and first witness,
-    and ``_power_runs`` returns its full list."""
+    and ``_power_runs`` returns its full list.  ``repeat`` is the longest
+    repeated factor, 8, 10 and 11 letters, at n = 18, 22 and 23, and g-1 = 7
+    at the others, where that factor is shorter than 8."""
     probe = _Probe(builtin(n))
     v = probe.table.word
     power = find_repetitions_exceeding(v, n, n - 1)
     _assert_matches_oracle(run_check("power_free", n), power)
     assert _power_runs(v, n, probe.runs, probe.table.repeat) == power
+    assert probe.table.repeat == {18: 8, 22: 10, 23: 11}.get(n, 7)
+    assert repeat_case(probe.table, n, 8) == ("longest" if n in (18, 22, 23) else "keys")
 
 
 def test_periodic_26_power_scan_matches_unbounded_scan():
@@ -228,6 +232,7 @@ def test_periodic_26_power_scan_matches_unbounded_scan():
     assert len(power) == 2170
     _assert_matches_oracle(run_check("power_free", PERIODIC_26), power)
     assert _power_runs(v, 26, probe.runs, probe.table.repeat) == power
+    assert repeat_case(probe.table, 26, 8) == "window"
 
 
 def test_power_scan_bound_follows_premise(monkeypatch):
@@ -266,10 +271,6 @@ def test_repeat_matches_brute_on_benchmark_mutants(seed):
         table = PrefixPermutationTable(probe_encoding(UniformMorphism(m.n, m.image0, m.image1)), m.n)
         cases.append(repeat_case(table, m.n, 8) == "window")
     assert cases == [False] * 12 + [True] * 2
-
-
-def test_repeat_of_periodic_26():
-    assert repeat_case(_Probe(PERIODIC_26).table, 26, 8) == "window"
 
 
 def test_window_mutant_power_scan_falls_back_to_all_periods(results):

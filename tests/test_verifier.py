@@ -243,15 +243,6 @@ class TestRepeatFact:
         assert against_first < repeat == table.repeat
         assert repeat_case(table, n, g) == "longest"
 
-    def test_builtins(self):
-        """g = 8 from n = 9 on; the longest repeated factor of the builtin
-        probe words is 8, 10 and 11 letters at n = 18, 22 and 23, and
-        shorter than 8 at the others."""
-        tables = {n: PrefixPermutationTable(probe_encoding(n), n) for n in BUILTIN_SIZES}
-        assert {n: t.repeat for n, t in tables.items()} == {
-            n: {18: 8, 22: 10, 23: 11}.get(n, 7) for n in BUILTIN_SIZES}
-        assert [n for n, t in tables.items() if repeat_case(t, n, 8) == "longest"] == [18, 22, 23]
-
 
 def _equal_key_pairs(keys):
     return sum(c * (c - 1) // 2 for c in Counter(keys).values())
