@@ -12,7 +12,8 @@ Decoding only copies the oldest window letter or the missing letter, so
 state (window, missing letter) and applies it by ``bytes.translate``.  For
 n > 255, and for the last len(bits) % 8 bits, it runs the plain loop.
 ``decode_letters`` returns those letters unchecked (``bytes`` for n < 256);
-``decode`` wraps them in a checked ``SigmaWord``.
+``decode`` wraps them in a checked ``SigmaWord``.  ``end_state`` moves the
+state alone through the same chunk steps and emits no letter.
 """
 
 from functools import lru_cache
@@ -69,6 +70,28 @@ def decode_letters(bits: str, n: int) -> bytes | list[int]:
     """The letters of ``decode(bits, canonical_prefix(n))`` without its
     ``SigmaWord`` check: ``bytes`` for n < 256, else a list."""
     return _letters(bits, canonical_prefix(n).letters, n)
+
+
+def end_state(bits: str, n: int) -> tuple[int, ...]:
+    """The decoder state after ``bits`` from ``canonical_prefix(n)``: the
+    last n-1 letters of the decoding, then the missing letter.
+
+    It is no decoding, so a verification that reads permutation images
+    still decodes its probe once: each 8-bit chunk only sends the state
+    through its step of ``_chunk_steps``, no letter of the word is emitted,
+    and ``_letters`` never runs.  The plain loop takes n > 255 and the last
+    len(bits) % 8 bits."""
+    window, missing = canonical_prefix(n).letters, n
+    bits = check_binary(bits)
+    full = len(bits) - len(bits) % 8 if n < 256 else 0
+    if full:
+        steps, state, pad = _chunk_steps(n), bytes((*window, missing)), bytes(256 - n)
+        for code in int(bits[:full], 2).to_bytes(full // 8, "big"):
+            state = steps[code][1].translate(state + pad)
+        window, missing = tuple(state[:-1]), state[-1]
+    letters = _decode_loop(bits[full:], window, missing)
+    window = letters[len(letters) - n + 1:]
+    return (*window, n * (n + 1) // 2 - sum(window))
 
 
 def _letters(bits: str, prefix: tuple[int, ...], missing: int) -> bytes | list[int]:

@@ -7,10 +7,12 @@ product of its letters' generators, so word_permutation(u + v) equals
 word_permutation(u) * word_permutation(v).  This orientation is the one
 under which the codeword of a window-distinct word starting 1 2 ... n-1
 maps i to the i-th entry of (last n-1 letters, missing letter); the
-property suite pins it.  ``PrefixPermutationTable`` rests on that identity:
-it names each prefix permutation of a word by the first position of an
-equal window of its decoding, told apart by int keys read in bulk (whole
-windows only where keys repeat), and composes nothing.
+property suite pins it.  ``word_permutation`` and ``is_kernel_word`` read
+that state off the decoder 8 bits per step, and ``PrefixPermutationTable``
+names each prefix permutation of a word by the first position of an equal
+window of its decoding.  The table hashes every key of its decoding once,
+into one dict, and compares whole windows only where keys repeat; neither
+composes a generator.
 
 Simultaneous conjugacy onto (step0, step1) is defined once, by the splice
 lists of ``h0_splices`` and ``h1_splices``: ``find_conjugator`` and the
@@ -18,13 +20,13 @@ search's pairing both read them.
 """
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
-from operator import ne
+from operator import sub
 
-from .pansiot import decode_letters
-from .words import _agreement, check_binary
+from .pansiot import decode_letters, end_state
+from .words import _agreement
 
 
 @dataclass(frozen=True)
@@ -111,22 +113,17 @@ def step1(n: int) -> Permutation:
     return Permutation(_step_images(n)[1])
 
 
-def _word_images(bits: str, n: int) -> tuple[int, ...]:
-    s0, s1 = _step_images(n)
-    p = tuple(range(1, n + 1))
-    for ch in check_binary(bits):
-        p = _compose(p, s1 if ch == "1" else s0)
-    return p
-
-
 def word_permutation(bits: str, n: int) -> Permutation:
-    """Homomorphic image of a binary word."""
-    return Permutation(_word_images(bits, n))
+    """Homomorphic image of a binary word.  By the module identity it is the
+    decoder state the word leads to from 1 2 ... n-1, which
+    :func:`pansiot.end_state` reads 8 bits per step; no generator is
+    composed."""
+    return Permutation(end_state(bits, n))
 
 
 def is_kernel_word(bits: str, n: int) -> bool:
     """True when the word maps to the identity."""
-    return _word_images(bits, n) == tuple(range(1, n + 1))
+    return end_state(bits, n) == tuple(range(1, n + 1))
 
 
 def find_conjugator(a0: Permutation, a1: Permutation, n: int) -> Permutation | None:
@@ -192,6 +189,19 @@ def h1_splices(a0: bytes) -> list[bytes]:
     return [a0.translate(swaps[a0[y - 1]]) for y in reversed(cyc)]
 
 
+def _missing(present, total: int) -> list[int]:
+    """The positions of range(total) that ``present`` (distinct, inside the
+    range) lacks, in order.  Below the i-th smallest present position p
+    (from 0) lie p - i missing ones; that count never falls and grows
+    exactly across a gap, so one bisection over it finds each gap."""
+    held = [-1, *sorted(present), total]
+    behind = list(map(sub, held, range(-1, len(held) - 1)))
+    missing, i = [], 0
+    while (i := bisect_right(behind, behind[i])) < len(held):
+        missing += range(held[i - 1] + 1, held[i])
+    return missing
+
+
 class PrefixPermutationTable:
     """Decoder-state ids of a binary word and the repeat fact of its decoding.
 
@@ -211,11 +221,15 @@ class PrefixPermutationTable:
     Every g-letter factor of the decoding (g is the most of 1, 2, 4 or 8
     bytes within n-1 letters, four bytes a letter for n > 255), at each of
     its len(word)-g+1 positions, is keyed by the int of its bytes; the
-    first len(bits)+1 keys start the windows.  When the keys all differ,
-    ``ids`` is built on first read.  Otherwise only windows with repeated
-    keys are compared, and when they all differ, the starts of the repeated
-    keys are sorted by their windows: the longest common prefix of any two
-    lies between neighbours.
+    first len(bits)+1 keys start the windows.  One pass, lane by lane off
+    ``memoryview`` casts, maps each key to one of its positions, so the
+    keys all differ exactly when the dict holds every position, and then
+    ``ids`` is built on first read.  Otherwise each key still holds exactly
+    one position, so the positions that no key holds (``_missing``) are
+    exactly the other occurrences of repeated keys; each finds its held
+    partner through its key.  Only windows at those starts are compared,
+    and when they all differ, the starts are sorted by their windows: the
+    longest common prefix of any two lies between neighbours.
     """
 
     def __init__(self, bits: str, n: int):
@@ -223,38 +237,40 @@ class PrefixPermutationTable:
         packed = array("I", word) if n > 255 else word
         buf, step = bytes(packed), memoryview(packed).itemsize
         g = 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
-        width, count, size = step * (n - 1), len(bits) + 1, g * step
-        # The view shifted by s bytes holds the keys of positions
-        # s/step, s/step+g, ...
-        keys = [0] * (len(word) - g + 1)
-        for s in range(0, size, step):
-            lane = len(range(s // step, len(keys), g))
-            view = memoryview(buf)[s:s + lane * size].cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size])
-            keys[s // step::g] = view.tolist()
+        width, count, size, total = step * (n - 1), len(bits) + 1, g * step, len(word) - g + 1
+        # Lane s, the bytes shifted by s letters, holds the keys of positions
+        # s, s+g, ...
+        lanes = [memoryview(buf)[s * step:s * step + len(range(s, total, g)) * size]
+                 .cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size]) for s in range(g)]
+        last: dict[int, int] = {}
+        for s, lane in enumerate(lanes):
+            last.update(zip(lane, range(s, total, g)))
         self._count, self.repeat = count, g - 1
-        if len(set(keys)) < len(keys):
-            # The first position of each key, then of each window among
-            # those that share a key but differ past it.
-            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-            firsts = list(map(first.__getitem__, keys))
-            del first  # before the windows and the sort below
-            self.ids = ids = firsts[:count]
+        if len(last) < total:
+            # Each key holds one of its positions, so the positions missing
+            # from the held ones are the other occurrences of repeated keys.
+            others = _missing(last.values(), total)
+            keys = [0] * total
+            for s, lane in enumerate(lanes):
+                keys[s::g] = lane.tolist()
+            partners = set(map(last.__getitem__, map(keys.__getitem__, others)))
+            starts = sorted([*others, *partners])
+            del others, keys, last, partners  # before the windows and the sort below
             windows: dict[bytes, int] = {}
-            for k in compress(range(count), map(ne, ids, range(count))):
-                window = buf[k * step:k * step + width]
-                if window != buf[ids[k] * step:ids[k] * step + width]:
-                    ids[k] = windows.setdefault(window, k)
-            if any(map(ne, ids, range(count))):
+            early = starts[:bisect_left(starts, count)]
+            firsts = [windows.setdefault(buf[k * step:k * step + width], k) for k in early]
+            if len(windows) < len(early):
+                self.ids = ids = list(range(count))
+                for k, first in zip(early, firsts):
+                    ids[k] = first
                 self.repeat = n - 1
             else:
-                later = list(compress(range(len(keys)), map(ne, firsts, range(len(keys)))))
-                starts = sorted({*later, *map(firsts.__getitem__, later)},
-                                key=lambda k: buf[k * step:k * step + width])
+                starts.sort(key=lambda k: buf[k * step:k * step + width])
                 self.repeat = max(_agreement(word, a, b, len(word) - max(a, b))
                                   for a, b in zip(starts, starts[1:]))
 
     @cached_property
     def ids(self) -> list[int]:
-        """Built on first read only when the keys all differ, so that each
-        decoder state is its own first."""
+        """Built on first read only when every window differs, so that
+        each decoder state is its own first."""
         return list(range(self._count))

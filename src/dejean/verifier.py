@@ -159,10 +159,14 @@ def probe_word(source) -> SigmaWord:
     return decode(probe_encoding(h), canonical_prefix(h.n))
 
 
-def _collision_runs(w, keys, span: int,
-                    max_period: int | None = None) -> list[RepetitionOccurrence]:
+def _collision_runs(w, keys, span: int, max_period: int | None = None,
+                    trim: int = 0) -> list[RepetitionOccurrence]:
     """The maximal runs of ``w`` through equal keys, once each, sorted by
     (start, period).  Periods above ``max_period`` (when given) are skipped.
+    Each run is reported ``trim`` letters shorter, and only when that leaves
+    it some excess.  A pair is extended and built only when its first
+    max(span, trim+1) letters agree, one slice compare; any other pair is
+    checked against the first premise below on span letters and dropped.
 
     Two premises, both enforced (ValueError): keys[a] == keys[b] for a < b
     must make w[a:b+span] a factor of period b - a, and equal keys whose
@@ -173,11 +177,11 @@ def _collision_runs(w, keys, span: int,
     w[a-1] != w[b-1], and only that pair is extended: each bucket of equal
     keys is split by the letter before each position (none before 0), and
     a position pairs only with earlier ones of the other groups."""
-    L = len(w)
+    L, head = len(w), max(span, trim + 1)
     buckets: dict = {}
+    found = []  # (start, period, length): (start, period) is unique
     for b, key in enumerate(keys):
         buckets.setdefault(key, []).append(b)
-    occs = []
     for bucket in buckets.values():
         if len(bucket) < 2:
             continue
@@ -197,13 +201,16 @@ def _collision_runs(w, keys, span: int,
                     q = b - a
                     if max_period is not None and q > max_period:
                         break
-                    m = _agreement(w, b, a, L - b)
-                    if m < span:
-                        raise ValueError(f"equal keys at {a} and {b} do not start a factor"
-                                         f" of period {q}")
-                    occs.append(RepetitionOccurrence(a, q, q + m))
-    occs.sort(key=lambda occ: (occ.start, occ.period))
-    return occs
+                    if w[a:a + head] != w[b:b + head]:
+                        # A mismatch within span letters breaks the premise;
+                        # past them, the run has too little excess to keep.
+                        if w[a:a + span] != w[b:b + span]:
+                            raise ValueError(f"equal keys at {a} and {b} do not start a"
+                                             f" factor of period {q}")
+                        continue
+                    found.append((a, q, q + _agreement(w, b, a, L - b) - trim))
+    found.sort()
+    return [RepetitionOccurrence(*t) for t in found]
 
 
 def _kernel_runs(runs, n: int, max_period: int | None = None) -> list[RepetitionOccurrence]:
@@ -215,10 +222,11 @@ def _kernel_runs(runs, n: int, max_period: int | None = None) -> list[Repetition
 def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) -> list[RepetitionOccurrence]:
     """Occurrences u = b[i:j] with a period q < j-i whose period word maps to
     the identity permutation, maximal, deduplicated by (start, period) and
-    sorted, read off the runs of the decoding.  ``max_period`` caps the
-    period and cuts the collision scan there (``dejean kernel-scan``)."""
+    sorted, read off the runs of the decoding, n-1 letters shorter: only
+    runs with excess >= n give one.  ``max_period`` caps the period and cuts
+    the collision scan there (``dejean kernel-scan``)."""
     table = PrefixPermutationTable(bits, n)
-    return _kernel_runs(_collision_runs(table.word, table.ids, n - 1, max_period), n)
+    return _collision_runs(table.word, table.ids, n - 1, max_period, trim=n - 1)
 
 
 def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],

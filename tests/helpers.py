@@ -12,7 +12,7 @@ from pathlib import Path
 import dejean.verifier
 from dejean.markability import MarkabilityReport, PhaseConflict
 from dejean.morphisms import factor_closure
-from dejean.perms import word_permutation
+from dejean.perms import Permutation, step0, step1
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -118,14 +118,22 @@ def brute_find_excess(w, min_excess):
 
 def prefix_permutations(bits, n):
     """The image of every prefix of ``bits``, each the image of the previous
-    prefix times the image of one more bit: the composition oracle of the
-    decoder-state ids."""
-    p = word_permutation("", n)
+    prefix times the generator of one more bit, ``step0`` or ``step1``: the
+    composition oracle of the decoder-state ids and of ``word_permutation``.
+    It composes ``Permutation`` products and shares nothing with the
+    decoder."""
+    generators = {"0": step0(n), "1": step1(n)}
+    p = Permutation(tuple(range(1, n + 1)))
     out = [p]
     for ch in bits:
-        p = p * word_permutation(ch, n)
+        p = p * generators[ch]
         out.append(p)
     return out
+
+
+def brute_word_permutation(bits, n):
+    """The image of ``bits``: the last of :func:`prefix_permutations`."""
+    return prefix_permutations(bits, n)[-1]
 
 
 def brute_kernel_repetitions(bits, n):

@@ -4,14 +4,16 @@ import re
 
 import pytest
 
-from dejean.morphisms import BUILTIN_SIZES, builtin
+from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.pansiot import _decode_loop, canonical_prefix, decode, encode
-from dejean.perms import (Permutation, PrefixPermutationTable, find_conjugator, h0_splices,
-                          is_kernel_word, step0, step1, word_permutation)
+from dejean.perms import (Permutation, PrefixPermutationTable, _missing, find_conjugator,
+                          h0_splices, is_kernel_word, step0, step1, word_permutation)
 from dejean.search import classify_candidate
 from dejean.verifier import find_kernel_repetitions, probe_encoding
 from dejean.words import SigmaWord
-from helpers import brute_kernel_repetitions, occ_triples, prefix_permutations, same_partition
+from helpers import (brute_kernel_repetitions, brute_word_permutation, load_perfbench_mutants,
+                     occ_triples, prefix_permutations, repeat_case, repeated_factor_starts,
+                     same_partition)
 
 
 class TestPermutation:
@@ -72,6 +74,24 @@ class TestWordPermutation:
         assert is_kernel_word("", 5)
         assert not is_kernel_word("01", 3)
         assert is_kernel_word("11", 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 15, 26, 255, 256, 300])
+    def test_matches_generator_products(self, n):
+        """The images read off the decoder state against the product of
+        step0 and step1 permutations, for every length 0..70: whole 8-bit
+        chunks, a partial last chunk, and the plain loop above 255."""
+        rng = random.Random(900 + n)
+        identity = tuple(range(1, n + 1))
+        words = ["".join(rng.choice("01") for _ in range(length)) for length in range(71)]
+        words += [w for w in ("1" * n, "0" * (n - 1), "1" * n + "0" * (n - 1) + "1" * n)
+                  if len(w) <= 70]
+        nonempty_kernel = False
+        for bits in words:
+            want = brute_word_permutation(bits, n)
+            assert word_permutation(bits, n) == want, (n, bits)
+            assert is_kernel_word(bits, n) == (want.images == identity), (n, bits)
+            nonempty_kernel |= bool(bits) and want.images == identity
+        assert nonempty_kernel or n > 70  # 1^n is one, when it fits in 70 bits
 
 
 class TestEndStateEquation:
@@ -382,12 +402,85 @@ class TestBulkKeys:
         assert PrefixPermutationTable(bits, n).ids == want
 
 
+class TestKeyedPass:
+    """``word``, ``ids`` and ``repeat`` against their definitions: the plain
+    decoding loop, the first equal window by tuple interning, and the
+    brute-force longest repeated factor, on words that reach every branch
+    of the one keyed pass.  Each key holds the position it met last, lane
+    by lane, so a key whose later occurrence lies in an earlier lane is
+    held at its earlier one."""
+
+    @staticmethod
+    def branches(bits, n):
+        """Checks the table of ``bits`` and returns the branches it took."""
+        table = PrefixPermutationTable(bits, n)
+        letters, want = _first_equal_windows(bits, n)
+        assert list(table.word) == letters, (n, bits)
+        assert table.ids == want, (n, bits)
+        g = 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
+        met = {repeat_case(table, n, g)}
+        repeats = repeated_factor_starts(table.word, g)
+        if not repeats:
+            return met | {"distinct keys"}
+        met.add("repeats" if len(repeats) < 1000 else "thousands of repeats")
+        if min(repeats) > len(bits):
+            met.add("repeats past the last state only")
+        positions: dict = {}
+        for p in range(len(table.word) - g + 1):
+            positions.setdefault(tuple(table.word[p:p + g]), []).append(p)
+        for ps in positions.values():
+            held = max(ps, key=lambda p: (p % g, p))
+            if held < max(ps):
+                met.add("held before a later occurrence")
+        return met
+
+    def test_missing_positions(self):
+        """``_missing`` against a membership filter: none, all, and gaps at
+        either end or in between, one position wide or many."""
+        rng = random.Random(29)
+        for total in (1, 2, 3, 10, 300):
+            for share in (0, 0.1, 0.5, 0.9, 1):
+                present = [p for p in range(total) if rng.random() < share]
+                rng.shuffle(present)
+                want = [p for p in range(total) if p not in present]
+                assert _missing(present, total) == want, (total, present)
+
+    @pytest.mark.parametrize("n", [*range(2, 10), 300])
+    def test_random_and_periodic_words(self, n):
+        rng = random.Random(2900 + n)
+        words = ["", "1", "0" * (n + 3), "1" * (2 * n + 1)]
+        for _ in range(3 if n == 300 else 25):
+            words.append("".join(rng.choice("01") for _ in range(rng.randint(1, 300))))
+            unit = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
+            words.append(unit * rng.randint(1, 30))
+        met = set()
+        for bits in words:
+            met |= self.branches(bits, n)
+        assert {"distinct keys", "repeats"} <= met, n
+        if n > 2:
+            assert "held before a later occurrence" in met, n
+
+    @pytest.mark.parametrize("n,bits", [(6, "110110011011001101001010011111"),
+                                        (12, "11100101010011111111100")])
+    def test_repeats_past_the_last_state(self, n, bits):
+        assert "repeats past the last state only" in self.branches(bits, n)
+
+    def test_thousands_of_repeats(self):
+        window = next(m for m in load_perfbench_mutants().generate(1) if m.kind == "window0")
+        periodic = UniformMorphism(26, "0" * 104, "0" * 103 + "1")
+        for h in (UniformMorphism(window.n, window.image0, window.image1), periodic):
+            met = self.branches(probe_encoding(h), h.n)
+            assert {"thousands of repeats", "window"} <= met, h.n
+
+
 class TestNonBinaryInput:
     """Every symbol other than 0 and 1 is rejected, whitespace included,
     with its position."""
 
     CASES = [("0x1", 5, "'x' at position 1"), ("22", 2, "'2' at position 0"),
-             ("01 ", 3, "' ' at position 2"), ("\n11", 4, "'\\n' at position 0")]
+             ("01 ", 3, "' ' at position 2"), ("\n11", 4, "'\\n' at position 0"),
+             ("0110" * 4 + "2" + "1" * 9, 15, "'2' at position 16"),
+             ("1" * 20 + "a", 300, "'a' at position 20")]
 
     @pytest.mark.parametrize("bits,n,message", CASES)
     def test_rejected_everywhere(self, bits, n, message):

@@ -87,8 +87,9 @@ class TestKernelScan:
         does."""
         rng = random.Random(3)
         seen = set()
-        for n in range(2, 9):
-            words = ["0" * rng.randint(1, 300), "1" * rng.randint(1, 300)]
+        for n in range(2, 10):
+            words = ["0" * rng.randint(1, 300), "1" * rng.randint(1, 300),
+                     "01" * rng.randint(1, 150)]
             for _ in range(2):
                 words.append("".join(rng.choice("01") for _ in range(rng.randint(0, 300))))
                 period = "".join(rng.choice("01") for _ in range(rng.randint(1, 3 * n)))
@@ -302,6 +303,34 @@ class TestCollisionPairs:
             "2170 repetitions above 26/25;"
             " first: start=0 period=25 length=21656 exponent=21656/25")
 
+    def test_kernel_scan_builds_only_kept_runs(self, monkeypatch):
+        """At n = 3 about half the runs of random, (01)^150 and 1^300 have
+        excess exactly n-1 and give no kernel repetition: the kernel scan
+        extends and builds an occurrence only for the runs it returns."""
+        rng = random.Random(29)
+        words = ["".join(rng.choice("01") for _ in range(300)) for _ in range(4)]
+        words += ["01" * 150, "1" * 300]
+        built = []
+
+        class Counted(dejean.verifier.RepetitionOccurrence):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        dropped = 0
+        for bits in words:
+            table = PrefixPermutationTable(bits, 3)
+            runs = _collision_runs(table.word, table.ids, 2)
+            dropped += len(runs) - len(_kernel_runs(runs, 3))
+            with monkeypatch.context() as patch:
+                patch.setattr(dejean.verifier, "RepetitionOccurrence", Counted)
+                calls = _counted_pairs(patch)
+                built.clear()
+                occs = find_kernel_repetitions(bits, 3)
+            assert occ_triples(occs) == brute_kernel_repetitions(bits, 3), bits
+            assert len(built) == len(calls) == len(occs), bits
+        assert dropped > 0
+
     def test_key_premises_are_enforced(self):
         # keys equal at 1 and 3, after equal letters, but the keys before differ
         with pytest.raises(ValueError, match="follow unequal keys"):
@@ -309,6 +338,10 @@ class TestCollisionPairs:
         # keys equal at 0 and 2 over unequal letters: no factor of period 2
         with pytest.raises(ValueError, match="do not start a factor of period 2"):
             _collision_runs("abcd", [0, 1, 0, 3], 1)
+        # ... also where the run would be dropped for too little excess
+        with pytest.raises(ValueError, match="do not start a factor of period 2"):
+            _collision_runs("abcd", [0, 1, 0, 3], 1, trim=1)
+        assert _collision_runs("abab", [0, 1, 0, 1], 1, trim=2) == []
         assert occ_triples(_collision_runs("abab", [0, 1, 0, 1], 1)) == [(0, 2, 4)]
 
 
