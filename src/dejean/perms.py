@@ -9,8 +9,8 @@ under which the codeword of a window-distinct word starting 1 2 ... n-1
 maps i to the i-th entry of (last n-1 letters, missing letter); the
 property suite pins it.  ``word_permutation`` and ``is_kernel_word`` read
 that state off the decoder 8 bits per step, and ``PrefixPermutationTable``
-names each prefix permutation of a word by the first position of an equal
-window of its decoding.  The table hashes every key of its decoding once,
+groups the equal prefix permutations of a word into classes of equal
+windows of its decoding.  The table hashes every key of its decoding once,
 into one dict, and compares whole windows only where keys repeat; neither
 composes a generator.
 
@@ -22,7 +22,7 @@ search's pairing both read them.
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import sub
 
 from .pansiot import decode_letters, end_state
@@ -203,20 +203,22 @@ def _missing(present, total: int) -> list[int]:
 
 
 class PrefixPermutationTable:
-    """Decoder-state ids of a binary word and the repeat fact of its decoding.
+    """Classes of equal decoder states of a binary word and the repeat fact
+    of its decoding.
 
     ``word`` is the decoding of ``bits`` over ``canonical_prefix(n)`` as
     :func:`pansiot.decode_letters` gives it.  Its window word[k:k+n-1] is
     decoder state k: with the missing letter it is the image of the
     length-k prefix (the module identity), and the window alone fixes the
-    missing letter.  ``ids[k]`` is the first position of a window equal to
-    window k, so equal ids mark equal prefix permutations and the factor
-    bits[i:j] maps to the identity iff ids[i] == ids[j].
+    missing letter.  ``classes`` lists, each ascending, the positions
+    0..len(bits) of every window that occurs there twice or more, one list
+    per window, so two states are equal iff they share a class, and the
+    factor bits[i:j] maps to the identity iff i == j or i and j share one.
 
     ``repeat`` is n-1 when a window repeats, else the length of the longest
     factor of the decoding that occurs twice when that is g or more, else
     g-1.  So no factor longer than ``repeat`` < n-1 letters occurs twice,
-    and ``repeat`` < n-1 exactly when ids[k] == k throughout.
+    and ``repeat`` < n-1 exactly when ``classes`` is empty.
 
     Every g-letter factor of the decoding (g is the most of 1, 2, 4 or 8
     bytes within n-1 letters, four bytes a letter for n > 255), at each of
@@ -224,12 +226,13 @@ class PrefixPermutationTable:
     first len(bits)+1 keys start the windows.  One pass, lane by lane off
     ``memoryview`` casts, maps each key to one of its positions, so the
     keys all differ exactly when the dict holds every position, and then
-    ``ids`` is built on first read.  Otherwise each key still holds exactly
-    one position, so the positions that no key holds (``_missing``) are
+    no class is built.  Otherwise each key still holds exactly one
+    position, so the positions that no key holds (``_missing``) are
     exactly the other occurrences of repeated keys; each finds its held
-    partner through its key.  Only windows at those starts are compared,
-    and when they all differ, the starts are sorted by their windows: the
-    longest common prefix of any two lies between neighbours.
+    partner through its key.  Only windows at those starts are compared:
+    the ones before len(bits)+1 are grouped by their windows into the
+    classes, and when no class forms, the starts are sorted by their
+    windows: the longest common prefix of any two lies between neighbours.
     """
 
     def __init__(self, bits: str, n: int):
@@ -245,7 +248,8 @@ class PrefixPermutationTable:
         last: dict[int, int] = {}
         for s, lane in enumerate(lanes):
             last.update(zip(lane, range(s, total, g)))
-        self._count, self.repeat = count, g - 1
+        self.classes: list[list[int]] = []
+        self.repeat = g - 1
         if len(last) < total:
             # Each key holds one of its positions, so the positions missing
             # from the held ones are the other occurrences of repeated keys.
@@ -256,21 +260,13 @@ class PrefixPermutationTable:
             partners = set(map(last.__getitem__, map(keys.__getitem__, others)))
             starts = sorted([*others, *partners])
             del others, keys, last, partners  # before the windows and the sort below
-            windows: dict[bytes, int] = {}
-            early = starts[:bisect_left(starts, count)]
-            firsts = [windows.setdefault(buf[k * step:k * step + width], k) for k in early]
-            if len(windows) < len(early):
-                self.ids = ids = list(range(count))
-                for k, first in zip(early, firsts):
-                    ids[k] = first
+            windows: dict[bytes, list[int]] = {}
+            for k in starts[:bisect_left(starts, count)]:
+                windows.setdefault(buf[k * step:k * step + width], []).append(k)
+            self.classes = [c for c in windows.values() if len(c) > 1]
+            if self.classes:
                 self.repeat = n - 1
             else:
                 starts.sort(key=lambda k: buf[k * step:k * step + width])
                 self.repeat = max(_agreement(word, a, b, len(word) - max(a, b))
                                   for a, b in zip(starts, starts[1:]))
-
-    @cached_property
-    def ids(self) -> list[int]:
-        """Built on first read only when every window differs, so that
-        each decoder state is its own first."""
-        return list(range(self._count))

@@ -11,17 +11,17 @@ The ordered table ``_CHECKS`` of (name, body) is the only list of the
 checks: ``CHECK_NAMES``, :func:`verify` and :func:`run_check` all read
 it.  Each body takes a ``_Probe``, which builds the probe encoding and
 then one ``PrefixPermutationTable`` on first use: the decoding, and the
-ids of its decoder states read off its windows.  So one verification
-decodes the probe encoding once.
+classes of its equal decoder states read off its windows.  So one
+verification decodes the probe encoding once.
 
 The three repetition checks read one list: the maximal runs of the decoding
 with excess >= n-1.  Window k of length n-1 of the decoding is decoder state
-k, so two equal ids q apart start such a run of period q, and the bits
-between them map to the identity.  Two equal windows preceded by equal
-letters are preceded by equal windows, so a run extends left past a pair of
-equal ids exactly onto another such pair, and only the pair at the run's
-start, at position 0 or after unequal letters, is extended: one pair per
-run.
+k, so two positions q apart in one class start such a run of period q, and
+the bits between them map to the identity.  Two equal windows preceded by
+equal letters are preceded by equal windows, so the classes are complete: a
+run extends left past a pair of one class exactly onto another such pair,
+and only the pair at the run's start, at position 0 or after unequal
+letters, is extended: one pair per run.  No class, no run.
 ``big_excess_free`` reports the runs without a scan.  ``power_free`` scans
 periods up to n^2-3n+1 (``Bounds.short_bound``) and takes the longer periods
 from the runs.  The table proves that no factor of the decoding longer than
@@ -159,40 +159,39 @@ def probe_word(source) -> SigmaWord:
     return decode(probe_encoding(h), canonical_prefix(h.n))
 
 
-def _collision_runs(w, keys, span: int, max_period: int | None = None,
+def _collision_runs(w, classes, span: int, max_period: int | None = None,
                     trim: int = 0) -> list[RepetitionOccurrence]:
-    """The maximal runs of ``w`` through equal keys, once each, sorted by
-    (start, period).  Periods above ``max_period`` (when given) are skipped.
-    Each run is reported ``trim`` letters shorter, and only when that leaves
-    it some excess.  A pair is extended and built only when its first
-    max(span, trim+1) letters agree, one slice compare; any other pair is
-    checked against the first premise below on span letters and dropped.
+    """The maximal runs of ``w`` through two positions of a class, once
+    each, sorted by (start, period).  Periods above ``max_period`` (when
+    given) are skipped.  Each run is reported ``trim`` letters shorter, and
+    only when that leaves it some excess.  A pair is extended and built only
+    when its first max(span, trim+1) letters agree, one slice compare; any
+    other pair is checked against the first premise below on span letters
+    and dropped.  Only classed positions are visited.
 
-    Two premises, both enforced (ValueError): keys[a] == keys[b] for a < b
-    must make w[a:b+span] a factor of period b - a, and equal keys whose
-    previous letters agree must have equal previous keys.  The run through
-    such a pair extends left exactly when w[a-1] == w[b-1], and then, by the
-    second premise, (a-1, b-1) is again a pair of equal keys.  So each run
-    holds exactly one pair at its start, the pair with a == 0 or
-    w[a-1] != w[b-1], and only that pair is extended: each bucket of equal
-    keys is split by the letter before each position (none before 0), and
-    a position pairs only with earlier ones of the other groups."""
+    Two premises, both enforced (ValueError): positions a < b of one class
+    must make w[a:b+span] a factor of period b - a, and the classes must be
+    complete: two positions of a class after equal letters must follow two
+    positions of one class.  The run through such a pair extends left
+    exactly when w[a-1] == w[b-1], and then, by completeness, (a-1, b-1) is
+    again a pair of one class.  So each run holds exactly one pair at its
+    start, the pair with a == 0 or w[a-1] != w[b-1], and only that pair is
+    extended: each class is split by the letter before each position (none
+    before 0), and a position pairs only with earlier ones of the other
+    groups."""
     L, head = len(w), max(span, trim + 1)
-    buckets: dict = {}
+    index = {k: i for i, c in enumerate(classes) for k in c}
     found = []  # (start, period, length): (start, period) is unique
-    for b, key in enumerate(keys):
-        buckets.setdefault(key, []).append(b)
-    for bucket in buckets.values():
-        if len(bucket) < 2:
-            continue
-        # letter before -> the bucket's positions so far; 0 has no letter before
+    for c in classes:
+        # letter before -> the class's positions so far; 0 has no letter before
         groups: dict = {}
-        for b in bucket:
+        for b in c:
             before = w[b - 1] if b else None
             group = groups.setdefault(before, [])
-            if group and keys[group[0] - 1] != keys[b - 1]:
-                raise ValueError(f"equal keys at {group[0]} and {b} after equal letters"
-                                 f" follow unequal keys")
+            # An unclassed position shares no class: the defaults never match.
+            if group and index.get(group[0] - 1, -1) != index.get(b - 1, -2):
+                raise ValueError(f"positions {group[0]} and {b} of a class after equal letters"
+                                 f" follow no common class: the classes are not complete")
             group.append(b)
             for letter, positions in groups.items():
                 if letter == before:
@@ -226,7 +225,7 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) ->
     runs with excess >= n give one.  ``max_period`` caps the period and cuts
     the collision scan there (``dejean kernel-scan``)."""
     table = PrefixPermutationTable(bits, n)
-    return _collision_runs(table.word, table.ids, n - 1, max_period, trim=n - 1)
+    return _collision_runs(table.word, table.classes, n - 1, max_period, trim=n - 1)
 
 
 def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
@@ -246,9 +245,9 @@ def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
 
 class _Probe:
     """The morphism under test and what its checks read, each built on
-    first use: the probe encoding, its table (the decoding, the
-    decoder-state ids and the repeat fact), the runs they give, and the
-    verdicts of the checks run on it."""
+    first use: the probe encoding, its table (the decoding, the classes of
+    equal decoder states and the repeat fact), the runs they give, and
+    the verdicts of the checks run on it."""
 
     def __init__(self, h: UniformMorphism):
         self.h = h
@@ -271,9 +270,7 @@ class _Probe:
     @cached_property
     def runs(self) -> list[RepetitionOccurrence]:
         """Every maximal run of the decoding with excess >= n-1."""
-        if self.table.repeat < self.h.n - 1:
-            return []
-        return _collision_runs(self.table.word, self.table.ids, self.h.n - 1)
+        return _collision_runs(self.table.word, self.table.classes, self.h.n - 1)
 
 
 def _check_structure(p: _Probe) -> tuple[bool, str]:

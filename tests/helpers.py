@@ -119,9 +119,9 @@ def brute_find_excess(w, min_excess):
 def prefix_permutations(bits, n):
     """The image of every prefix of ``bits``, each the image of the previous
     prefix times the generator of one more bit, ``step0`` or ``step1``: the
-    composition oracle of the decoder-state ids and of ``word_permutation``.
-    It composes ``Permutation`` products and shares nothing with the
-    decoder."""
+    composition oracle of the decoder-state classes and of
+    ``word_permutation``.  It composes ``Permutation`` products and shares
+    nothing with the decoder."""
     generators = {"0": step0(n), "1": step1(n)}
     p = Permutation(tuple(range(1, n + 1)))
     out = [p]
@@ -191,6 +191,28 @@ def brute_markability_report(h):
         if not ok:
             failures.append((v, conflict))
     return MarkabilityReport(len(factors), tuple(failures))
+
+
+def classes_of(keys):
+    """The positions of ``keys`` grouped by equal key, each group ascending,
+    in the order of first occurrence, keeping the groups of two or more:
+    the classes ``verifier._collision_runs`` reads."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return [c for c in groups.values() if len(c) > 1]
+
+
+def class_ids(classes, count):
+    """An id for each of the positions 0..count-1 that ``classes`` label:
+    the first position of its class, or the position itself when no class
+    holds it.  For a table's classes that is the first position of an equal
+    window, so equal ids mark equal decoder states."""
+    ids = list(range(count))
+    for c in classes:
+        for k in c:
+            ids[k] = c[0]
+    return ids
 
 
 def same_partition(a, b):

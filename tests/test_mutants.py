@@ -1,22 +1,23 @@
 """Seeded mutants of the builtin morphisms against the unbounded scanners.
 
-The verifier builds one list of runs from equal decoder-state ids: they
-are the ``big_excess_free`` witnesses, ``power_free`` bounds its scan by
-n^2-3n+1 and adds the long-period runs among them, and ``kernel_free``
-keeps those with excess >= n, each n-1 letters shorter, cut to periods
-within 9n^2-6n+1.  ``power_free`` scans only up to repeat(n-1)-1 where the
-table proves that no factor of the probe word longer than ``repeat`` < n-1
-letters occurs twice, and up to n^2-3n+1 where a decoder state repeats:
-the window mutants and the periodic n = 26 morphism.  The unbounded scans are the
-oracle: on every mutant each of the three checks must report the count
-and the first witness that the oracle finds, the kernel oracle cut to
-periods within the bound, and the runs read off the ids must equal the
-oracle's lists in full.  The kernel oracle is a separate pass over the code bits: the runs
-through equal keys (id, bit), since a kernel repetition of period q
-starts at some a with bits[a] == bits[a+q] and equal ids at a and a+q.
+The verifier builds one list of runs from the classes of equal decoder
+states: they are the ``big_excess_free`` witnesses, ``power_free`` bounds
+its scan by n^2-3n+1 and adds the long-period runs among them, and
+``kernel_free`` keeps those with excess >= n, each n-1 letters shorter, cut
+to periods within 9n^2-6n+1.  ``power_free`` scans only up to
+repeat(n-1)-1 where the table proves that no factor of the probe word
+longer than ``repeat`` < n-1 letters occurs twice, and up to n^2-3n+1
+where a decoder state repeats: the window mutants and the periodic n = 26
+morphism.  The unbounded scans are the oracle: on every mutant each of the
+three checks must report the count and the first witness that the oracle
+finds, the kernel oracle cut to periods within the bound, and the runs read
+off the classes must equal the oracle's lists in full.  The kernel oracle
+is a separate pass over the code bits: the runs through classes of equal
+keys (state id, bit), since a kernel repetition of period q starts at some
+a with bits[a] == bits[a+q] and equal states at a and a+q.
 The mutants are fixed by the seed: one bit flip and one swap of adjacent
 unequal bits at n = 15 and n = 16, and one window of 2n zeros at n = 15.
-0^(n-1) maps to the identity, so the window leaves equal ids and
+0^(n-1) maps to the identity, so the window leaves equal states and
 repetitions of period above n^2-3n+1.  Two periodic morphisms at n = 6
 join them, whose probe encodings hold 459 and 2,354 kernel repetitions.
 The kernel bound is trusted only under its premise: small morphisms that
@@ -35,8 +36,8 @@ from dejean.verifier import (_collision_runs, _Probe, _power_runs, compute_bound
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
-from helpers import (brute_kernel_repetitions, brute_longest_repeat, load_perfbench_mutants,
-                     occ_triples, repeat_case, spy_power_bounds)
+from helpers import (brute_kernel_repetitions, brute_longest_repeat, class_ids, classes_of,
+                     load_perfbench_mutants, occ_triples, repeat_case, spy_power_bounds)
 
 SEED = 20261018
 _COUNT_AND_FIRST = re.compile(r"^(\d+) (?:kernel )?repetitions .*; first: (.*)$")
@@ -70,19 +71,20 @@ def _mutants() -> list[tuple[str, UniformMorphism]]:
 
 MUTANTS = _mutants()
 # All zeros but the last bit of h(1), and the same with one 1 in h(0): they
-# fail the kernel bound's premise, and their ids repeat at period 5.
+# fail the kernel bound's premise, and their decoder states repeat at period 5.
 PERIODIC = [("periodic-6", UniformMorphism(6, "0" * 24, "0" * 23 + "1")),
             ("near-periodic-6", UniformMorphism(6, "0" * 11 + "1" + "0" * 12, "0" * 23 + "1"))]
 ALL = MUTANTS + PERIODIC
-# All zeros but the last bit of h(1) at n = 26: its ids repeat at period 25.
+# All zeros but the last bit of h(1) at n = 26: its decoder states repeat at period 25.
 PERIODIC_26 = UniformMorphism(26, "0" * 104, "0" * 103 + "1")
 
 
 def _bit_runs(h: UniformMorphism):
     """The unbounded kernel scan of the probe encoding: the runs of the
-    code bits through equal keys (decoder-state id, bit)."""
+    code bits through classes of equal keys (decoder-state id, bit)."""
     bits = probe_encoding(h)
-    return _collision_runs(bits, list(zip(PrefixPermutationTable(bits, h.n).ids, bits)), 1)
+    ids = class_ids(PrefixPermutationTable(bits, h.n).classes, len(bits) + 1)
+    return _collision_runs(bits, classes_of(zip(ids, bits)), 1)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +135,7 @@ def test_kernel_check_matches_unbounded_kernel_scan(results, label):
 
 @pytest.mark.parametrize("label", [label for label, _ in ALL])
 def test_collision_runs_equal_unbounded_scans(results, label):
-    """As full lists: the runs read off equal decoder-state ids are the
+    """As full lists: the runs read off the decoder-state classes are the
     unbounded excess scan, and the bounded power scan plus the long runs
     among them is the unbounded power scan."""
     h, _, excess, power, _ = results[label]
@@ -144,13 +146,17 @@ def test_collision_runs_equal_unbounded_scans(results, label):
 
 
 def test_distinct_states_leave_no_kernel_repetition(results):
-    """While the decoder states are distinct the verifier builds no runs,
-    so the kernel check reads none; on those mutants the unbounded scan
-    finds nothing."""
+    """While the decoder states are distinct the table holds no class, so
+    the verifier builds no runs and the kernel check reads none; on those
+    mutants the unbounded scan finds nothing.  A class forms exactly when
+    ``repeat`` reaches n-1, on the builtins and on every mutant."""
     distinct = [label for label, h in MUTANTS if _Probe(h).table.repeat < h.n - 1]
     assert distinct and len(distinct) < len(MUTANTS)
     for label in distinct:
         assert results[label][4] == [], label
+    for label, h in [(f"builtin-{n}", builtin(n)) for n in BUILTIN_SIZES] + ALL:
+        table = _Probe(h).table
+        assert (table.classes == []) == (table.repeat < h.n - 1), label
 
 
 def test_kernel_scan_cut_keeps_periods_up_to_the_bound(results):
@@ -185,7 +191,7 @@ def test_kernel_failure_implies_big_excess_failure(results, label):
 
 def test_verification_builds_one_run_list(monkeypatch):
     """All three repetition checks read the same runs: one collision pass
-    per verification, also when the decoder-state ids repeat."""
+    per verification, also when the decoder states repeat."""
     h = dict(PERIODIC)["periodic-6"]
     assert _Probe(h).table.repeat == h.n - 1
     calls = []
@@ -289,7 +295,7 @@ def test_window_mutant_power_scan_falls_back_to_all_periods(results):
             ) in report.render_text()
 
 
-# Morphisms that fail the kernel bound's premise, whose decoder-state ids
+# Morphisms that fail the kernel bound's premise, whose decoder states
 # repeat, and whose probe encodings hold a kernel repetition of period
 # above 9n^2-6n+1.
 PREMISE_FAILS = [UniformMorphism(4, "101011", "110010"),

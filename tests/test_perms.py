@@ -11,9 +11,9 @@ from dejean.perms import (Permutation, PrefixPermutationTable, _missing, find_co
 from dejean.search import classify_candidate
 from dejean.verifier import find_kernel_repetitions, probe_encoding
 from dejean.words import SigmaWord
-from helpers import (brute_kernel_repetitions, brute_word_permutation, load_perfbench_mutants,
-                     occ_triples, prefix_permutations, repeat_case, repeated_factor_starts,
-                     same_partition)
+from helpers import (brute_kernel_repetitions, brute_word_permutation, class_ids, classes_of,
+                     load_perfbench_mutants, occ_triples, prefix_permutations, repeat_case,
+                     repeated_factor_starts, same_partition)
 
 
 class TestPermutation:
@@ -290,12 +290,13 @@ class TestConjugatorAgainstRotations:
 
 
 class TestPrefixTable:
-    """The ids read off the windows of the decoding against the composition
-    oracle: equal ids exactly where the prefix permutations are equal."""
+    """The classes read off the windows of the decoding against the
+    composition oracle: two positions share a class, so get equal
+    ``class_ids``, exactly where the prefix permutations are equal."""
 
     def test_empty_word(self):
         table = PrefixPermutationTable("", 4)
-        assert table.ids == [0]
+        assert table.classes == []
         assert table.word == bytes(canonical_prefix(4).letters)
 
     def test_full_word_consistency(self):
@@ -310,7 +311,7 @@ class TestPrefixTable:
         outcomes = set()
         for n in (3, 4):
             bits = "".join(rng.choice("01") for _ in range(80))
-            ids = PrefixPermutationTable(bits, n).ids
+            ids = class_ids(PrefixPermutationTable(bits, n).classes, len(bits) + 1)
             for i in range(len(bits) + 1):
                 for j in range(i, len(bits) + 1):
                     in_kernel = is_kernel_word(bits[i:j], n)
@@ -320,7 +321,7 @@ class TestPrefixTable:
 
     def test_ids_mark_equal_prefixes(self):
         bits = "11" * 4  # step1(2) has order 2
-        ids = PrefixPermutationTable(bits, 2).ids
+        ids = class_ids(PrefixPermutationTable(bits, 2).classes, len(bits) + 1)
         perms = prefix_permutations(bits, 2)
         for i in range(len(bits) + 1):
             for j in range(len(bits) + 1):
@@ -336,12 +337,14 @@ class TestPrefixTable:
                 bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
                 table = PrefixPermutationTable(bits, n)
                 assert tuple(table.word) == decode(bits, canonical_prefix(n)).letters
-                assert same_partition(table.ids, prefix_permutations(bits, n)), (n, bits)
+                ids = class_ids(table.classes, len(bits) + 1)
+                assert same_partition(ids, prefix_permutations(bits, n)), (n, bits)
 
     @pytest.mark.parametrize("n", [15, 16])
     def test_ids_match_composition_oracle_builtin_probe(self, n):
         bits = probe_encoding(n)
-        assert same_partition(PrefixPermutationTable(bits, n).ids, prefix_permutations(bits, n))
+        ids = class_ids(PrefixPermutationTable(bits, n).classes, len(bits) + 1)
+        assert same_partition(ids, prefix_permutations(bits, n))
 
 
 def _first_equal_windows(bits, n):
@@ -354,7 +357,7 @@ def _first_equal_windows(bits, n):
 
 
 class TestBulkKeys:
-    """``ids`` read off 1-, 2-, 4- and 8-byte window keys against tuple
+    """The classes read off 1-, 2-, 4- and 8-byte window keys against tuple
     interning of the windows: n = 2, 3, 5 and 9 are the first alphabet sizes
     of each key width, and n > 255 packs four bytes per letter."""
 
@@ -379,7 +382,7 @@ class TestBulkKeys:
             assert type(table.word) is (bytes if n < 256 else list), (n, kind)
             assert tuple(table.word) == decode(bits, canonical_prefix(n)).letters, (n, kind)
             assert list(table.word) == letters, (n, kind)
-            assert table.ids == want, (n, kind)
+            assert class_ids(table.classes, len(bits) + 1) == want, (n, kind)
             distinct = want == list(range(len(bits) + 1))
             assert (table.repeat < n - 1) == distinct, (n, kind)
             outcomes.add(distinct)
@@ -387,7 +390,7 @@ class TestBulkKeys:
 
     @pytest.mark.parametrize("n", [4, 12, 300])
     def test_equal_keys_of_unequal_windows(self, n):
-        """Windows that share their key but differ past it get different ids;
+        """Windows that share their key but differ past it share no class;
         the words are long enough that such pairs occur."""
         size = 2 if n == 4 else 8
         rng = random.Random(n)
@@ -399,16 +402,18 @@ class TestBulkKeys:
         clashes = [k for k, key in enumerate(keys)
                    if want[by_key.setdefault(key, k)] != want[k]]
         assert clashes
-        assert PrefixPermutationTable(bits, n).ids == want
+        assert class_ids(PrefixPermutationTable(bits, n).classes, len(bits) + 1) == want
 
 
 class TestKeyedPass:
-    """``word``, ``ids`` and ``repeat`` against their definitions: the plain
-    decoding loop, the first equal window by tuple interning, and the
-    brute-force longest repeated factor, on words that reach every branch
-    of the one keyed pass.  Each key holds the position it met last, lane
-    by lane, so a key whose later occurrence lies in an earlier lane is
-    held at its earlier one."""
+    """``word``, ``classes`` and ``repeat`` against their definitions: the
+    plain decoding loop, the first equal window by tuple interning, the
+    blocks of two or more equal prefix permutations of the composition
+    oracle, and the brute-force longest repeated factor, on words that
+    reach every branch of the one keyed pass.  Each class is one such
+    block, ascending, and each such block is a class.  Each key holds the
+    position it met last, lane by lane, so a key whose later occurrence
+    lies in an earlier lane is held at its earlier one."""
 
     @staticmethod
     def branches(bits, n):
@@ -416,7 +421,9 @@ class TestKeyedPass:
         table = PrefixPermutationTable(bits, n)
         letters, want = _first_equal_windows(bits, n)
         assert list(table.word) == letters, (n, bits)
-        assert table.ids == want, (n, bits)
+        assert class_ids(table.classes, len(bits) + 1) == want, (n, bits)
+        blocks = classes_of(prefix_permutations(bits, n))
+        assert sorted(table.classes) == sorted(blocks), (n, bits)
         g = 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
         met = {repeat_case(table, n, g)}
         repeats = repeated_factor_starts(table.word, g)
@@ -456,7 +463,7 @@ class TestKeyedPass:
         met = set()
         for bits in words:
             met |= self.branches(bits, n)
-        assert {"distinct keys", "repeats"} <= met, n
+        assert {"distinct keys", "repeats", "window"} <= met, n
         if n > 2:
             assert "held before a later occurrence" in met, n
 

@@ -1,6 +1,5 @@
 import json
 import random
-from collections import Counter
 
 import pytest
 
@@ -15,8 +14,8 @@ from dejean.verifier import (CHECK_NAMES, _collision_runs, _kernel_runs, _power_
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
-from helpers import (brute_kernel_repetitions, occ_triples, repeat_case, repeated_factor_starts,
-                     spy_power_bounds)
+from helpers import (brute_kernel_repetitions, class_ids, classes_of, occ_triples, repeat_case,
+                     repeated_factor_starts, spy_power_bounds)
 
 
 class TestBounds:
@@ -103,7 +102,7 @@ class TestKernelScan:
                 want = brute_kernel_repetitions(bits, n)
                 assert occ_triples(find_kernel_repetitions(bits, n)) == want, (n, bits)
                 table = PrefixPermutationTable(bits, n)
-                runs = _collision_runs(table.word, table.ids, n - 1)
+                runs = _collision_runs(table.word, table.classes, n - 1)
                 for q in sorted({q for _, q, _ in want})[:3]:
                     for cap in (q - 1, q):
                         cut = [t for t in want if t[1] <= cap]
@@ -122,7 +121,8 @@ class TestDecoderStateIdentity:
     """The identity behind the scan-free big_excess_free check: window k of
     length n-1 of the decoding is decoder state k, the k-th prefix
     permutation, so a repetition of period q with excess >= n-1 exists
-    exactly when two prefix-permutation ids q apart are equal."""
+    exactly when two positions q apart share a class of equal prefix
+    permutations."""
 
     def test_repeated_ids_are_big_excess_periods(self):
         rng = random.Random(99)
@@ -130,13 +130,8 @@ class TestDecoderStateIdentity:
         for n in range(3, 9):
             for _ in range(40):
                 bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
-                ids = PrefixPermutationTable(bits, n).ids
-                first: dict = {}
-                id_periods = set()
-                for k, value in enumerate(ids):
-                    for earlier in first.setdefault(value, []):
-                        id_periods.add(k - earlier)
-                    first[value].append(k)
+                classes = PrefixPermutationTable(bits, n).classes
+                id_periods = {b - a for c in classes for i, a in enumerate(c) for b in c[i + 1:]}
                 v = decode(bits, canonical_prefix(n))
                 scan_periods = {o.period for o in find_repetitions_with_excess_at_least(v, n - 1)}
                 assert id_periods == scan_periods, (n, bits)
@@ -161,8 +156,8 @@ class TestDecoderStateIdentity:
                 intern: dict = {}
                 ids = [intern.setdefault(tuple(letters[k:k + n - 1]), len(intern))
                        for k in range(len(letters) - n + 2)]
-                for v, v_ids in ((table.word, table.ids), (letters, ids)):
-                    runs = _collision_runs(v, v_ids, n - 1)
+                for v, classes in ((table.word, table.classes), (letters, classes_of(ids))):
+                    runs = _collision_runs(v, classes, n - 1)
                     assert runs == find_repetitions_with_excess_at_least(v, n - 1), (n, v)
                     power = find_repetitions_exceeding(v, n, n - 1)
                     assert _power_runs(v, n, runs, n - 1) == power, (n, v)
@@ -197,10 +192,10 @@ class TestRepeatFact:
                 letters = decode(bits, canonical_prefix(n)).letters
                 first: dict = {}
                 ids = [first.setdefault(letters[k:k + n - 1], k) for k in range(len(bits) + 1)]
-                assert table.ids == ids, (n, bits)
+                assert class_ids(table.classes, len(bits) + 1) == ids, (n, bits)
                 assert (table.repeat < n - 1) == (ids == list(range(len(bits) + 1))), (n, bits)
                 case = repeat_case(table, n, g)
-                runs = _collision_runs(table.word, table.ids, n - 1)
+                runs = _collision_runs(table.word, table.classes, n - 1)
                 power = find_repetitions_exceeding(table.word, n, n - 1)
                 assert _power_runs(table.word, n, runs, table.repeat) == power, (n, bits)
                 seen.add((n, case == "window"))
@@ -218,7 +213,7 @@ class TestRepeatFact:
         scan reads up to repeat(n-1)-1."""
         table = PrefixPermutationTable(bits, n)
         assert repeated_factor_starts(table.word, self.WIDTHS[n]) == [len(bits) + 1]
-        assert table.ids == list(range(len(bits) + 1))
+        assert table.classes == []
         assert table.repeat == repeat
         assert repeat_case(table, n, self.WIDTHS[n]) == "longest"
         bounds = spy_power_bounds(monkeypatch)
@@ -245,17 +240,17 @@ class TestRepeatFact:
         assert repeat_case(table, n, g) == "longest"
 
 
-def _equal_key_pairs(keys):
-    return sum(c * (c - 1) // 2 for c in Counter(keys).values())
+def _equal_key_pairs(classes):
+    return sum(len(c) * (len(c) - 1) // 2 for c in classes)
 
 
 def _counted_pairs(monkeypatch):
-    """Counts the key pairs ``_collision_runs`` extends, one call each."""
+    """Counts the class pairs ``_collision_runs`` extends, one call each."""
     calls = []
     agreement = dejean.verifier._agreement
 
     def counted(*args, **kwargs):
-        calls.append((args[2], args[1]))  # (a, b): keys[a] == keys[b], a < b
+        calls.append((args[2], args[1]))  # (a, b): a < b, both in one class
         return agreement(*args, **kwargs)
 
     monkeypatch.setattr(dejean.verifier, "_agreement", counted)
@@ -263,31 +258,32 @@ def _counted_pairs(monkeypatch):
 
 
 class TestCollisionPairs:
-    """``_collision_runs`` extends one pair of equal keys per run it
+    """``_collision_runs`` extends one pair of a class per run it
     reports: the pair at the run's start."""
 
     def test_window_mutants(self, monkeypatch):
-        # 8,008 and 4,516 pairs of equal ids give 476 and 160 runs
+        # 8,008 and 4,516 pairs of equal decoder states give 476 and 160 runs
         from helpers import load_perfbench_mutants
 
         windows = [m for m in load_perfbench_mutants().generate(1) if m.kind.startswith("window")]
         counts = []
         for m in windows:
             table = PrefixPermutationTable(probe_encoding(UniformMorphism(m.n, m.image0, m.image1)), m.n)
-            ids = table.ids
-            equal = _equal_key_pairs(ids)
+            equal = _equal_key_pairs(table.classes)
             calls = _counted_pairs(monkeypatch)
-            runs = _collision_runs(table.word, ids, m.n - 1)
+            runs = _collision_runs(table.word, table.classes, m.n - 1)
             assert len(calls) == len(runs) == len(set(calls))
             assert [(o.start, o.start + o.period) for o in runs] == sorted(calls)
             counts.append((equal, len(runs)))
         assert counts == [(8008, 476), (4516, 160)]
 
     def test_periodic_26(self, monkeypatch):
-        """All zeros but the last bit of h(1) at n = 26: the ids repeat at
-        period 25 nearly everywhere: 1,729 runs out of 14,017,111 pairs."""
+        """All zeros but the last bit of h(1) at n = 26: the decoder states
+        repeat at period 25 nearly everywhere: 1,729 runs out of 14,017,111
+        pairs."""
         h = UniformMorphism(26, "0" * 104, "0" * 103 + "1")
-        assert _equal_key_pairs(PrefixPermutationTable(probe_encoding(h), 26).ids) == 14_017_111
+        classes = PrefixPermutationTable(probe_encoding(h), 26).classes
+        assert _equal_key_pairs(classes) == 14_017_111
         calls = _counted_pairs(monkeypatch)
         report = verify(h)
         assert len(calls) == 1729
@@ -320,7 +316,7 @@ class TestCollisionPairs:
         dropped = 0
         for bits in words:
             table = PrefixPermutationTable(bits, 3)
-            runs = _collision_runs(table.word, table.ids, 2)
+            runs = _collision_runs(table.word, table.classes, 2)
             dropped += len(runs) - len(_kernel_runs(runs, 3))
             with monkeypatch.context() as patch:
                 patch.setattr(dejean.verifier, "RepetitionOccurrence", Counted)
@@ -332,17 +328,18 @@ class TestCollisionPairs:
         assert dropped > 0
 
     def test_key_premises_are_enforced(self):
-        # keys equal at 1 and 3, after equal letters, but the keys before differ
-        with pytest.raises(ValueError, match="follow unequal keys"):
-            _collision_runs("abab", [0, 1, 2, 1], 1)
-        # keys equal at 0 and 2 over unequal letters: no factor of period 2
+        # 1 and 3 share a class, after equal letters, but 0 and 2 share none:
+        # the classes are incomplete
+        with pytest.raises(ValueError, match="the classes are not complete"):
+            _collision_runs("abab", [[1, 3]], 1)
+        # 0 and 2 share a class over unequal letters: no factor of period 2
         with pytest.raises(ValueError, match="do not start a factor of period 2"):
-            _collision_runs("abcd", [0, 1, 0, 3], 1)
+            _collision_runs("abcd", [[0, 2]], 1)
         # ... also where the run would be dropped for too little excess
         with pytest.raises(ValueError, match="do not start a factor of period 2"):
-            _collision_runs("abcd", [0, 1, 0, 3], 1, trim=1)
-        assert _collision_runs("abab", [0, 1, 0, 1], 1, trim=2) == []
-        assert occ_triples(_collision_runs("abab", [0, 1, 0, 1], 1)) == [(0, 2, 4)]
+            _collision_runs("abcd", [[0, 2]], 1, trim=1)
+        assert _collision_runs("abab", [[0, 2], [1, 3]], 1, trim=2) == []
+        assert occ_triples(_collision_runs("abab", [[0, 2], [1, 3]], 1)) == [(0, 2, 4)]
 
 
 class TestIndividualChecks:
