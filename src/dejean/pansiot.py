@@ -7,15 +7,21 @@ distinctness forces the "1" letter to be the unique letter absent from the
 preceding window, so the word is recoverable from the bits plus its first
 n-1 letters.
 
-Decoding only copies the oldest window letter or the missing letter, so
-``decode`` tables, per n, where each 8-bit chunk sends the letters of the
-state (window, missing letter) and applies it by ``bytes.translate``.  For
-n > 255, and for the last len(bits) % 8 bits, it runs the plain loop.
-``decode_letters`` returns those letters unchecked (``bytes`` for n < 256);
-``decode`` wraps them in a checked ``SigmaWord``.  ``end_state`` moves the
-state alone through the same chunk steps and emits no letter.
+Decoding only copies the oldest window letter or the missing letter, so it
+commutes with relabelling the alphabet: from a state (window, missing
+letter), a chunk of bits emits the letters it emits from the canonical
+state, each relabelled by the state.  So ``decode`` tables, per n, where
+each 8-bit chunk sends the letters of the state and applies it by
+``bytes.translate``.  For n > 255, and for the last len(bits) % 8 bits, it
+runs the plain loop.  ``decode_letters`` returns those letters unchecked
+(``bytes`` for n < 256); ``decode`` wraps them in a checked ``SigmaWord``.
+Given the images (h(0), h(1)) of a binary morphism h, ``decode_letters``
+decodes h(bits) with the same loop, one image per step: the two images are
+its chunks.  ``end_state`` moves the state alone through the 8-bit chunk
+steps and emits no letter.
 """
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .words import SigmaWord, check_binary
@@ -66,10 +72,13 @@ def decode(bits: str, prefix: SigmaWord) -> SigmaWord:
     return SigmaWord(n, tuple(_letters(bits, prefix.letters, missing)))
 
 
-def decode_letters(bits: str, n: int) -> bytes | list[int]:
+def decode_letters(bits: str, n: int,
+                   images: tuple[str, str] | None = None) -> bytes | list[int]:
     """The letters of ``decode(bits, canonical_prefix(n))`` without its
-    ``SigmaWord`` check: ``bytes`` for n < 256, else a list."""
-    return _letters(bits, canonical_prefix(n).letters, n)
+    ``SigmaWord`` check: ``bytes`` for n < 256, else a list.  Given
+    ``images`` = (h(0), h(1)), the letters of the decoding of h(bits), one
+    image per step for n < 256; h(bits) is never built there."""
+    return _letters(bits, canonical_prefix(n).letters, n, images)
 
 
 def end_state(bits: str, n: int) -> tuple[int, ...]:
@@ -94,9 +103,22 @@ def end_state(bits: str, n: int) -> tuple[int, ...]:
     return (*window, n * (n + 1) // 2 - sum(window))
 
 
-def _letters(bits: str, prefix: tuple[int, ...], missing: int) -> bytes | list[int]:
-    run = _decode_chunks if len(prefix) < 255 else _decode_loop
-    return run(check_binary(bits), prefix, missing)
+def _letters(bits: str, prefix: tuple[int, ...], missing: int,
+             images: tuple[str, str] | None = None) -> bytes | list[int]:
+    bits = check_binary(bits)
+    if images is not None:
+        images = tuple(map(check_binary, images))
+    if len(prefix) >= 255:
+        if images is not None:
+            bits = "".join(images[int(b)] for b in bits)
+        return _decode_loop(bits, prefix, missing)
+    n = len(prefix) + 1
+    if images is not None:
+        return _decode_chunks(map(int, bits), [_step(image, n) for image in images],
+                              prefix, missing)
+    full = len(bits) - len(bits) % 8
+    codes = int(bits[:full] or "0", 2).to_bytes(full // 8, "big")
+    return _decode_chunks(codes, _chunk_steps(n), prefix, missing, bits[full:])
 
 
 def _decode_loop(bits: str, prefix: tuple[int, ...], missing: int) -> list[int]:
@@ -112,27 +134,31 @@ def _decode_loop(bits: str, prefix: tuple[int, ...], missing: int) -> list[int]:
     return letters
 
 
+def _step(chunk: str, n: int) -> tuple[bytes, bytes]:
+    """The positions in the state 0..n-1 (window, then missing letter) of
+    the letters that ``chunk`` emits and of the state it leaves."""
+    letters = _decode_loop(chunk, tuple(range(n - 1)), n - 1)
+    window = letters[1 - n:]
+    return bytes(letters[n - 1:]), bytes(window + [n * (n - 1) // 2 - sum(window)])
+
+
 @lru_cache(maxsize=None)
 def _chunk_steps(n: int) -> list[tuple[bytes, bytes]]:
-    """For each 8-bit chunk, by value: the positions in the state 0..n-1
-    (window, then missing letter) of the letters it emits and leaves."""
-    def run(chunk: str) -> tuple[bytes, bytes]:
-        letters = _decode_loop(chunk, tuple(range(n - 1)), n - 1)
-        window = letters[1 - n:]
-        return bytes(letters[n - 1:]), bytes(window + [n * (n - 1) // 2 - sum(window)])
-    return [run(f"{c:08b}") for c in range(256)]
+    """The :func:`_step` of each 8-bit chunk, by value."""
+    return [_step(f"{c:08b}", n) for c in range(256)]
 
 
-def _decode_chunks(bits: str, prefix: tuple[int, ...], missing: int) -> bytes:
-    """The letters of the decoding, 8 bits per step; needs n < 256."""
-    steps = _chunk_steps(len(prefix) + 1)
+def _decode_chunks(codes: Iterable[int], steps: list[tuple[bytes, bytes]],
+                   prefix: tuple[int, ...], missing: int, tail: str = "") -> bytes:
+    """The letters of the decoding from the state (prefix, missing): one
+    step of ``steps`` per code, its letters relabelled by the state, then
+    the bits of ``tail`` one at a time; needs n < 256."""
     state, pad = bytes(prefix) + bytes((missing,)), bytes(255 - len(prefix))
-    full = len(bits) - len(bits) % 8
     out = [bytes(prefix)]
-    for code in int(bits[:full] or "0", 2).to_bytes(full // 8, "big"):
+    for code in codes:
         emit, nxt = steps[code]
         table = state + pad
         out.append(emit.translate(table))
         state = nxt.translate(table)
-    out.append(bytes(_decode_loop(bits[full:], state[:-1], state[-1])[len(prefix):]))
+    out.append(bytes(_decode_loop(tail, state[:-1], state[-1])[len(prefix):]))
     return b"".join(out)

@@ -8,11 +8,11 @@ word_permutation(u) * word_permutation(v).  This orientation is the one
 under which the codeword of a window-distinct word starting 1 2 ... n-1
 maps i to the i-th entry of (last n-1 letters, missing letter); the
 property suite pins it.  ``word_permutation`` and ``is_kernel_word`` read
-that state off the decoder 8 bits per step, and ``PrefixPermutationTable``
-groups the equal prefix permutations of a word into classes of equal
-windows of its decoding.  The table hashes every key of its decoding once,
-into one dict, and compares whole windows only where keys repeat; neither
-composes a generator.
+that state off the decoder 8 bits per step, and ``PrefixPermutationTable``,
+given the decoding of a word, groups its equal prefix permutations into
+classes of equal windows of the decoding.  The table hashes every key of
+the decoding once, into one dict, and compares whole windows only where
+keys repeat; neither composes a generator.
 
 Simultaneous conjugacy onto (step0, step1) is defined once, by the splice
 lists of ``h0_splices`` and ``h1_splices``: ``find_conjugator`` and the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
-from .pansiot import decode_letters, end_state
+from .pansiot import end_state
 from .words import _agreement
 
 
@@ -204,16 +204,17 @@ def _missing(present, total: int) -> list[int]:
 
 class PrefixPermutationTable:
     """Classes of equal decoder states of a binary word and the repeat fact
-    of its decoding.
+    of its decoding, read off the decoding.
 
-    ``word`` is the decoding of ``bits`` over ``canonical_prefix(n)`` as
-    :func:`pansiot.decode_letters` gives it.  Its window word[k:k+n-1] is
-    decoder state k: with the missing letter it is the image of the
-    length-k prefix (the module identity), and the window alone fixes the
-    missing letter.  ``classes`` lists, each ascending, the positions
-    0..len(bits) of every window that occurs there twice or more, one list
-    per window, so two states are equal iff they share a class, and the
-    factor bits[i:j] maps to the identity iff i == j or i and j share one.
+    ``word``, the table's one input, is the decoding of some ``bits`` over
+    ``canonical_prefix(n)`` as :func:`pansiot.decode_letters` gives it, of
+    len(bits) + n-1 letters.  Its window word[k:k+n-1] is decoder state k:
+    with the missing letter it is the image of the length-k prefix (the
+    module identity), and the window alone fixes the missing letter.
+    ``classes`` lists, each ascending, the positions 0..len(bits) of every
+    window that occurs there twice or more, one list per window, so two
+    states are equal iff they share a class, and the factor bits[i:j] maps
+    to the identity iff i == j or i and j share one.
 
     ``repeat`` is n-1 when a window repeats, else the length of the longest
     factor of the decoding that occurs twice when that is g or more, else
@@ -235,12 +236,12 @@ class PrefixPermutationTable:
     windows: the longest common prefix of any two lies between neighbours.
     """
 
-    def __init__(self, bits: str, n: int):
-        self.word = word = decode_letters(bits, n)
+    def __init__(self, word: bytes | list[int], n: int):
+        self.word = word
         packed = array("I", word) if n > 255 else word
         buf, step = bytes(packed), memoryview(packed).itemsize
         g = 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
-        width, count, size, total = step * (n - 1), len(bits) + 1, g * step, len(word) - g + 1
+        width, count, size, total = step * (n - 1), len(word) - n + 2, g * step, len(word) - g + 1
         # Lane s, the bytes shifted by s letters, holds the keys of positions
         # s, s+g, ...
         lanes = [memoryview(buf)[s * step:s * step + len(range(s, total, g)) * size]

@@ -9,10 +9,13 @@ failing check never short-circuits the rest.
 
 The ordered table ``_CHECKS`` of (name, body) is the only list of the
 checks: ``CHECK_NAMES``, :func:`verify` and :func:`run_check` all read
-it.  Each body takes a ``_Probe``, which builds the probe encoding and
-then one ``PrefixPermutationTable`` on first use: the decoding, and the
-classes of its equal decoder states read off its windows.  So one
-verification decodes the probe encoding once.
+it.  Each body takes a ``_Probe``.  The probe encoding is h(u) for
+u = h(0110): 4r blocks of r bits, each h(0) or h(1).  On first use the
+probe decodes it block by block, one image per step (``pansiot``), and
+builds one ``PrefixPermutationTable`` of that decoding: the classes of its
+equal decoder states, read off its windows, and the repeat fact.  So one
+verification decodes the probe encoding once, and the 4r^2-bit string
+h(u) is never built.
 
 The three repetition checks read one list: the maximal runs of the decoding
 with excess >= n-1.  Window k of length n-1 of the decoding is decoder state
@@ -22,12 +25,20 @@ equal letters are preceded by equal windows, so the classes are complete: a
 run extends left past a pair of one class exactly onto another such pair,
 and only the pair at the run's start, at position 0 or after unequal
 letters, is extended: one pair per run.  No class, no run.
-``big_excess_free`` reports the runs without a scan.  ``power_free`` scans
-periods up to n^2-3n+1 (``Bounds.short_bound``) and takes the longer periods
-from the runs.  The table proves that no factor of the decoding longer than
-its ``repeat`` < n-1 letters occurs twice (or else ``repeat`` = n-1).  A
-period q above n/(n-1) needs an e-letter factor twice with e > q/(n-1), so
-the scan stops at repeat(n-1)-1 when that is lower.
+``big_excess_free`` reports the runs without a scan.  ``power_free`` bounds
+the periods it scans by n^2-3n+1 (``Bounds.short_bound``) and takes the
+longer periods from the runs.  The table proves that no factor of the
+decoding longer than its ``repeat`` < n-1 letters occurs twice (or else
+``repeat`` = n-1).  A period q above n/(n-1) needs an e-letter factor twice
+with e > q/(n-1), so the bound is repeat(n-1)-1 when that is lower.  The
+decoder commutes with relabelling the alphabet, so the decoding of k
+consecutive blocks is the decoding of h(x), x a k-letter factor of u,
+relabelled by the decoder state at its first block, and a relabelling keeps
+every repetition.  So ``power_free`` decides its verdict on the few
+distinct k-factors x of u, for the least k whose blocks hold every
+repetition of a period within the bound, instead of on the probe word.
+Only a failing morphism scans the probe word, to write its count and
+first witness.
 ``kernel_free`` keeps the runs with excess >= n, each n-1 letters shorter: a
 kernel repetition of the bits with period q and excess e is exactly a
 maximal run of the decoding with period q and excess e+n-1, with the same
@@ -46,12 +57,12 @@ from functools import cached_property
 
 from .markability import check_all_length_r_factors_markable
 from .morphisms import UniformMorphism, builtin, factor_closure, iteration_bound
-from .pansiot import canonical_prefix, decode
+# decode and find_repetitions_with_excess_at_least are not called here;
+# perfbench/tracer.py wraps them under this module, so they stay importable.
+from .pansiot import decode, decode_letters
 from .perms import PrefixPermutationTable, find_conjugator, step0, step1, word_permutation
-# find_repetitions_with_excess_at_least is not called here; perfbench/tracer.py
-# wraps it under this module, so it stays importable.
 from .words import (RepetitionOccurrence, SigmaWord, _agreement, find_repetitions_exceeding,
-                    find_repetitions_with_excess_at_least)
+                    find_repetitions_with_excess_at_least, has_repetition_exceeding)
 
 
 @dataclass(frozen=True)
@@ -151,12 +162,20 @@ def probe_encoding(source) -> str:
 
 
 def probe_word(source) -> SigmaWord:
-    """Decoding of the doubled probe image over the canonical prefix.
+    """Decoding of the doubled probe image over the canonical prefix, read
+    block by block as the verifier reads it (:func:`_decode_image`).
 
     Its length is 4r^2 + n - 1; the two decisive searches run on it.
     """
     h = _as_morphism(source)
-    return decode(probe_encoding(h), canonical_prefix(h.n))
+    return SigmaWord(h.n, tuple(_decode_image(h, h.apply("0110"))))
+
+
+def _decode_image(h: UniformMorphism, x: str) -> bytes | list[int]:
+    """The letters of the decoding of h(x) over ``canonical_prefix(n)``,
+    one image of h per step: the probe word for x = h(0110), a block
+    window's decoding for a factor x of it."""
+    return decode_letters(x, h.n, (h.image0, h.image1))
 
 
 def _collision_runs(w, classes, span: int, max_period: int | None = None,
@@ -224,8 +243,13 @@ def find_kernel_repetitions(bits: str, n: int, max_period: int | None = None) ->
     sorted, read off the runs of the decoding, n-1 letters shorter: only
     runs with excess >= n give one.  ``max_period`` caps the period and cuts
     the collision scan there (``dejean kernel-scan``)."""
-    table = PrefixPermutationTable(bits, n)
+    table = PrefixPermutationTable(decode_letters(bits, n), n)
     return _collision_runs(table.word, table.classes, n - 1, max_period, trim=n - 1)
+
+
+def _power_bound(n: int, repeat: int) -> int:
+    """The longest period ``power_free`` scans: min(n^2-3n+1, repeat(n-1)-1)."""
+    return min(compute_bounds(n).short_bound, repeat * (n - 1) - 1)
 
 
 def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
@@ -235,8 +259,15 @@ def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
     proves it of v: no factor longer than ``repeat`` < n-1 letters occurs
     twice, or else ``repeat`` = n-1.  A period q exceeds n/(n-1) only with
     excess >= q//(n-1)+1, so periods up to min(n^2-3n+1, repeat(n-1)-1) are
-    scanned: a longer one needs excess >= n-1, in ``runs``, or > ``repeat``."""
-    bound = min(compute_bounds(n).short_bound, repeat * (n - 1) - 1)
+    scanned: a longer one needs excess >= n-1, in ``runs``, or > ``repeat``.
+
+    This list rests on the repeat premise alone.  ``power_free`` decides
+    whether it is empty on the block windows (:func:`_window_verdict`),
+    which rests also on the relabelling premise, that the decoding of each
+    window relabelled by its first decoder state is the probe word there,
+    and enforces it; the list is built only on failure, for the count and
+    the first witness."""
+    bound = _power_bound(n, repeat)
     occs = find_repetitions_exceeding(v, n, n - 1, bound)
     occs += [o for o in runs if o.period > bound and (n - 1) * o.length > n * o.period]
     occs.sort(key=lambda occ: (occ.start, occ.period))
@@ -245,9 +276,11 @@ def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
 
 class _Probe:
     """The morphism under test and what its checks read, each built on
-    first use: the probe encoding, its table (the decoding, the classes of
-    equal decoder states and the repeat fact), the runs they give, and
-    the verdicts of the checks run on it."""
+    first use: the blocks u = h(0110) of the probe encoding h(u), its
+    table (the decoding of h(u), block by block; the classes of equal
+    decoder states and the repeat fact), the runs they give, and the
+    verdicts of the checks run on it.  The probe encoding itself, 4r^2
+    bits, is never built."""
 
     def __init__(self, h: UniformMorphism):
         self.h = h
@@ -260,17 +293,64 @@ class _Probe:
         return self.verdicts[name]
 
     @cached_property
-    def bits(self) -> str:
-        return probe_encoding(self.h)
+    def blocks(self) -> str:
+        """u = h(0110): block j of the probe encoding h(u) is h(u[j])."""
+        return self.h.apply("0110")
 
     @cached_property
     def table(self) -> PrefixPermutationTable:
-        return PrefixPermutationTable(self.bits, self.h.n)
+        return PrefixPermutationTable(_decode_image(self.h, self.blocks), self.h.n)
 
     @cached_property
     def runs(self) -> list[RepetitionOccurrence]:
         """Every maximal run of the decoding with excess >= n-1."""
         return _collision_runs(self.table.word, self.table.classes, self.h.n - 1)
+
+
+def _window_verdict(p: _Probe) -> bool:
+    """True exactly when the probe word has no repetition above n/(n-1)
+    (:func:`_power_runs` is empty), decided on its distinct block windows.
+
+    Let b be the bound of :func:`_power_runs`.  A repetition above n/(n-1)
+    of period above b is, on the repeat premise, one of the runs, which are
+    checked first.  One of period q <= b holds a factor of q + q//(n-1) + 1
+    <= L = b + b//(n-1) + 1 letters with that period, and every factor of
+    at most L letters lies in word[jr:(j+k)r+n-1], the letters of blocks
+    j..j+k-1 and the n-1 before them, for k = ceil((L-n)/r) + 1 blocks (at
+    least 1, at most all 4r) and some 0 <= j <= 4r-k.  The decoder commutes
+    with relabelling the alphabet, so that factor is the decoding of h(x),
+    x = u[j:j+k], relabelled by decoder state jr, and a relabelling keeps
+    every repetition.  So each distinct k-factor x of u is decoded once and
+    scanned up to period b, stopping at the first repetition found.
+
+    The relabelling premise is enforced (ValueError): at the first
+    occurrence j of each x, the decoding of h(x) relabelled by decoder
+    state jr must equal the table's word from jr on."""
+    h, table = p.h, p.table
+    n, r, u, word = h.n, h.r, p.blocks, table.word
+    bound = _power_bound(n, table.repeat)
+    if any(o.period > bound and (n - 1) * o.length > n * o.period for o in p.runs):
+        return False
+    span = bound + bound // (n - 1) + 1
+    k = min(max(1 - (n - span) // r, 1), len(u))
+    seen = set()
+    for j in range(len(u) - k + 1):
+        x = u[j:j + k]
+        if x in seen:
+            continue
+        seen.add(x)
+        letters = _decode_image(h, x)
+        window = word[j * r:j * r + n - 1]
+        # canonical letter c -> the state's c-th letter: its window, then the missing one
+        relabel = (0, *window, n * (n + 1) // 2 - sum(window))
+        moved = (letters.translate(bytes(relabel).ljust(256, b"\0")) if isinstance(letters, bytes)
+                 else [relabel[c] for c in letters])
+        if moved != word[j * r:j * r + len(letters)]:
+            raise ValueError(f"the decoding of h(x) for the block window x = u[{j}:{j + k}],"
+                             f" relabelled by decoder state {j * r}, differs from the probe word")
+        if has_repetition_exceeding(letters, n, n - 1, bound):
+            return False
+    return True
 
 
 def _check_structure(p: _Probe) -> tuple[bool, str]:
@@ -332,7 +412,7 @@ def _check_kernel(p: _Probe) -> tuple[bool, str]:
     occs = _kernel_runs(p.runs, p.h.n, bound)
     if occs:
         return False, f"{len(occs)} kernel repetitions ({scope}); first: {occs[0].describe()}"
-    return True, f"no kernel repetitions in {len(p.bits)} letters ({scope})"
+    return True, f"no kernel repetitions in {p.h.r * len(p.blocks)} letters ({scope})"
 
 
 def _check_big_excess(p: _Probe) -> tuple[bool, str]:
@@ -344,11 +424,12 @@ def _check_big_excess(p: _Probe) -> tuple[bool, str]:
 
 def _check_power(p: _Probe) -> tuple[bool, str]:
     n, v = p.h.n, p.table.word
+    if _window_verdict(p):
+        return True, f"no repetition above {n}/{n - 1} in {len(v)} letters"
     occs = _power_runs(v, n, p.runs, p.table.repeat)
-    if occs:
-        return False, (f"{len(occs)} repetitions above {n}/{n - 1}; "
-                       f"first: {occs[0].describe()}")
-    return True, f"no repetition above {n}/{n - 1} in {len(v)} letters"
+    if not occs:
+        raise ValueError("a block window holds a repetition above n/(n-1) that the probe word lacks")
+    return False, f"{len(occs)} repetitions above {n}/{n - 1}; first: {occs[0].describe()}"
 
 
 # The eight checks in report order; the only list of them.

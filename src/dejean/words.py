@@ -326,9 +326,10 @@ def find_repetitions_exceeding(w, num: int, den: int,
     return _occurrences(_runs(w, _exceeding(num, den), max_period))
 
 
-def has_repetition_exceeding(w, num: int, den: int) -> bool:
-    """Early-exit form of :func:`find_repetitions_exceeding` emptiness."""
-    return next(_runs(w, _exceeding(num, den)), None) is not None
+def has_repetition_exceeding(w, num: int, den: int, max_period: int | None = None) -> bool:
+    """Early-exit form of :func:`find_repetitions_exceeding` emptiness,
+    with the same ``max_period``."""
+    return next(_runs(w, _exceeding(num, den), max_period), None) is not None
 
 
 def find_repetitions_with_excess_at_least(w, min_excess: int) -> list[RepetitionOccurrence]:

@@ -12,7 +12,8 @@ from pathlib import Path
 import dejean.verifier
 from dejean.markability import MarkabilityReport, PhaseConflict
 from dejean.morphisms import factor_closure
-from dejean.perms import Permutation, step0, step1
+from dejean.pansiot import decode_letters
+from dejean.perms import Permutation, PrefixPermutationTable, step0, step1
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -193,6 +194,12 @@ def brute_markability_report(h):
     return MarkabilityReport(len(factors), tuple(failures))
 
 
+def table_of(bits, n):
+    """The ``PrefixPermutationTable`` of a binary word: the table of its
+    decoding over ``canonical_prefix(n)``."""
+    return PrefixPermutationTable(decode_letters(bits, n), n)
+
+
 def classes_of(keys):
     """The positions of ``keys`` grouped by equal key, each group ascending,
     in the order of first occurrence, keeping the groups of two or more:
@@ -272,13 +279,17 @@ def repeat_case(table, n, g):
 
 
 def spy_power_bounds(monkeypatch):
-    """The ``max_period`` of each power scan the verifier makes, in order."""
+    """The ``max_period`` of each power scan the verifier makes, in order:
+    the full scans of ``_power_runs`` and the early-exit scans of the block
+    windows alike."""
     bounds = []
-    scan = dejean.verifier.find_repetitions_exceeding
 
-    def spy(w, num, den, max_period=None):
-        bounds.append(max_period)
-        return scan(w, num, den, max_period)
+    def spying(scan):
+        def spy(w, num, den, max_period=None):
+            bounds.append(max_period)
+            return scan(w, num, den, max_period)
+        return spy
 
-    monkeypatch.setattr(dejean.verifier, "find_repetitions_exceeding", spy)
+    for name in ("find_repetitions_exceeding", "has_repetition_exceeding"):
+        monkeypatch.setattr(dejean.verifier, name, spying(getattr(dejean.verifier, name)))
     return bounds

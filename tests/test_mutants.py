@@ -31,13 +31,14 @@ import pytest
 
 import dejean.verifier
 from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
-from dejean.perms import PrefixPermutationTable
-from dejean.verifier import (_collision_runs, _Probe, _power_runs, compute_bounds,
-                             find_kernel_repetitions, probe_encoding,
-                             probe_word, run_check, verify)
+from dejean.search import enumerate_legal, search_convenient
+from dejean.verifier import (_CHECKS, _collision_runs, _power_bound, _Probe, _power_runs, _run,
+                             _window_verdict, compute_bounds, find_kernel_repetitions,
+                             probe_encoding, probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
 from helpers import (brute_kernel_repetitions, brute_longest_repeat, class_ids, classes_of,
-                     load_perfbench_mutants, occ_triples, repeat_case, spy_power_bounds)
+                     load_perfbench_mutants, occ_triples, repeat_case, spy_power_bounds,
+                     table_of)
 
 SEED = 20261018
 _COUNT_AND_FIRST = re.compile(r"^(\d+) (?:kernel )?repetitions .*; first: (.*)$")
@@ -83,7 +84,7 @@ def _bit_runs(h: UniformMorphism):
     """The unbounded kernel scan of the probe encoding: the runs of the
     code bits through classes of equal keys (decoder-state id, bit)."""
     bits = probe_encoding(h)
-    ids = class_ids(PrefixPermutationTable(bits, h.n).classes, len(bits) + 1)
+    ids = class_ids(table_of(bits, h.n).classes, len(bits) + 1)
     return _collision_runs(bits, classes_of(zip(ids, bits)), 1)
 
 
@@ -252,8 +253,10 @@ def test_power_scan_bound_follows_premise(monkeypatch):
     scanned, tight = {}, []
     for label, h in cases:
         run_check("power_free", h)
-        scanned[label] = bounds.pop()
-        assert not bounds, label
+        # the window scans and, on failure, the full scan: all at one bound
+        assert bounds and set(bounds) == {bounds[0]}, (label, bounds)
+        scanned[label] = bounds[0]
+        bounds.clear()
         short = compute_bounds(h.n).short_bound
         longest = brute_longest_repeat(probe_word(h).letters, h.n - 1)
         if longest == h.n - 1:
@@ -274,7 +277,7 @@ def test_repeat_matches_brute_on_benchmark_mutants(seed):
     window mutants repeat a decoder state, the point mutants do not."""
     cases = []
     for m in load_perfbench_mutants().generate(seed):
-        table = PrefixPermutationTable(probe_encoding(UniformMorphism(m.n, m.image0, m.image1)), m.n)
+        table = table_of(probe_encoding(UniformMorphism(m.n, m.image0, m.image1)), m.n)
         cases.append(repeat_case(table, m.n, 8) == "window")
     assert cases == [False] * 12 + [True] * 2
 
@@ -315,3 +318,165 @@ def test_kernel_bound_is_not_trusted_without_its_premise(h):
     _assert_matches_oracle(check, kernel)
     alone = run_check("kernel_free", h)
     assert (alone.passed, alone.witness) == (check.passed, check.witness)
+
+
+def _window_case(h, monkeypatch):
+    """Asserts the window verdict of ``power_free`` on h against the full
+    power scan, and that the windows it decodes are distinct factors of u =
+    h(0110) of one length, in order of first occurrence (all of them on a
+    pass).  Returns what the case met."""
+    probe = _Probe(h)
+    table, n, u = probe.table, h.n, probe.blocks
+    full = _power_runs(table.word, n, probe.runs, table.repeat)
+    windows = []
+    decode = dejean.verifier._decode_image
+    with monkeypatch.context() as m:
+        m.setattr(dejean.verifier, "_decode_image", lambda g, x: windows.append(x) or decode(g, x))
+        verdict = _window_verdict(probe)
+    assert verdict == (not full), h
+    met = {"pass" if verdict else "fail"}
+    if _power_bound(n, table.repeat) < 1:
+        met.add("b < 1")
+    if not windows:
+        assert full and not verdict
+        return met | {"decided by the runs"}
+    k = len(windows[0])
+    distinct = list(dict.fromkeys(u[j:j + k] for j in range(len(u) - k + 1)))
+    assert windows == distinct[:len(windows)], h
+    if verdict:
+        assert windows == distinct, h
+    met.add(f"{len(windows)} windows")
+    if not verdict:
+        met.add("found by a window")
+    if k == len(u):
+        met.add("one window is the whole word")
+    if k == 1:
+        met.add("one block")
+    return met
+
+
+class TestWindowVerdict:
+    """``power_free`` passes exactly when the full scan of ``_power_runs``
+    is empty, though it scans only the distinct block windows."""
+
+    def test_builtins_mutants_and_periodic(self, monkeypatch):
+        met = set()
+        for n in BUILTIN_SIZES:
+            assert _window_case(builtin(n), monkeypatch) >= {"pass"}, n
+        for seed in range(1, 6):
+            mutants = load_perfbench_mutants().generate(seed)
+            assert len(mutants) == 14
+            for m in mutants:
+                met |= _window_case(UniformMorphism(m.n, m.image0, m.image1), monkeypatch)
+        for _, h in ALL + [("periodic-26", PERIODIC_26)]:
+            met |= _window_case(h, monkeypatch)
+        assert met >= {"found by a window", "decided by the runs"}
+
+    @pytest.mark.parametrize("n,r", [(11, 40), (12, 44), (13, 49), (14, 52)])
+    def test_searched_morphisms(self, n, r, monkeypatch):
+        """The first morphism the search finds at these n and r passes."""
+        found = search_convenient(n, r, limit=1)
+        assert len(found) == 1 and verify(found[0]).overall
+        assert "pass" in _window_case(found[0], monkeypatch)
+
+    def test_random_small_morphisms(self, monkeypatch):
+        """n = 2 has b < 1, so no window scans a period; a single-bit image
+        at n = 5 takes all four blocks as one window, and n = 3 one block."""
+        rng = random.Random(31)
+        met = set()
+        for n in [2, 3, 5] * 10 + [rng.randint(2, 11) for _ in range(300)]:
+            r = rng.randint(1, 3 * n)
+            h = UniformMorphism(n, *("".join(rng.choice("01") for _ in range(r)) for _ in "01"))
+            met |= _window_case(h, monkeypatch)
+        assert met >= {"pass", "found by a window", "b < 1", "decided by the runs",
+                       "one window is the whole word", "one block"}, met
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_large_alphabet(self, n, monkeypatch):
+        """Above 255 letters the decodings are lists, relabelled letter by
+        letter; these short probes repeat factors long enough that one
+        window is the whole word."""
+        rng = random.Random(n)
+        met = set()
+        for r in (3, 7, 20):
+            h = UniformMorphism(n, *("".join(rng.choice("01") for _ in range(r)) for _ in "01"))
+            assert type(_Probe(h).table.word) is list
+            met |= _window_case(h, monkeypatch)
+        assert met >= {"found by a window", "one window is the whole word"}
+
+    def test_legal_image_pairs(self, monkeypatch):
+        """Every pair of distinct legal 9-bit images at n = 5.  Among them
+        are the morphisms of ``test_repetitions_need_every_block``."""
+        images = []
+        enumerate_legal(5, 9, images.append)
+        assert len(images) == 16
+        met = set()
+        for h0 in images:
+            for h1 in images:
+                if h0 != h1:
+                    met |= _window_case(UniformMorphism(5, h0, h1), monkeypatch)
+        assert met >= {"found by a window", "decided by the runs"}
+
+    @pytest.mark.parametrize("bound", [11, 10])
+    def test_repetitions_need_every_block(self, bound, monkeypatch):
+        """Every repetition above 5/4 of this probe word has period 10 and
+        14 or 17 letters, and straddles a block boundary.  Its bound is b =
+        11, so the period is b - 1.  A repetition above n/(n-1) of period
+        exactly b never occurred in 3,000 random decodings at n = 4..7,
+        though b - 1 did in half of them, so the second case sets b = 10,
+        the period of these repetitions: the window scan and the full scan
+        both read that b, and the window verdict must still find them.
+        Either way the window is k = 2 blocks of r = 9 bits: one block and
+        the n-1 letters before it hold 13 letters, fewer than any of the
+        repetitions, so k - 1 blocks would find none."""
+        h = UniformMorphism(5, "011011011", "010101101")
+        assert _power_bound(5, _Probe(h).table.repeat) == 11
+        monkeypatch.setattr(dejean.verifier, "_power_bound", lambda n, repeat: bound)
+        probe = _Probe(h)
+        full = _power_runs(probe.table.word, 5, probe.runs, probe.table.repeat)
+        assert len(full) == 21 and {o.period for o in full} == {10}
+        assert {o.length for o in full} == {14, 17}
+        # block j's letters start at n-1 + jr
+        assert all(any(o.start < 4 + 9 * j < o.end for j in range(36)) for o in full)
+        assert _window_case(h, monkeypatch) >= {"found by a window"}
+
+    @pytest.mark.parametrize("n,h0,h1,bound", [(6, "011", "010", 5), (7, "010", "110", 6)])
+    def test_least_length_at_the_bound(self, n, h0, h1, bound, monkeypatch):
+        """With b set to the period of the repetitions above n/(n-1) of
+        this probe word, each has the least length L = b + b//(n-1) + 1
+        that such a repetition can have, and L - n = 1 mod r = 3: k - 1
+        blocks, or a window sized for L - 1 letters, hold none of them."""
+        h = UniformMorphism(n, h0, h1)
+        monkeypatch.setattr(dejean.verifier, "_power_bound", lambda n, repeat: bound)
+        probe = _Probe(h)
+        full = _power_runs(probe.table.word, n, probe.runs, probe.table.repeat)
+        least = bound + bound // (n - 1) + 1
+        assert {o.period for o in full} == {bound} and {o.length for o in full} == {least}
+        assert (least - n) % 3 == 1
+        assert _window_case(h, monkeypatch) >= {"found by a window"}
+
+    def test_relabelling_premise_is_enforced(self, monkeypatch):
+        """A letter changed at the end of any window's first occurrence, a
+        position no earlier window holds, fails the check with an error."""
+        h = builtin(15)
+        decoded = []
+        decode = dejean.verifier._decode_image
+        monkeypatch.setattr(dejean.verifier, "_decode_image",
+                            lambda g, x: decoded.append(x) or decode(g, x))
+        clean = _Probe(h)
+        assert _window_verdict(clean) is True
+        u, r, n = clean.blocks, h.r, h.n
+        windows = decoded[1:]  # the first decoding is the probe word's
+        assert len(windows) > 1
+        for x in windows:
+            j = u.index(x)
+            end = j * r + len(x) * r + n - 2  # the window's last letter
+            probe = _Probe(h)
+            word = bytearray(probe.table.word)
+            word[end] = word[end] % n + 1
+            probe.table.word = bytes(word)
+            result = _run("power_free", dict(_CHECKS)["power_free"], probe)
+            assert not result.passed, x
+            assert result.witness == (f"error: the decoding of h(x) for the block window x ="
+                                      f" u[{j}:{j + len(x)}], relabelled by decoder state {j * r},"
+                                      f" differs from the probe word"), x

@@ -4,12 +4,12 @@ import re
 import pytest
 
 from dejean import pansiot
-from dejean.morphisms import builtin
+from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.pansiot import (WindowDistinctnessError, _decode_loop,
                             canonical_prefix, decode, decode_letters, encode)
 from dejean.words import SigmaWord
 
-from helpers import brute_has_period
+from helpers import brute_has_period, load_perfbench_mutants
 
 
 def random_valid_word(rng, n, extra):
@@ -133,6 +133,61 @@ class TestDecodeLetters:
             decode_letters("020", 5)
         with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
             decode_letters("01", 1)
+
+
+class TestImageBlockDecode:
+    """The decoding of h(u) read one image of h per step against
+    ``decode_letters`` of the applied bits, the oracle, byte for byte."""
+
+    @staticmethod
+    def assert_blocks_equal_oracle(h, u):
+        letters = decode_letters(u, h.n, (h.image0, h.image1))
+        oracle = decode_letters(h.apply(u), h.n)
+        assert type(letters) is type(oracle) and letters == oracle, (h, u)
+
+    def test_builtins(self):
+        for n in BUILTIN_SIZES:
+            h = builtin(n)
+            for u in (h.apply("0110"), "", "0", "1", "0110"):
+                self.assert_blocks_equal_oracle(h, u)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_benchmark_mutants(self, seed):
+        mutants = load_perfbench_mutants().generate(seed)
+        assert len(mutants) == 14
+        for m in mutants:
+            h = UniformMorphism(m.n, m.image0, m.image1)
+            self.assert_blocks_equal_oracle(h, h.apply("0110"))
+
+    @pytest.mark.parametrize("n", [*range(2, 31), 255])
+    def test_random_morphisms(self, n):
+        rng = random.Random(8000 + n)
+        for r in (1, 3, 7, 9, 13, rng.randrange(17, 60, 8)):
+            assert r % 8
+            h = UniformMorphism(n, *("".join(rng.choice("01") for _ in range(r)) for _ in "01"))
+            u = "".join(rng.choice("01") for _ in range(rng.randint(0, 40)))
+            self.assert_blocks_equal_oracle(h, u)
+            self.assert_blocks_equal_oracle(h, h.apply("0110"))
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_large_alphabet_takes_loop(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chunked path taken for n > 255")
+
+        monkeypatch.setattr(pansiot, "_decode_chunks", refuse)
+        rng = random.Random(n)
+        h = UniformMorphism(n, *("".join(rng.choice("01") for _ in range(45)) for _ in "01"))
+        u = "".join(rng.choice("01") for _ in range(23))
+        letters = decode_letters(u, n, (h.image0, h.image1))
+        assert type(letters) is list and max(letters) > 255
+        assert tuple(letters) == _loop_oracle(h.apply(u), canonical_prefix(n))
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_input_errors(self, n):
+        with pytest.raises(ValueError, match="non-binary symbol '2' at position 1"):
+            decode_letters("020", n, ("01", "10"))
+        with pytest.raises(ValueError, match="non-binary symbol 'x' at position 2"):
+            decode_letters("01", n, ("01", "10x"))
 
 
 class TestRoundTrip:

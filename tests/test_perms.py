@@ -5,15 +5,15 @@ import re
 import pytest
 
 from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
-from dejean.pansiot import _decode_loop, canonical_prefix, decode, encode
-from dejean.perms import (Permutation, PrefixPermutationTable, _missing, find_conjugator,
+from dejean.pansiot import _decode_loop, canonical_prefix, decode, decode_letters, encode
+from dejean.perms import (Permutation, _missing, find_conjugator,
                           h0_splices, is_kernel_word, step0, step1, word_permutation)
 from dejean.search import classify_candidate
 from dejean.verifier import find_kernel_repetitions, probe_encoding
 from dejean.words import SigmaWord
 from helpers import (brute_kernel_repetitions, brute_word_permutation, class_ids, classes_of,
                      load_perfbench_mutants, occ_triples, prefix_permutations, repeat_case,
-                     repeated_factor_starts, same_partition)
+                     repeated_factor_starts, same_partition, table_of)
 
 
 class TestPermutation:
@@ -295,13 +295,13 @@ class TestPrefixTable:
     ``class_ids``, exactly where the prefix permutations are equal."""
 
     def test_empty_word(self):
-        table = PrefixPermutationTable("", 4)
+        table = table_of("", 4)
         assert table.classes == []
         assert table.word == bytes(canonical_prefix(4).letters)
 
     def test_full_word_consistency(self):
         bits = "0110101"
-        table = PrefixPermutationTable(bits, 5)
+        table = table_of(bits, 5)
         assert tuple(table.word) == decode(bits, canonical_prefix(5)).letters
         window = tuple(table.word[-4:])
         assert window + (15 - sum(window),) == word_permutation(bits, 5).images
@@ -311,7 +311,7 @@ class TestPrefixTable:
         outcomes = set()
         for n in (3, 4):
             bits = "".join(rng.choice("01") for _ in range(80))
-            ids = class_ids(PrefixPermutationTable(bits, n).classes, len(bits) + 1)
+            ids = class_ids(table_of(bits, n).classes, len(bits) + 1)
             for i in range(len(bits) + 1):
                 for j in range(i, len(bits) + 1):
                     in_kernel = is_kernel_word(bits[i:j], n)
@@ -321,7 +321,7 @@ class TestPrefixTable:
 
     def test_ids_mark_equal_prefixes(self):
         bits = "11" * 4  # step1(2) has order 2
-        ids = class_ids(PrefixPermutationTable(bits, 2).classes, len(bits) + 1)
+        ids = class_ids(table_of(bits, 2).classes, len(bits) + 1)
         perms = prefix_permutations(bits, 2)
         for i in range(len(bits) + 1):
             for j in range(len(bits) + 1):
@@ -335,7 +335,7 @@ class TestPrefixTable:
         for n in range(2, 9):
             for _ in range(30):
                 bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
-                table = PrefixPermutationTable(bits, n)
+                table = table_of(bits, n)
                 assert tuple(table.word) == decode(bits, canonical_prefix(n)).letters
                 ids = class_ids(table.classes, len(bits) + 1)
                 assert same_partition(ids, prefix_permutations(bits, n)), (n, bits)
@@ -343,7 +343,7 @@ class TestPrefixTable:
     @pytest.mark.parametrize("n", [15, 16])
     def test_ids_match_composition_oracle_builtin_probe(self, n):
         bits = probe_encoding(n)
-        ids = class_ids(PrefixPermutationTable(bits, n).classes, len(bits) + 1)
+        ids = class_ids(table_of(bits, n).classes, len(bits) + 1)
         assert same_partition(ids, prefix_permutations(bits, n))
 
 
@@ -378,7 +378,7 @@ class TestBulkKeys:
                     k = rng.randrange(len(bits))
                     bits = bits[:k] + str(1 - int(bits[k])) + bits[k + 1:]
             letters, want = _first_equal_windows(bits, n)
-            table = PrefixPermutationTable(bits, n)
+            table = table_of(bits, n)
             assert type(table.word) is (bytes if n < 256 else list), (n, kind)
             assert tuple(table.word) == decode(bits, canonical_prefix(n)).letters, (n, kind)
             assert list(table.word) == letters, (n, kind)
@@ -402,7 +402,7 @@ class TestBulkKeys:
         clashes = [k for k, key in enumerate(keys)
                    if want[by_key.setdefault(key, k)] != want[k]]
         assert clashes
-        assert class_ids(PrefixPermutationTable(bits, n).classes, len(bits) + 1) == want
+        assert class_ids(table_of(bits, n).classes, len(bits) + 1) == want
 
 
 class TestKeyedPass:
@@ -418,7 +418,7 @@ class TestKeyedPass:
     @staticmethod
     def branches(bits, n):
         """Checks the table of ``bits`` and returns the branches it took."""
-        table = PrefixPermutationTable(bits, n)
+        table = table_of(bits, n)
         letters, want = _first_equal_windows(bits, n)
         assert list(table.word) == letters, (n, bits)
         assert class_ids(table.classes, len(bits) + 1) == want, (n, bits)
@@ -492,6 +492,6 @@ class TestNonBinaryInput:
     @pytest.mark.parametrize("bits,n,message", CASES)
     def test_rejected_everywhere(self, bits, n, message):
         for call in (word_permutation, is_kernel_word, classify_candidate,
-                     PrefixPermutationTable, find_kernel_repetitions):
+                     decode_letters, find_kernel_repetitions):
             with pytest.raises(ValueError, match=re.escape(message)):
                 call(bits, n)

@@ -8,14 +8,14 @@ import dejean.perms
 import dejean.verifier
 from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.pansiot import canonical_prefix, decode, decode_letters
-from dejean.perms import PrefixPermutationTable, word_permutation
+from dejean.perms import word_permutation
 from dejean.verifier import (CHECK_NAMES, _collision_runs, _kernel_runs, _power_runs,
                              compute_bounds,
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
 from helpers import (brute_kernel_repetitions, class_ids, classes_of, occ_triples, repeat_case,
-                     repeated_factor_starts, spy_power_bounds)
+                     repeated_factor_starts, spy_power_bounds, table_of)
 
 
 class TestBounds:
@@ -101,7 +101,7 @@ class TestKernelScan:
             for bits in words:
                 want = brute_kernel_repetitions(bits, n)
                 assert occ_triples(find_kernel_repetitions(bits, n)) == want, (n, bits)
-                table = PrefixPermutationTable(bits, n)
+                table = table_of(bits, n)
                 runs = _collision_runs(table.word, table.classes, n - 1)
                 for q in sorted({q for _, q, _ in want})[:3]:
                     for cap in (q - 1, q):
@@ -130,7 +130,7 @@ class TestDecoderStateIdentity:
         for n in range(3, 9):
             for _ in range(40):
                 bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
-                classes = PrefixPermutationTable(bits, n).classes
+                classes = table_of(bits, n).classes
                 id_periods = {b - a for c in classes for i, a in enumerate(c) for b in c[i + 1:]}
                 v = decode(bits, canonical_prefix(n))
                 scan_periods = {o.period for o in find_repetitions_with_excess_at_least(v, n - 1)}
@@ -151,7 +151,7 @@ class TestDecoderStateIdentity:
             bound = compute_bounds(n).short_bound
             for _ in range(40):
                 bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
-                table = PrefixPermutationTable(bits, n)
+                table = table_of(bits, n)
                 letters = [rng.randint(1, n) for _ in range(rng.randint(n - 1, 300))]
                 intern: dict = {}
                 ids = [intern.setdefault(tuple(letters[k:k + n - 1]), len(intern))
@@ -188,7 +188,7 @@ class TestRepeatFact:
                 unit = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
                 words.append(unit * rng.randint(1, 40))
             for bits in words:
-                table = PrefixPermutationTable(bits, n)
+                table = table_of(bits, n)
                 letters = decode(bits, canonical_prefix(n)).letters
                 first: dict = {}
                 ids = [first.setdefault(letters[k:k + n - 1], k) for k in range(len(bits) + 1)]
@@ -211,7 +211,7 @@ class TestRepeatFact:
         """The only repeated g-letter factor starts past the last decoder
         state: the states stay distinct, the tail key counts, and the power
         scan reads up to repeat(n-1)-1."""
-        table = PrefixPermutationTable(bits, n)
+        table = table_of(bits, n)
         assert repeated_factor_starts(table.word, self.WIDTHS[n]) == [len(bits) + 1]
         assert table.classes == []
         assert table.repeat == repeat
@@ -226,7 +226,7 @@ class TestRepeatFact:
     def test_longest_repeat_between_later_occurrences(self, n, bits, repeat):
         """The longest repeated factor starts at two later positions of its
         g-letter key: each position against the key's first finds less."""
-        table = PrefixPermutationTable(bits, n)
+        table = table_of(bits, n)
         word, g = table.word, self.WIDTHS[n]
         first: dict = {}
         against_first = 0
@@ -268,7 +268,7 @@ class TestCollisionPairs:
         windows = [m for m in load_perfbench_mutants().generate(1) if m.kind.startswith("window")]
         counts = []
         for m in windows:
-            table = PrefixPermutationTable(probe_encoding(UniformMorphism(m.n, m.image0, m.image1)), m.n)
+            table = table_of(probe_encoding(UniformMorphism(m.n, m.image0, m.image1)), m.n)
             equal = _equal_key_pairs(table.classes)
             calls = _counted_pairs(monkeypatch)
             runs = _collision_runs(table.word, table.classes, m.n - 1)
@@ -282,7 +282,7 @@ class TestCollisionPairs:
         repeat at period 25 nearly everywhere: 1,729 runs out of 14,017,111
         pairs."""
         h = UniformMorphism(26, "0" * 104, "0" * 103 + "1")
-        classes = PrefixPermutationTable(probe_encoding(h), 26).classes
+        classes = table_of(probe_encoding(h), 26).classes
         assert _equal_key_pairs(classes) == 14_017_111
         calls = _counted_pairs(monkeypatch)
         report = verify(h)
@@ -315,7 +315,7 @@ class TestCollisionPairs:
 
         dropped = 0
         for bits in words:
-            table = PrefixPermutationTable(bits, 3)
+            table = table_of(bits, 3)
             runs = _collision_runs(table.word, table.classes, 2)
             dropped += len(runs) - len(_kernel_runs(runs, 3))
             with monkeypatch.context() as patch:
@@ -438,20 +438,29 @@ class TestVerify:
         assert find_kernel_repetitions(probe_encoding(15), 15) == []
 
     def test_verify_decodes_once(self, monkeypatch):
-        """One decoding per verification, the table's ``decode_letters``;
-        every decoding, checked or not, runs ``pansiot._letters``."""
+        """One decoding of the probe encoding h(u), u = h(0110), per
+        verification, the table's, by image blocks; then at most one
+        decoding per distinct block window of ``power_free``, by image
+        blocks too, each a distinct factor of u of one length.  Every
+        decoding, checked or not, runs ``pansiot._letters``; none decodes
+        the 4r^2 bits of h(u) themselves."""
         calls = []
 
         def counting(name, function):
             def counted(bits, *args):
-                calls.append((name, len(bits)))
+                calls.append((name, bits, args[-1]))
                 return function(bits, *args)
             return counted
 
-        monkeypatch.setattr(dejean.perms, "decode_letters",
+        monkeypatch.setattr(dejean.verifier, "decode_letters",
                             counting("decode_letters", decode_letters))
         monkeypatch.setattr(dejean.verifier, "decode", counting("decode", decode))
         monkeypatch.setattr(dejean.pansiot, "_letters", counting("_letters", dejean.pansiot._letters))
         assert verify(15).overall
-        length = len(probe_encoding(15))
-        assert calls == [("decode_letters", length), ("_letters", length)]
+        h = builtin(15)
+        u, images = h.apply("0110"), (h.image0, h.image1)
+        assert calls[:2] == [("decode_letters", u, images), ("_letters", u, images)]
+        windows = [x for _, x, _ in calls[2::2]]
+        assert calls[2:] == [(name, x, images) for x in windows for name in ("decode_letters", "_letters")]
+        assert windows and len(set(windows)) == len(windows)
+        assert {len(x) for x in windows} == {3} and all(x in u for x in windows)
