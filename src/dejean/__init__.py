@@ -10,12 +10,11 @@ from .morphisms import (BUILTIN_SIZES, FactorSet, MorphismFormatError,
                         emit_morphism_file, factor_closure, iteration_bound,
                         limit_prefix, parse_morphism_file)
 from .markability import (MarkabilityReport, PhaseConflict,
-                          check_all_length_r_factors_markable, is_2markable)
+                          check_all_length_r_factors_markable)
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
 from .perms import (Permutation, PrefixPermutationTable, find_conjugator,
                     is_kernel_word, step0, step1, word_permutation)
-from .search import (classify_candidate, enumerate_legal, legal_length_counts,
-                     search_convenient)
+from .search import enumerate_legal, legal_length_counts, search_convenient
 from .verifier import (Bounds, CheckResult, VerificationReport, compute_bounds,
                        find_kernel_repetitions, probe_encoding, probe_word,
                        run_check, verify)
@@ -28,11 +27,11 @@ __all__ = [
     "PrefixPermutationTable", "PrefixStabilityError", "RepetitionOccurrence",
     "SigmaWord", "UniformMorphism", "VerificationReport",
     "WindowDistinctnessError", "builtin", "canonical_prefix",
-    "check_all_length_r_factors_markable", "classify_candidate",
+    "check_all_length_r_factors_markable",
     "compute_bounds", "decode", "emit_morphism_file", "encode",
     "enumerate_legal", "factor_closure", "find_conjugator",
     "find_kernel_repetitions", "find_repetitions_exceeding",
-    "find_repetitions_with_excess_at_least", "is_2markable", "is_kernel_word",
+    "find_repetitions_with_excess_at_least", "is_kernel_word",
     "iteration_bound", "legal_length_counts", "limit_prefix", "max_exponent",
     "parse_morphism_file", "probe_encoding", "probe_word", "run_check",
     "search_convenient", "step0", "step1", "verify", "word_permutation",

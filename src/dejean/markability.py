@@ -46,17 +46,6 @@ def _phase_conflicts(h: UniformMorphism, U: FactorSet, k: int) -> dict[str, Phas
     return conflicts
 
 
-def is_2markable(v: str, h: UniformMorphism, U: FactorSet) -> tuple[bool, PhaseConflict | None]:
-    """Whether every occurrence of v in an image of a member of U shares one
-    phase word.  On failure the witness holds two conflicting occurrences.
-
-    U is meant to be the length-2 factor closure of h; any factor set is
-    accepted for exploration.
-    """
-    conflict = _phase_conflicts(h, U, len(v)).get(v)
-    return conflict is None, conflict
-
-
 @dataclass(frozen=True)
 class MarkabilityReport:
     """Outcome of the batch check over every length-r factor of h(0110)."""

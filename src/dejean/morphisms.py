@@ -33,6 +33,8 @@ class UniformMorphism:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"alphabet size must be >= 2, got {self.n}")
+        if self.n > 255:  # the decoder holds a letter in one byte
+            raise ValueError(f"alphabet size must be <= 255, got {self.n}")
         if not self.image0 or len(self.image0) != len(self.image1):
             raise ValueError(
                 f"images must be nonempty and of equal length, got {len(self.image0)} and {len(self.image1)}"

@@ -12,13 +12,15 @@ commutes with relabelling the alphabet: from a state (window, missing
 letter), a chunk of bits emits the letters it emits from the canonical
 state, each relabelled by the state.  So ``decode`` tables, per n, where
 each 8-bit chunk sends the letters of the state and applies it by
-``bytes.translate``.  For n > 255, and for the last len(bits) % 8 bits, it
-runs the plain loop.  ``decode_letters`` returns those letters unchecked
-(``bytes`` for n < 256); ``decode`` wraps them in a checked ``SigmaWord``.
-Given the images (h(0), h(1)) of a binary morphism h, ``decode_letters``
-decodes h(bits) with the same loop, one image per step: the two images are
-its chunks.  ``end_state`` moves the state alone through the 8-bit chunk
-steps and emits no letter.
+``bytes.translate``; the last len(bits) % 8 bits run the plain loop.  A
+letter is one byte, so every decoding takes alphabets of at most 255
+letters, and ``_letters``, which each one runs, rejects larger ones;
+``encode`` decodes nothing and takes any n.
+``decode_letters`` returns the letters unchecked, as ``bytes``; ``decode``
+wraps them in a checked ``SigmaWord``.  Given the images (h(0), h(1)) of a
+binary morphism h, ``decode_letters`` decodes h(bits) with the same loop,
+one image per step: the two images are its chunks.  ``end_state`` reads
+the decoder state off the last n-1 letters of ``decode_letters``.
 """
 
 from collections.abc import Iterable
@@ -72,50 +74,30 @@ def decode(bits: str, prefix: SigmaWord) -> SigmaWord:
     return SigmaWord(n, tuple(_letters(bits, prefix.letters, missing)))
 
 
-def decode_letters(bits: str, n: int,
-                   images: tuple[str, str] | None = None) -> bytes | list[int]:
+def decode_letters(bits: str, n: int, images: tuple[str, str] | None = None) -> bytes:
     """The letters of ``decode(bits, canonical_prefix(n))`` without its
-    ``SigmaWord`` check: ``bytes`` for n < 256, else a list.  Given
-    ``images`` = (h(0), h(1)), the letters of the decoding of h(bits), one
-    image per step for n < 256; h(bits) is never built there."""
+    ``SigmaWord`` check, as ``bytes``.  Given ``images`` = (h(0), h(1)),
+    the letters of the decoding of h(bits), one image per step; h(bits) is
+    never built."""
     return _letters(bits, canonical_prefix(n).letters, n, images)
 
 
 def end_state(bits: str, n: int) -> tuple[int, ...]:
     """The decoder state after ``bits`` from ``canonical_prefix(n)``: the
-    last n-1 letters of the decoding, then the missing letter.
-
-    It is no decoding, so a verification that reads permutation images
-    still decodes its probe once: each 8-bit chunk only sends the state
-    through its step of ``_chunk_steps``, no letter of the word is emitted,
-    and ``_letters`` never runs.  The plain loop takes n > 255 and the last
-    len(bits) % 8 bits."""
-    window, missing = canonical_prefix(n).letters, n
-    bits = check_binary(bits)
-    full = len(bits) - len(bits) % 8 if n < 256 else 0
-    if full:
-        steps, state, pad = _chunk_steps(n), bytes((*window, missing)), bytes(256 - n)
-        for code in int(bits[:full], 2).to_bytes(full // 8, "big"):
-            state = steps[code][1].translate(state + pad)
-        window, missing = tuple(state[:-1]), state[-1]
-    letters = _decode_loop(bits[full:], window, missing)
-    window = letters[len(letters) - n + 1:]
+    last n-1 letters of the decoding, then the missing letter."""
+    window = decode_letters(bits, n)[1 - n:]
     return (*window, n * (n + 1) // 2 - sum(window))
 
 
 def _letters(bits: str, prefix: tuple[int, ...], missing: int,
-             images: tuple[str, str] | None = None) -> bytes | list[int]:
+             images: tuple[str, str] | None = None) -> bytes:
+    n = len(prefix) + 1
+    if n > 255:  # one byte a letter
+        raise ValueError(f"alphabet size must be <= 255, got {n}")
     bits = check_binary(bits)
     if images is not None:
-        images = tuple(map(check_binary, images))
-    if len(prefix) >= 255:
-        if images is not None:
-            bits = "".join(images[int(b)] for b in bits)
-        return _decode_loop(bits, prefix, missing)
-    n = len(prefix) + 1
-    if images is not None:
-        return _decode_chunks(map(int, bits), [_step(image, n) for image in images],
-                              prefix, missing)
+        steps = [_step(check_binary(image), n) for image in images]
+        return _decode_chunks(map(int, bits), steps, prefix, missing)
     full = len(bits) - len(bits) % 8
     codes = int(bits[:full] or "0", 2).to_bytes(full // 8, "big")
     return _decode_chunks(codes, _chunk_steps(n), prefix, missing, bits[full:])
@@ -152,7 +134,7 @@ def _decode_chunks(codes: Iterable[int], steps: list[tuple[bytes, bytes]],
                    prefix: tuple[int, ...], missing: int, tail: str = "") -> bytes:
     """The letters of the decoding from the state (prefix, missing): one
     step of ``steps`` per code, its letters relabelled by the state, then
-    the bits of ``tail`` one at a time; needs n < 256."""
+    the bits of ``tail`` one at a time."""
     state, pad = bytes(prefix) + bytes((missing,)), bytes(255 - len(prefix))
     out = [bytes(prefix)]
     for code in codes:

@@ -12,14 +12,14 @@ that state off the decoder 8 bits per step, and ``PrefixPermutationTable``,
 given the decoding of a word, groups its equal prefix permutations into
 classes of equal windows of the decoding.  The table hashes every key of
 the decoding once, into one dict, and compares whole windows only where
-keys repeat; neither composes a generator.
+keys repeat; neither composes a generator.  The decoding is ``bytes``, one
+byte a letter, so all three take n <= 255, as the decoder does.
 
 Simultaneous conjugacy onto (step0, step1) is defined once, by the splice
 lists of ``h0_splices`` and ``h1_splices``: ``find_conjugator`` and the
 search's pairing both read them.
 """
 
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -222,9 +222,9 @@ class PrefixPermutationTable:
     and ``repeat`` < n-1 exactly when ``classes`` is empty.
 
     Every g-letter factor of the decoding (g is the most of 1, 2, 4 or 8
-    bytes within n-1 letters, four bytes a letter for n > 255), at each of
-    its len(word)-g+1 positions, is keyed by the int of its bytes; the
-    first len(bits)+1 keys start the windows.  One pass, lane by lane off
+    letters, one byte each, within n-1 letters), at each of its
+    len(word)-g+1 positions, is keyed by the int of its bytes; the first
+    len(bits)+1 keys start the windows.  One pass, lane by lane off
     ``memoryview`` casts, maps each key to one of its positions, so the
     keys all differ exactly when the dict holds every position, and then
     no class is built.  Otherwise each key still holds exactly one
@@ -236,16 +236,14 @@ class PrefixPermutationTable:
     windows: the longest common prefix of any two lies between neighbours.
     """
 
-    def __init__(self, word: bytes | list[int], n: int):
+    def __init__(self, word: bytes, n: int):
         self.word = word
-        packed = array("I", word) if n > 255 else word
-        buf, step = bytes(packed), memoryview(packed).itemsize
-        g = 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
-        width, count, size, total = step * (n - 1), len(word) - n + 2, g * step, len(word) - g + 1
-        # Lane s, the bytes shifted by s letters, holds the keys of positions
+        g = max(s for s in (1, 2, 4, 8) if s < n)
+        width, count, total = n - 1, len(word) - n + 2, len(word) - g + 1
+        # Lane s, the word shifted by s letters, holds the keys of positions
         # s, s+g, ...
-        lanes = [memoryview(buf)[s * step:s * step + len(range(s, total, g)) * size]
-                 .cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size]) for s in range(g)]
+        lanes = [memoryview(word)[s:s + len(range(s, total, g)) * g]
+                 .cast({1: "B", 2: "H", 4: "I", 8: "Q"}[g]) for s in range(g)]
         last: dict[int, int] = {}
         for s, lane in enumerate(lanes):
             last.update(zip(lane, range(s, total, g)))
@@ -263,11 +261,11 @@ class PrefixPermutationTable:
             del others, keys, last, partners  # before the windows and the sort below
             windows: dict[bytes, list[int]] = {}
             for k in starts[:bisect_left(starts, count)]:
-                windows.setdefault(buf[k * step:k * step + width], []).append(k)
+                windows.setdefault(word[k:k + width], []).append(k)
             self.classes = [c for c in windows.values() if len(c) > 1]
             if self.classes:
                 self.repeat = n - 1
             else:
-                starts.sort(key=lambda k: buf[k * step:k * step + width])
+                starts.sort(key=lambda k: word[k:k + width])
                 self.repeat = max(_agreement(word, a, b, len(word) - max(a, b))
                                   for a, b in zip(starts, starts[1:]))

@@ -39,7 +39,7 @@ from typing import Callable, Iterable
 
 from .morphisms import UniformMorphism
 from .pansiot import decode_letters
-from .perms import h0_splices, h1_splices, word_permutation
+from .perms import h0_splices, h1_splices
 from .verifier import run_check, verify
 from .words import has_repetition_exceeding
 # Not called here; perfbench/tracer.py wraps these names under this module,
@@ -197,12 +197,6 @@ def _classify(sig: tuple, n: int) -> str:
     if length == n - 1:
         return "h0"
     return "neither"
-
-
-def classify_candidate(bits: str, n: int) -> str:
-    """Candidate role of a binary word, by the cycle type of its
-    permutation image: "h0", "h1" or "neither"."""
-    return _classify(word_permutation(bits, n).images, n)
 
 
 def _screen_pair(n: int, h0: str, h1: str) -> str | None:

@@ -171,7 +171,7 @@ def probe_word(source) -> SigmaWord:
     return SigmaWord(h.n, tuple(_decode_image(h, h.apply("0110"))))
 
 
-def _decode_image(h: UniformMorphism, x: str) -> bytes | list[int]:
+def _decode_image(h: UniformMorphism, x: str) -> bytes:
     """The letters of the decoding of h(x) over ``canonical_prefix(n)``,
     one image of h per step: the probe word for x = h(0110), a block
     window's decoding for a factor x of it."""
@@ -342,10 +342,8 @@ def _window_verdict(p: _Probe) -> bool:
         letters = _decode_image(h, x)
         window = word[j * r:j * r + n - 1]
         # canonical letter c -> the state's c-th letter: its window, then the missing one
-        relabel = (0, *window, n * (n + 1) // 2 - sum(window))
-        moved = (letters.translate(bytes(relabel).ljust(256, b"\0")) if isinstance(letters, bytes)
-                 else [relabel[c] for c in letters])
-        if moved != word[j * r:j * r + len(letters)]:
+        relabel = bytes((0, *window, n * (n + 1) // 2 - sum(window))).ljust(256, b"\0")
+        if letters.translate(relabel) != word[j * r:j * r + len(letters)]:
             raise ValueError(f"the decoding of h(x) for the block window x = u[{j}:{j + k}],"
                              f" relabelled by decoder state {j * r}, differs from the probe word")
         if has_repetition_exceeding(letters, n, n - 1, bound):

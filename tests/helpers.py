@@ -5,6 +5,7 @@ loops, independently of the library's scanning strategies.
 """
 
 import importlib.util
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,6 +18,11 @@ from dejean.perms import Permutation, PrefixPermutationTable, step0, step1
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def wide(n):
+    """The message, as a pattern, that rejects an alphabet of n > 255 letters."""
+    return re.escape(f"alphabet size must be <= 255, got {n}")
 
 
 def _load_perfbench(name):
@@ -161,9 +167,11 @@ def brute_kernel_repetitions(bits, n):
 
 
 def brute_is_2markable(v, h, U):
-    """``markability.is_2markable`` by one ``str.find`` scan of each image
-    h(u) for v, u in U's order: the first occurrence is compared with each
-    later one, and the first whose phase word differs is the conflict."""
+    """Whether v is 2-markable relative to h and U, and its first phase
+    conflict (``markability._phase_conflicts``) when not, by one
+    ``str.find`` scan of each image h(u) for v, u in U's order: the first
+    occurrence is compared with each later one, and the first whose phase
+    word differs is the conflict."""
     r = h.r
     seen = None
     for u in U:

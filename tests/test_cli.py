@@ -108,7 +108,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("text,message", [
         ("n=1\nr=2\nh0=01\nh1=10\n", "line 1: alphabet size must be >= 2, got 1"),
         ("n=3\nr=0\nh0=\nh1=\n", "line 1: images must be nonempty and of equal length, got 0 and 0"),
-    ], ids=["n=1", "empty-images"])
+        ("# one letter a byte\n\nn=256\nr=2\nh0=01\nh1=10\n",
+         "line 3: alphabet size must be <= 255, got 256"),
+    ], ids=["n=1", "empty-images", "n=256"])
     def test_rejected_morphism_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "morphs.txt"
         path.write_text(text)
@@ -334,13 +336,15 @@ class TestLibraryMessages:
         (["decode", "--n", "3"], "01x", lambda: decode("01x", canonical_prefix(3))),
         (["decode", "--n", "3", "--prefix", "11"], "01",
          lambda: decode("01", SigmaWord.from_text("11", 3))),
+        (["decode", "--n", "256"], "01", lambda: decode("01", canonical_prefix(256))),
         (["kernel-scan", "--n", "5"], "10x", lambda: find_kernel_repetitions("10x", 5)),
         (["kernel-scan", "--n", "1"], "0110", lambda: find_kernel_repetitions("0110", 1)),
+        (["kernel-scan", "--n", "256"], "0110", lambda: find_kernel_repetitions("0110", 256)),
         (["encode", "--n", "3"], "1214", lambda: encode(SigmaWord.from_text("1214", 3))),
         (["exponent"], "1..2", lambda: max_exponent(parse_symbols("1..2", digits=False))),
     ], ids=["search-n=1", "search-n=256", "search-length=0", "search-limit=0",
-            "decode-non-binary", "decode-prefix=11", "kernel-scan-non-binary",
-            "kernel-scan-n=1", "encode-letter", "exponent-empty-field"])
+            "decode-non-binary", "decode-prefix=11", "decode-n=256", "kernel-scan-non-binary",
+            "kernel-scan-n=1", "kernel-scan-n=256", "encode-letter", "exponent-empty-field"])
     def test_exits_2_with_library_message(self, capsys, monkeypatch, argv, stdin_text, call):
         with pytest.raises(ValueError) as info:
             call()

@@ -2,12 +2,20 @@ import random
 
 import pytest
 
-from dejean.markability import (PhaseConflict, check_all_length_r_factors_markable,
-                                is_2markable)
+from dejean.markability import (PhaseConflict, _phase_conflicts,
+                                check_all_length_r_factors_markable)
 from dejean.morphisms import (BUILTIN_SIZES, FactorSet, UniformMorphism,
                               builtin, factor_closure, limit_prefix)
 
 from helpers import brute_is_2markable, brute_markability_report, load_perfbench_mutants
+
+
+def is_2markable(v, h, U):
+    """Whether every occurrence of v in an image of a member of U shares one
+    phase word, with the first conflicting pair of occurrences otherwise:
+    the shape of ``brute_is_2markable``, read off ``_phase_conflicts``."""
+    conflict = _phase_conflicts(h, U, len(v)).get(v)
+    return conflict is None, conflict
 
 
 @pytest.fixture(scope="module")

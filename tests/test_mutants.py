@@ -38,7 +38,7 @@ from dejean.verifier import (_CHECKS, _collision_runs, _power_bound, _Probe, _po
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
 from helpers import (brute_kernel_repetitions, brute_longest_repeat, class_ids, classes_of,
                      load_perfbench_mutants, occ_triples, repeat_case, spy_power_bounds,
-                     table_of)
+                     table_of, wide)
 
 SEED = 20261018
 _COUNT_AND_FIRST = re.compile(r"^(\d+) (?:kernel )?repetitions .*; first: (.*)$")
@@ -391,18 +391,25 @@ class TestWindowVerdict:
         assert met >= {"pass", "found by a window", "b < 1", "decided by the runs",
                        "one window is the whole word", "one block"}, met
 
-    @pytest.mark.parametrize("n", [256, 300])
+    @pytest.mark.parametrize("n", [255, 256, 300])
     def test_large_alphabet(self, n, monkeypatch):
-        """Above 255 letters the decodings are lists, relabelled letter by
-        letter; these short probes repeat factors long enough that one
-        window is the whole word."""
+        """At 255 letters, the widest alphabet, the decodings are ``bytes``
+        holding the letter 255, relabelled by one translation table; these
+        short probes repeat factors long enough that one window is the
+        whole word.  Above 255 letters no morphism is built."""
         rng = random.Random(n)
         met = set()
         for r in (3, 7, 20):
-            h = UniformMorphism(n, *("".join(rng.choice("01") for _ in range(r)) for _ in "01"))
-            assert type(_Probe(h).table.word) is list
+            images = ["".join(rng.choice("01") for _ in range(r)) for _ in "01"]
+            if n > 255:
+                with pytest.raises(ValueError, match=wide(n)):
+                    UniformMorphism(n, *images)
+                continue
+            h = UniformMorphism(n, *images)
+            word = _Probe(h).table.word
+            assert type(word) is bytes and max(word) == 255
             met |= _window_case(h, monkeypatch)
-        assert met >= {"found by a window", "one window is the whole word"}
+        assert n > 255 or met >= {"found by a window", "one window is the whole word"}
 
     def test_legal_image_pairs(self, monkeypatch):
         """Every pair of distinct legal 9-bit images at n = 5.  Among them

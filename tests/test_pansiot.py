@@ -9,7 +9,16 @@ from dejean.pansiot import (WindowDistinctnessError, _decode_loop,
                             canonical_prefix, decode, decode_letters, encode)
 from dejean.words import SigmaWord
 
-from helpers import brute_has_period, load_perfbench_mutants
+from helpers import brute_has_period, load_perfbench_mutants, wide
+
+
+def refuse_decoding(monkeypatch):
+    """Make any chunk step or bit-by-bit loop of the decoder fail the test."""
+    def refuse(*args):
+        raise AssertionError("a decoding loop ran for n > 255")
+
+    for name in ("_decode_chunks", "_decode_loop"):
+        monkeypatch.setattr(pansiot, name, refuse)
 
 
 def random_valid_word(rng, n, extra):
@@ -102,18 +111,22 @@ class TestChunkedDecode:
             bits = "".join(rng.choice("01") for _ in range(length))
             assert decode(bits, prefix).letters == _loop_oracle(bits, prefix), (n, length)
 
-    @pytest.mark.parametrize("n", [256, 300])
+    @pytest.mark.parametrize("n", [255, 256, 300])
     def test_large_alphabet_takes_loop(self, n, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("chunked path taken for n > 255")
-
-        monkeypatch.setattr(pansiot, "_decode_chunks", refuse)
+        """255 letters, the widest alphabet, decode by chunks up to the
+        letter 255.  Above 255 no loop is taken: the decoding is rejected
+        before any chunk or bit is read."""
         rng = random.Random(n)
         prefix = SigmaWord(n, tuple(rng.sample(range(1, n + 1), n - 1)))
         bits = "".join(rng.choice("01") for _ in range(1003))
+        if n > 255:
+            refuse_decoding(monkeypatch)
+            with pytest.raises(ValueError, match=wide(n)):
+                decode(bits, prefix)
+            return
         v = decode(bits, prefix)
         assert v.letters == _loop_oracle(bits, prefix)
-        assert max(v.letters) > 255 and encode(v) == bits
+        assert max(v.letters) == 255 and encode(v) == bits
 
 
 class TestDecodeLetters:
@@ -124,8 +137,12 @@ class TestDecodeLetters:
         rng = random.Random(n)
         for length in (0, 1, 9, 1003):
             bits = "".join(rng.choice("01") for _ in range(length))
+            if n > 255:
+                with pytest.raises(ValueError, match=wide(n)):
+                    decode_letters(bits, n)
+                continue
             letters = decode_letters(bits, n)
-            assert type(letters) is (bytes if n < 256 else list)
+            assert type(letters) is bytes
             assert tuple(letters) == decode(bits, canonical_prefix(n)).letters, (n, length)
 
     def test_input_errors(self):
@@ -169,24 +186,34 @@ class TestImageBlockDecode:
             self.assert_blocks_equal_oracle(h, u)
             self.assert_blocks_equal_oracle(h, h.apply("0110"))
 
-    @pytest.mark.parametrize("n", [256, 300])
+    @pytest.mark.parametrize("n", [255, 256, 300])
     def test_large_alphabet_takes_loop(self, n, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("chunked path taken for n > 255")
-
-        monkeypatch.setattr(pansiot, "_decode_chunks", refuse)
+        """At 255 letters the image blocks decode to letters up to 255, as
+        the plain loop does on h(u).  Above 255 no loop is taken: the
+        decoding is rejected before any block is read."""
         rng = random.Random(n)
-        h = UniformMorphism(n, *("".join(rng.choice("01") for _ in range(45)) for _ in "01"))
+        images = tuple("".join(rng.choice("01") for _ in range(45)) for _ in "01")
         u = "".join(rng.choice("01") for _ in range(23))
-        letters = decode_letters(u, n, (h.image0, h.image1))
-        assert type(letters) is list and max(letters) > 255
-        assert tuple(letters) == _loop_oracle(h.apply(u), canonical_prefix(n))
+        if n > 255:
+            refuse_decoding(monkeypatch)
+            with pytest.raises(ValueError, match=wide(n)):
+                decode_letters(u, n, images)
+            return
+        letters = decode_letters(u, n, images)
+        applied = "".join(images[int(b)] for b in u)
+        assert type(letters) is bytes and max(letters) == 255
+        assert tuple(letters) == _loop_oracle(applied, canonical_prefix(n))
 
-    @pytest.mark.parametrize("n", [5, 300])
+    @pytest.mark.parametrize("n", [5, 255, 300])
     def test_input_errors(self, n):
-        with pytest.raises(ValueError, match="non-binary symbol '2' at position 1"):
+        """Non-binary bits or images are named by position; above 255
+        letters the alphabet is rejected first."""
+        decodes = n <= 255
+        with pytest.raises(ValueError, match="non-binary symbol '2' at position 1" if decodes
+                           else wide(n)):
             decode_letters("020", n, ("01", "10"))
-        with pytest.raises(ValueError, match="non-binary symbol 'x' at position 2"):
+        with pytest.raises(ValueError, match="non-binary symbol 'x' at position 2" if decodes
+                           else wide(n)):
             decode_letters("01", n, ("01", "10x"))
 
 

@@ -8,12 +8,12 @@ from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
 from dejean.pansiot import _decode_loop, canonical_prefix, decode, decode_letters, encode
 from dejean.perms import (Permutation, _missing, find_conjugator,
                           h0_splices, is_kernel_word, step0, step1, word_permutation)
-from dejean.search import classify_candidate
+from dejean.search import search_convenient
 from dejean.verifier import find_kernel_repetitions, probe_encoding
 from dejean.words import SigmaWord
 from helpers import (brute_kernel_repetitions, brute_word_permutation, class_ids, classes_of,
                      load_perfbench_mutants, occ_triples, prefix_permutations, repeat_case,
-                     repeated_factor_starts, same_partition, table_of)
+                     repeated_factor_starts, same_partition, table_of, wide)
 
 
 class TestPermutation:
@@ -79,12 +79,19 @@ class TestWordPermutation:
     def test_matches_generator_products(self, n):
         """The images read off the decoder state against the product of
         step0 and step1 permutations, for every length 0..70: whole 8-bit
-        chunks, a partial last chunk, and the plain loop above 255."""
+        chunks and a partial last chunk.  Above 255 letters both refuse
+        every word, the empty one included."""
         rng = random.Random(900 + n)
         identity = tuple(range(1, n + 1))
         words = ["".join(rng.choice("01") for _ in range(length)) for length in range(71)]
         words += [w for w in ("1" * n, "0" * (n - 1), "1" * n + "0" * (n - 1) + "1" * n)
                   if len(w) <= 70]
+        if n > 255:
+            for bits in words:
+                for call in (word_permutation, is_kernel_word):
+                    with pytest.raises(ValueError, match=wide(n)):
+                        call(bits, n)
+            return
         nonempty_kernel = False
         for bits in words:
             want = brute_word_permutation(bits, n)
@@ -359,15 +366,20 @@ def _first_equal_windows(bits, n):
 class TestBulkKeys:
     """The classes read off 1-, 2-, 4- and 8-byte window keys against tuple
     interning of the windows: n = 2, 3, 5 and 9 are the first alphabet sizes
-    of each key width, and n > 255 packs four bytes per letter."""
+    of each key width, and n = 255, the widest alphabet, keys 8 letters.
+    Above 255 letters no word decodes, so no table is built."""
 
     WORDS = {"random": None, "zeros": "0", "ones": "1", "alternating": "01",
              "0110": "0110", "almost periodic": "0010"}
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 10, 12, 26, 256, 300])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 10, 12, 26, 255, 256, 300])
     def test_ids_are_first_equal_windows(self, n):
         rng = random.Random(300 + n)
-        outcomes = set()
+        if n > 255:
+            with pytest.raises(ValueError, match=wide(n)):
+                table_of("01" * n, n)
+            return
+        words = []
         for kind, unit in self.WORDS.items():
             length = rng.choice((0, 1, 2 * n + 3, 1200))
             if unit is None:
@@ -377,9 +389,13 @@ class TestBulkKeys:
                 if kind == "almost periodic" and bits:
                     k = rng.randrange(len(bits))
                     bits = bits[:k] + str(1 - int(bits[k])) + bits[k + 1:]
+            words.append((kind, bits))
+        words.append(("ones past n", "1" * (2 * n + 1)))  # 1^n maps to the identity
+        outcomes = set()
+        for kind, bits in words:
             letters, want = _first_equal_windows(bits, n)
             table = table_of(bits, n)
-            assert type(table.word) is (bytes if n < 256 else list), (n, kind)
+            assert type(table.word) is bytes, (n, kind)
             assert tuple(table.word) == decode(bits, canonical_prefix(n)).letters, (n, kind)
             assert list(table.word) == letters, (n, kind)
             assert class_ids(table.classes, len(bits) + 1) == want, (n, kind)
@@ -388,16 +404,19 @@ class TestBulkKeys:
             outcomes.add(distinct)
         assert outcomes == {False, True}
 
-    @pytest.mark.parametrize("n", [4, 12, 300])
+    @pytest.mark.parametrize("n", [4, 12, 255, 300])
     def test_equal_keys_of_unequal_windows(self, n):
         """Windows that share their key but differ past it share no class;
         the words are long enough that such pairs occur."""
         size = 2 if n == 4 else 8
         rng = random.Random(n)
         bits = "".join(rng.choice("01") for _ in range(3000))
+        if n > 255:
+            with pytest.raises(ValueError, match=wide(n)):
+                table_of(bits, n)
+            return
         letters, want = _first_equal_windows(bits, n)
-        step = 1 if n < 256 else 4
-        keys = [tuple(letters[k:k + size // step]) for k in range(len(bits) + 1)]
+        keys = [tuple(letters[k:k + size]) for k in range(len(bits) + 1)]
         by_key = {}
         clashes = [k for k, key in enumerate(keys)
                    if want[by_key.setdefault(key, k)] != want[k]]
@@ -424,7 +443,7 @@ class TestKeyedPass:
         assert class_ids(table.classes, len(bits) + 1) == want, (n, bits)
         blocks = classes_of(prefix_permutations(bits, n))
         assert sorted(table.classes) == sorted(blocks), (n, bits)
-        g = 2 if n > 255 else max(s for s in (1, 2, 4, 8) if s < n)
+        g = max(s for s in (1, 2, 4, 8) if s < n)
         met = {repeat_case(table, n, g)}
         repeats = repeated_factor_starts(table.word, g)
         if not repeats:
@@ -452,11 +471,16 @@ class TestKeyedPass:
                 want = [p for p in range(total) if p not in present]
                 assert _missing(present, total) == want, (total, present)
 
-    @pytest.mark.parametrize("n", [*range(2, 10), 300])
+    @pytest.mark.parametrize("n", [*range(2, 10), 255, 300])
     def test_random_and_periodic_words(self, n):
         rng = random.Random(2900 + n)
         words = ["", "1", "0" * (n + 3), "1" * (2 * n + 1)]
-        for _ in range(3 if n == 300 else 25):
+        if n > 255:
+            for bits in words:
+                with pytest.raises(ValueError, match=wide(n)):
+                    table_of(bits, n)
+            return
+        for _ in range(3 if n == 255 else 25):
             words.append("".join(rng.choice("01") for _ in range(rng.randint(1, 300))))
             unit = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
             words.append(unit * rng.randint(1, 30))
@@ -487,11 +511,44 @@ class TestNonBinaryInput:
     CASES = [("0x1", 5, "'x' at position 1"), ("22", 2, "'2' at position 0"),
              ("01 ", 3, "' ' at position 2"), ("\n11", 4, "'\\n' at position 0"),
              ("0110" * 4 + "2" + "1" * 9, 15, "'2' at position 16"),
+             ("1" * 20 + "a", 255, "'a' at position 20"),
              ("1" * 20 + "a", 300, "'a' at position 20")]
 
     @pytest.mark.parametrize("bits,n,message", CASES)
     def test_rejected_everywhere(self, bits, n, message):
-        for call in (word_permutation, is_kernel_word, classify_candidate,
-                     decode_letters, find_kernel_repetitions):
-            with pytest.raises(ValueError, match=re.escape(message)):
+        """Above 255 letters the alphabet is rejected before a bit is read."""
+        pattern = wide(n) if n > 255 else re.escape(message)
+        for call in (word_permutation, is_kernel_word, decode_letters, find_kernel_repetitions):
+            with pytest.raises(ValueError, match=pattern):
                 call(bits, n)
+
+
+class TestWideAlphabet:
+    """A letter of a decoding is one byte, so every entry point that decodes
+    rejects an alphabet of more than 255 letters with one message, and so do
+    a morphism and the search, which decode later; 255 letters decode.
+    ``encode`` decodes nothing and takes any alphabet."""
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_rejected_everywhere(self, n):
+        bits = "0110"
+        for call in (lambda: decode(bits, canonical_prefix(n)), lambda: decode_letters(bits, n),
+                     lambda: decode_letters(bits, n, ("01", "10")),
+                     lambda: word_permutation(bits, n), lambda: is_kernel_word(bits, n),
+                     lambda: find_kernel_repetitions(bits, n),
+                     lambda: UniformMorphism(n, "01", "10"), lambda: search_convenient(n, 8)):
+            with pytest.raises(ValueError, match=wide(n)):
+                call()
+
+    def test_widest_alphabet_decodes(self):
+        n, bits = 255, "1" * 300
+        letters = decode_letters(bits, n)
+        assert decode(bits, canonical_prefix(n)).letters == tuple(letters)
+        assert max(letters) == 255
+        assert decode_letters("0110", n, ("01", "10")) == decode_letters("01101001", n)
+        assert word_permutation(bits, n) == brute_word_permutation(bits, n)
+        assert not is_kernel_word(bits, n) and is_kernel_word(bits[:n], n)
+        assert occ_triples(find_kernel_repetitions(bits, n)) == brute_kernel_repetitions(bits, n)
+        assert UniformMorphism(n, "01", "10").n == n
+        assert search_convenient(n, 8) == []
+        assert encode(SigmaWord(300, tuple(range(1, 301)))) == "1"

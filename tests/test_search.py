@@ -9,9 +9,8 @@ from dejean.morphisms import UniformMorphism, _factors, builtin, limit_prefix
 from dejean.pansiot import canonical_prefix, decode
 from dejean.perms import (Permutation, find_conjugator, h0_splices, h1_splices,
                           step0, step1, word_permutation)
-from dejean.search import (_classify, _screen_pair, _walk, classify_candidate,
-                           enumerate_legal, legal_length_counts,
-                           search_convenient)
+from dejean.search import (_classify, _screen_pair, _walk, enumerate_legal,
+                           legal_length_counts, search_convenient)
 from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, run_check, verify
 from dejean.words import find_repetitions_exceeding, has_repetition_exceeding
 
@@ -298,14 +297,20 @@ class TestSignRule:
 
 
 class TestClassifyCandidate:
+    """The role of a binary word by the cycle type of its permutation image."""
+
+    @staticmethod
+    def role(bits, n):
+        return _classify(word_permutation(bits, n).images, n)
+
     def test_builtin_images(self):
         h = builtin(15)
-        assert classify_candidate(h.image1, 15) == "h1"
-        assert classify_candidate(h.image0, 15) == "h0"
+        assert self.role(h.image1, 15) == "h1"
+        assert self.role(h.image0, 15) == "h0"
 
     def test_kernel_word_is_neither(self):
-        assert classify_candidate("", 15) == "neither"
-        assert classify_candidate("1" * 15, 15) == "neither"
+        assert self.role("", 15) == "neither"
+        assert self.role("1" * 15, 15) == "neither"
 
 
 class TestSearchConvenient:

@@ -170,10 +170,10 @@ class TestDecoderStateIdentity:
 class TestRepeatFact:
     """``repeat`` against the brute-force longest repeated factor, and the
     power scan it bounds against the unbounded scan.  The key width g is 1
-    letter at n = 2, 2 at n = 3 and 4, 4 at n = 5..8, 8 at n = 9..12, and 2
-    at n = 300, four bytes a letter; g = n-1 at n = 2, 3, 5 and 9."""
+    letter at n = 2, 2 at n = 3 and 4, 4 at n = 5..8, and 8 at n = 9..12
+    and at n = 255, the widest alphabet; g = n-1 at n = 2, 3, 5 and 9."""
 
-    WIDTHS = {2: 1, 3: 2, 4: 2, 5: 4, 6: 4, 7: 4, 8: 4, 9: 8, 10: 8, 11: 8, 12: 8, 300: 2}
+    WIDTHS = {2: 1, 3: 2, 4: 2, 5: 4, 6: 4, 7: 4, 8: 4, 9: 8, 10: 8, 11: 8, 12: 8, 255: 8}
 
     def test_random_and_periodic_words(self):
         rng = random.Random(28)
@@ -181,8 +181,8 @@ class TestRepeatFact:
         for n, g in self.WIDTHS.items():
             words = ["", "1", "0" * rng.randint(2, 60), "1" * rng.randint(2, 60),
                      "0" * rng.randint(n - 1, n + 9)]
-            for _ in range(4 if n > 255 else 30):
-                length = rng.randint(0, 300 if n > 255 else rng.choice((20, 300)))
+            for _ in range(4 if n == 255 else 30):
+                length = rng.randint(0, 300 if n == 255 else rng.choice((20, 300)))
                 words.append("".join(rng.choice("01") for _ in range(length)))
             for _ in range(4):
                 unit = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
@@ -441,9 +441,11 @@ class TestVerify:
         """One decoding of the probe encoding h(u), u = h(0110), per
         verification, the table's, by image blocks; then at most one
         decoding per distinct block window of ``power_free``, by image
-        blocks too, each a distinct factor of u of one length.  Every
-        decoding, checked or not, runs ``pansiot._letters``; none decodes
-        the 4r^2 bits of h(u) themselves."""
+        blocks too, each a distinct factor of u of one length.  Before
+        them, ``algebraic_condition`` reads the permutation images of h(0)
+        and h(1) off their r-bit decodings.  Every decoding, checked or
+        not, runs ``pansiot._letters``; none decodes the 4r^2 bits of h(u)
+        themselves."""
         calls = []
 
         def counting(name, function):
@@ -459,8 +461,9 @@ class TestVerify:
         assert verify(15).overall
         h = builtin(15)
         u, images = h.apply("0110"), (h.image0, h.image1)
-        assert calls[:2] == [("decode_letters", u, images), ("_letters", u, images)]
-        windows = [x for _, x, _ in calls[2::2]]
-        assert calls[2:] == [(name, x, images) for x in windows for name in ("decode_letters", "_letters")]
+        assert calls[:2] == [("_letters", h.image0, None), ("_letters", h.image1, None)]
+        assert calls[2:4] == [("decode_letters", u, images), ("_letters", u, images)]
+        windows = [x for _, x, _ in calls[4::2]]
+        assert calls[4:] == [(name, x, images) for x in windows for name in ("decode_letters", "_letters")]
         assert windows and len(set(windows)) == len(windows)
         assert {len(x) for x in windows} == {3} and all(x in u for x in windows)
