@@ -200,26 +200,24 @@ def iteration_bound(ell: int, r: int) -> int:
 
 
 def parse_morphism_file(text: str) -> list[UniformMorphism]:
-    """Parse stanza text: lines n=, r=, h0=, h1= per morphism, stanzas
-    separated by blank lines, '#' lines ignored."""
+    """Parse stanza text: lines n=, r= (ASCII digits), h0=, h1= per morphism,
+    stanzas separated by blank lines, '#' lines ignored."""
     morphisms = []
     fields: dict[str, tuple[str, int]] = {}
 
-    def flush(line_no: int) -> None:
+    def flush() -> None:
         if not fields:
             return
+        first = min(line for _, line in fields.values())  # names the whole stanza
         missing = [k for k in ("n", "r", "h0", "h1") if k not in fields]
         if missing:
-            raise MorphismFormatError(
-                f"line {line_no}: stanza is missing field(s) {', '.join(missing)}"
-            )
-        (n_text, n_line), (r_text, r_line) = fields["n"], fields["r"]
-        (h0, h0_line), (h1, h1_line) = fields["h0"], fields["h1"]
-        try:
-            n, r = int(n_text), int(r_text)
-        except ValueError:
-            raise MorphismFormatError(f"line {n_line}: n and r must be integers") from None
-        for value, line in ((h0, h0_line), (h1, h1_line)):
+            raise MorphismFormatError(f"line {first}: stanza is missing field(s) {', '.join(missing)}")
+        for key in ("n", "r"):
+            value, line = fields[key]
+            if not (value.isascii() and value.isdigit()):
+                raise MorphismFormatError(f"line {line}: {key} must be a decimal integer")
+        n, r = int(fields["n"][0]), int(fields["r"][0])
+        for value, line in (fields["h0"], fields["h1"]):
             if value.strip("01") != "":
                 raise MorphismFormatError(f"line {line}: image holds non-binary symbols")
             if len(value) != r:
@@ -227,17 +225,15 @@ def parse_morphism_file(text: str) -> list[UniformMorphism]:
                     f"line {line}: image length {len(value)} does not match declared r={r}"
                 )
         try:
-            morphisms.append(UniformMorphism(n, h0, h1))
-        except ValueError as exc:  # named by the stanza's first line
-            first = min(line for _, line in fields.values())
+            morphisms.append(UniformMorphism(n, fields["h0"][0], fields["h1"][0]))
+        except ValueError as exc:
             raise MorphismFormatError(f"line {first}: {exc}") from None
         fields.clear()
 
-    line_no = 0
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
-            flush(line_no)
+            flush()
             continue
         if line.startswith("#"):
             continue
@@ -248,7 +244,7 @@ def parse_morphism_file(text: str) -> list[UniformMorphism]:
         if key in fields:
             raise MorphismFormatError(f"line {line_no}: duplicate field {key!r} in stanza")
         fields[key] = (value.strip(), line_no)
-    flush(line_no + 1)
+    flush()
     return morphisms
 
 

@@ -9,22 +9,20 @@ n-1 letters.
 
 Decoding only copies the oldest window letter or the missing letter, so it
 commutes with relabelling the alphabet: from a state (window, missing
-letter), a chunk of bits emits the letters it emits from the canonical
-state, each relabelled by the state.  So ``decode`` tables, per n, where
-each 8-bit chunk sends the letters of the state and applies it by
-``bytes.translate``; the last len(bits) % 8 bits run the plain loop.  A
-letter is one byte, so every decoding takes alphabets of at most 255
-letters, and ``_letters``, which each one runs, rejects larger ones;
-``encode`` decodes nothing and takes any n.
+letter), a word of bits emits the letters it emits from the canonical
+state, each relabelled by the state.  So every decoding runs one loop,
+``_letters``: given the images (h(0), h(1)) of a binary morphism h, it
+decodes h(bits) one image per step, each image's letters and end state
+tabled once from the canonical state and applied by ``bytes.translate``;
+h(bits) is never built.  Raw bits are the images of the identity
+morphism, ("0", "1"), so they decode one bit per step.  A letter is one
+byte, so every decoding takes alphabets of at most 255 letters, and
+``_letters``, which each one runs, rejects larger ones; ``encode`` decodes
+nothing and takes any n.
 ``decode_letters`` returns the letters unchecked, as ``bytes``; ``decode``
-wraps them in a checked ``SigmaWord``.  Given the images (h(0), h(1)) of a
-binary morphism h, ``decode_letters`` decodes h(bits) with the same loop,
-one image per step: the two images are its chunks.  ``end_state`` reads
-the decoder state off the last n-1 letters of ``decode_letters``.
+wraps them in a checked ``SigmaWord``.  ``end_state`` reads the decoder
+state off the last n-1 letters of ``decode_letters``.
 """
-
-from collections.abc import Iterable
-from functools import lru_cache
 
 from .words import SigmaWord, check_binary
 
@@ -74,11 +72,12 @@ def decode(bits: str, prefix: SigmaWord) -> SigmaWord:
     return SigmaWord(n, tuple(_letters(bits, prefix.letters, missing)))
 
 
-def decode_letters(bits: str, n: int, images: tuple[str, str] | None = None) -> bytes:
+def decode_letters(bits: str, n: int, images: tuple[str, str] = ("0", "1")) -> bytes:
     """The letters of ``decode(bits, canonical_prefix(n))`` without its
     ``SigmaWord`` check, as ``bytes``.  Given ``images`` = (h(0), h(1)),
     the letters of the decoding of h(bits), one image per step; h(bits) is
-    never built."""
+    never built.  The default images are the identity's, so raw bits
+    decode themselves."""
     return _letters(bits, canonical_prefix(n).letters, n, images)
 
 
@@ -90,17 +89,24 @@ def end_state(bits: str, n: int) -> tuple[int, ...]:
 
 
 def _letters(bits: str, prefix: tuple[int, ...], missing: int,
-             images: tuple[str, str] | None = None) -> bytes:
+             images: tuple[str, str] = ("0", "1")) -> bytes:
+    """The letters of the decoding of h(bits) from the state (prefix,
+    missing), h with the images (h(0), h(1)): one :func:`_step` per bit of
+    ``bits``, its image's letters relabelled by the state, which its end
+    state relabels in turn."""
     n = len(prefix) + 1
     if n > 255:  # one byte a letter
         raise ValueError(f"alphabet size must be <= 255, got {n}")
     bits = check_binary(bits)
-    if images is not None:
-        steps = [_step(check_binary(image), n) for image in images]
-        return _decode_chunks(map(int, bits), steps, prefix, missing)
-    full = len(bits) - len(bits) % 8
-    codes = int(bits[:full] or "0", 2).to_bytes(full // 8, "big")
-    return _decode_chunks(codes, _chunk_steps(n), prefix, missing, bits[full:])
+    steps = dict(zip("01", (_step(check_binary(image), n) for image in images)))
+    state, pad = bytes(prefix) + bytes((missing,)), bytes(255 - len(prefix))
+    out = [bytes(prefix)]
+    for bit in bits:
+        emit, nxt = steps[bit]
+        table = state + pad
+        out.append(emit.translate(table))
+        state = nxt.translate(table)
+    return b"".join(out)
 
 
 def _decode_loop(bits: str, prefix: tuple[int, ...], missing: int) -> list[int]:
@@ -116,31 +122,9 @@ def _decode_loop(bits: str, prefix: tuple[int, ...], missing: int) -> list[int]:
     return letters
 
 
-def _step(chunk: str, n: int) -> tuple[bytes, bytes]:
+def _step(image: str, n: int) -> tuple[bytes, bytes]:
     """The positions in the state 0..n-1 (window, then missing letter) of
-    the letters that ``chunk`` emits and of the state it leaves."""
-    letters = _decode_loop(chunk, tuple(range(n - 1)), n - 1)
+    the letters that ``image`` emits and of the state it leaves."""
+    letters = _decode_loop(image, tuple(range(n - 1)), n - 1)
     window = letters[1 - n:]
     return bytes(letters[n - 1:]), bytes(window + [n * (n - 1) // 2 - sum(window)])
-
-
-@lru_cache(maxsize=None)
-def _chunk_steps(n: int) -> list[tuple[bytes, bytes]]:
-    """The :func:`_step` of each 8-bit chunk, by value."""
-    return [_step(f"{c:08b}", n) for c in range(256)]
-
-
-def _decode_chunks(codes: Iterable[int], steps: list[tuple[bytes, bytes]],
-                   prefix: tuple[int, ...], missing: int, tail: str = "") -> bytes:
-    """The letters of the decoding from the state (prefix, missing): one
-    step of ``steps`` per code, its letters relabelled by the state, then
-    the bits of ``tail`` one at a time."""
-    state, pad = bytes(prefix) + bytes((missing,)), bytes(255 - len(prefix))
-    out = [bytes(prefix)]
-    for code in codes:
-        emit, nxt = steps[code]
-        table = state + pad
-        out.append(emit.translate(table))
-        state = nxt.translate(table)
-    out.append(bytes(_decode_loop(tail, state[:-1], state[-1])[len(prefix):]))
-    return b"".join(out)

@@ -8,7 +8,7 @@ word_permutation(u) * word_permutation(v).  This orientation is the one
 under which the codeword of a window-distinct word starting 1 2 ... n-1
 maps i to the i-th entry of (last n-1 letters, missing letter); the
 property suite pins it.  ``word_permutation`` and ``is_kernel_word`` read
-that state off the decoder 8 bits per step, and ``PrefixPermutationTable``,
+that state off the decoder one bit per step, and ``PrefixPermutationTable``,
 given the decoding of a word, groups its equal prefix permutations into
 classes of equal windows of the decoding.  The table hashes every key of
 the decoding once, into one dict, and compares whole windows only where
@@ -116,7 +116,7 @@ def step1(n: int) -> Permutation:
 def word_permutation(bits: str, n: int) -> Permutation:
     """Homomorphic image of a binary word.  By the module identity it is the
     decoder state the word leads to from 1 2 ... n-1, which
-    :func:`pansiot.end_state` reads 8 bits per step; no generator is
+    :func:`pansiot.end_state` reads one bit per step; no generator is
     composed."""
     return Permutation(end_state(bits, n))
 

@@ -209,7 +209,7 @@ def _screen_pair(n: int, h0: str, h1: str) -> str | None:
     for name in ("structure", "iteration_bound", "factor_set_2"):
         if not run_check(name, h).passed:
             return name
-    head = decode_letters(h.apply(h0[:4]), n)
+    head = decode_letters(h0[:4], n, (h0, h1))
     if has_repetition_exceeding(head, n, n - 1):
         return "power_free"
     return None

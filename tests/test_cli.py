@@ -110,7 +110,8 @@ class TestVerifyCommand:
         ("n=3\nr=0\nh0=\nh1=\n", "line 1: images must be nonempty and of equal length, got 0 and 0"),
         ("# one letter a byte\n\nn=256\nr=2\nh0=01\nh1=10\n",
          "line 3: alphabet size must be <= 255, got 256"),
-    ], ids=["n=1", "empty-images", "n=256"])
+        ("n=3\nr=x\nh0=01\nh1=10\n", "line 2: r must be a decimal integer"),
+    ], ids=["n=1", "empty-images", "n=256", "r=x"])
     def test_rejected_morphism_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "morphs.txt"
         path.write_text(text)

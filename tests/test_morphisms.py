@@ -213,6 +213,21 @@ class TestStanzaFormat:
             parse_morphism_file(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text,message", [
+        ("n=3\nr=x\nh0=01\nh1=10\n", "line 2: r must be a decimal integer"),
+        ("n=3\nr=2\nh0=01", "line 1: stanza is missing field(s) h1"),
+        ("n=3\nr=2\nh0=01\nh1=10\n\n# next\nn=3\nh1=10\nr=2\n\n",
+         "line 7: stanza is missing field(s) h0"),
+        ("n=1_5\nr=2\nh0=01\nh1=10\n", "line 1: n must be a decimal integer"),
+        ("n=\u0661\u0665\nr=2\nh0=01\nh1=10\n", "line 1: n must be a decimal integer"),
+    ], ids=["r=x", "missing-h1", "missing-h0-second-stanza", "n=1_5", "n=arabic-indic-15"])
+    def test_stanza_error_names_its_line(self, text, message):
+        """A missing field names the stanza's first line; a value of n or r
+        that is not a run of ASCII digits names that field and its line."""
+        with pytest.raises(MorphismFormatError) as info:
+            parse_morphism_file(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n\n"])
     def test_no_stanza_parses_to_nothing(self, text):
         assert parse_morphism_file(text) == []

@@ -13,11 +13,11 @@ from helpers import brute_has_period, load_perfbench_mutants, wide
 
 
 def refuse_decoding(monkeypatch):
-    """Make any chunk step or bit-by-bit loop of the decoder fail the test."""
+    """Make any image step or bit-by-bit loop of the decoder fail the test."""
     def refuse(*args):
         raise AssertionError("a decoding loop ran for n > 255")
 
-    for name in ("_decode_chunks", "_decode_loop"):
+    for name in ("_step", "_decode_loop"):
         monkeypatch.setattr(pansiot, name, refuse)
 
 
@@ -92,14 +92,15 @@ class TestDecode:
 
 
 def _loop_oracle(bits, prefix):
-    """The bit-by-bit decoding, the oracle of the chunked one."""
+    """The bit-by-bit decoding, the oracle of the image-step one."""
     n = prefix.n
     return tuple(_decode_loop(bits, prefix.letters, n * (n + 1) // 2 - sum(prefix.letters)))
 
 
 class TestChunkedDecode:
-    """8-bit chunks translated through per-n step tables against the plain
-    loop, on random prefixes and lengths that leave a partial last chunk."""
+    """Raw bits, the identity's images, decoded one image step per bit and
+    translated through the state against the plain loop, on random prefixes
+    and lengths that are not multiples of 8."""
 
     LENGTHS = (0, 1, 7, 9, 15, 17, 63, 64, 250, 1001)
 
@@ -113,9 +114,9 @@ class TestChunkedDecode:
 
     @pytest.mark.parametrize("n", [255, 256, 300])
     def test_large_alphabet_takes_loop(self, n, monkeypatch):
-        """255 letters, the widest alphabet, decode by chunks up to the
+        """255 letters, the widest alphabet, decode by image steps up to the
         letter 255.  Above 255 no loop is taken: the decoding is rejected
-        before any chunk or bit is read."""
+        before any step or bit is read."""
         rng = random.Random(n)
         prefix = SigmaWord(n, tuple(rng.sample(range(1, n + 1), n - 1)))
         bits = "".join(rng.choice("01") for _ in range(1003))
@@ -154,13 +155,17 @@ class TestDecodeLetters:
 
 class TestImageBlockDecode:
     """The decoding of h(u) read one image of h per step against
-    ``decode_letters`` of the applied bits, the oracle, byte for byte."""
+    ``decode_letters`` of the applied bits, byte for byte.  Raw bits run the
+    same loop, so the applied bits are also decoded by the plain loop, the
+    independent oracle."""
 
     @staticmethod
     def assert_blocks_equal_oracle(h, u):
         letters = decode_letters(u, h.n, (h.image0, h.image1))
-        oracle = decode_letters(h.apply(u), h.n)
+        applied = h.apply(u)
+        oracle = decode_letters(applied, h.n)
         assert type(letters) is type(oracle) and letters == oracle, (h, u)
+        assert tuple(letters) == _loop_oracle(applied, canonical_prefix(h.n)), (h, u)
 
     def test_builtins(self):
         for n in BUILTIN_SIZES:

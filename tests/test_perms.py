@@ -78,8 +78,8 @@ class TestWordPermutation:
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 15, 26, 255, 256, 300])
     def test_matches_generator_products(self, n):
         """The images read off the decoder state against the product of
-        step0 and step1 permutations, for every length 0..70: whole 8-bit
-        chunks and a partial last chunk.  Above 255 letters both refuse
+        step0 and step1 permutations, for every length 0..70, which the
+        decoder reads one bit per step.  Above 255 letters both refuse
         every word, the empty one included."""
         rng = random.Random(900 + n)
         identity = tuple(range(1, n + 1))

@@ -443,7 +443,8 @@ class TestVerify:
         decoding per distinct block window of ``power_free``, by image
         blocks too, each a distinct factor of u of one length.  Before
         them, ``algebraic_condition`` reads the permutation images of h(0)
-        and h(1) off their r-bit decodings.  Every decoding, checked or
+        and h(1) off their r-bit decodings, the raw bits decoded as the
+        identity's images.  Every decoding, checked or
         not, runs ``pansiot._letters``; none decodes the 4r^2 bits of h(u)
         themselves."""
         calls = []
@@ -461,7 +462,8 @@ class TestVerify:
         assert verify(15).overall
         h = builtin(15)
         u, images = h.apply("0110"), (h.image0, h.image1)
-        assert calls[:2] == [("_letters", h.image0, None), ("_letters", h.image1, None)]
+        identity = ("0", "1")
+        assert calls[:2] == [("_letters", h.image0, identity), ("_letters", h.image1, identity)]
         assert calls[2:4] == [("decode_letters", u, images), ("_letters", u, images)]
         windows = [x for _, x, _ in calls[4::2]]
         assert calls[4:] == [(name, x, images) for x in windows for name in ("decode_letters", "_letters")]

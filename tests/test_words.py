@@ -304,14 +304,15 @@ class TestBitPlanes:
                     assert find_repetitions_exceeding(w, n, n - 1, bound) == plain, (n, stub)
 
     def test_search_screen_head_builds_its_planes(self, monkeypatch):
-        """The decoding of h(h0[:4]) that the search screen scans, 238
-        letters at n = 15, takes the mask path with the plain scan's answer."""
+        """The decoding of h(h0[:4]) that the search screen scans, by image
+        blocks, 238 letters at n = 15, takes the mask path with the plain
+        scan's answer."""
         from dejean.morphisms import builtin
         from dejean.pansiot import decode_letters
 
         h = builtin(15)
-        head = decode_letters(h.apply(h.image0[:4]), 15)
-        assert len(head) == 238
+        head = decode_letters(h.image0[:4], 15, (h.image0, h.image1))
+        assert len(head) == 238 and head == decode_letters(h.apply(h.image0[:4]), 15)
         calls = []
         match_mask = words._match_mask
 
