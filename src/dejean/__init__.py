@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .morphisms import (BUILTIN_SIZES, FactorSet, MorphismFormatError,
                         PrefixStabilityError, UniformMorphism, builtin,
                         emit_morphism_file, factor_closure, iteration_bound,
-                        limit_prefix, parse_morphism_file)
+                        parse_morphism_file)
 from .markability import (MarkabilityReport, PhaseConflict,
                           check_all_length_r_factors_markable)
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
@@ -32,7 +32,7 @@ __all__ = [
     "enumerate_legal", "factor_closure", "find_conjugator",
     "find_kernel_repetitions", "find_repetitions_exceeding",
     "find_repetitions_with_excess_at_least", "is_kernel_word",
-    "iteration_bound", "legal_length_counts", "limit_prefix", "max_exponent",
+    "iteration_bound", "legal_length_counts", "max_exponent",
     "parse_morphism_file", "probe_encoding", "probe_word", "run_check",
     "search_convenient", "step0", "step1", "verify", "word_permutation",
 ]

@@ -1,5 +1,5 @@
 """Uniform binary morphisms: the embedded table for n = 15..26, morphism
-application, limit-word prefixes, and factor-set computation.
+application, and the factor sets of the limit word.
 
 The embedded images are carried in ``data/morphisms.txt`` in the same stanza
 format accepted from user files, so the parser is exercised on every load.
@@ -9,6 +9,8 @@ import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+from .words import check_binary
 
 BUILTIN_SIZES = tuple(range(15, 27))
 
@@ -48,9 +50,10 @@ class UniformMorphism:
         return len(self.image0)
 
     def apply(self, w: str) -> str:
-        """Image of a binary word: the concatenation of letter images."""
+        """Image of a binary word: the concatenation of letter images.  Any
+        symbol other than 0 and 1, whitespace included, is rejected."""
         img0, img1 = self.image0, self.image1
-        return "".join(img1 if c == "1" else img0 for c in w)
+        return "".join(img1 if c == "1" else img0 for c in check_binary(w))
 
 
 @dataclass(frozen=True)
@@ -92,58 +95,10 @@ def builtin(n: int) -> UniformMorphism:
     return table[n]
 
 
-def _apply_prefix(h: UniformMorphism, w: str, target: int) -> str:
-    """Prefix of h(w) of length >= target (block-aligned, may overshoot)."""
-    out = []
-    total = 0
-    for c in w:
-        img = h.image1 if c == "1" else h.image0
-        out.append(img)
-        total += len(img)
-        if total >= target:
-            break
-    return "".join(out)
-
-
 # Iteration schemes tried for the limit word, in order: seed letter and the
 # power of h applied per step.  A scheme is usable when its first iterate
 # properly extends the seed.
 _LIMIT_SCHEMES = (("0", 1), ("0", 2), ("1", 1), ("1", 2))
-
-
-def limit_prefix(h: UniformMorphism, min_length: int) -> str:
-    """A prefix, of length >= min_length, of a one-sided fixed point of h
-    (or of h applied twice) seeded from a single letter.
-
-    The first usable scheme among h from "0", h twice from "0", h from "1",
-    h twice from "1" is selected, and every step re-asserts that the new
-    word extends the old one as a prefix.  Because both letters occur in
-    both images for the morphisms of interest, the factors of this word do
-    not depend on the scheme chosen, which is all the downstream
-    computations use.
-    """
-    if min_length < 1:
-        raise ValueError(f"min_length must be >= 1, got {min_length}")
-    for seed, power in _LIMIT_SCHEMES:
-        first = h.apply(seed) if power == 1 else h.apply(h.apply(seed))
-        if not first.startswith(seed) or len(first) <= len(seed):
-            continue
-        u = seed
-        while len(u) < min_length:
-            if power == 1:
-                v = _apply_prefix(h, u, min_length)
-            else:
-                inner = _apply_prefix(h, u, (min_length + h.r - 1) // h.r)
-                v = _apply_prefix(h, inner, min_length)
-            if not v.startswith(u):
-                raise PrefixStabilityError(
-                    f"iterate from {seed!r} (power {power}) stopped extending its prefix"
-                )
-            if len(v) <= len(u):
-                raise PrefixStabilityError(f"iterate from {seed!r} (power {power}) stopped growing")
-            u = v
-        return u
-    raise PrefixStabilityError("no prefix-stable iteration from either letter")
 
 
 def _factors(s: str, k: int) -> set[str]:
@@ -161,7 +116,12 @@ def factor_closure(h: UniformMorphism, k: int) -> FactorSet:
     Any length-k factor extends to the image of a factor of length
     m = floor((k + 2(r-1)) / r), so the set is the least fixed point of
     taking length-k factors of images.  For k <= 2 the map is from the set
-    to itself and is iterated from the factors of a limit prefix; longer k
+    to itself and is iterated from the k-factors of the first iterate of
+    the first usable scheme among h from "0", h twice from "0", h from "1",
+    h twice from "1": h(a) or h(h(a)), usable when it properly extends the
+    seed letter a, so that iterating it grows a one-sided fixed point.
+    Because both letters occur in both images for the morphisms of
+    interest, the set does not depend on the scheme chosen.  Longer k
     recurse on the strictly smaller m.
     """
     if k < 1:
@@ -169,8 +129,13 @@ def factor_closure(h: UniformMorphism, k: int) -> FactorSet:
     r = h.r
     m = (k + 2 * (r - 1)) // r
     if m >= k:
-        seed = limit_prefix(h, max(k, r * r))
-        members = _factors(seed, k)
+        for seed, power in _LIMIT_SCHEMES:
+            first = h.apply(seed) if power == 1 else h.apply(h.apply(seed))
+            if first.startswith(seed) and len(first) > len(seed):
+                break
+        else:
+            raise PrefixStabilityError("no prefix-stable iteration from either letter")
+        members = _factors(first, k)
         while True:
             grown = set(members)
             for u in members:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import dejean.verifier
 from dejean.markability import MarkabilityReport, PhaseConflict
-from dejean.morphisms import factor_closure
+from dejean.morphisms import PrefixStabilityError, factor_closure
 from dejean.pansiot import decode_letters
 from dejean.perms import Permutation, PrefixPermutationTable, step0, step1
 
@@ -200,6 +200,68 @@ def brute_markability_report(h):
         if not ok:
             failures.append((v, conflict))
     return MarkabilityReport(len(factors), tuple(failures))
+
+
+def limit_prefix(h, min_length):
+    """A prefix, of length >= min_length, of a one-sided fixed point of h
+    (or of h applied twice) seeded from a single letter, by plain iteration
+    of whole images.  The scheme is the first among h from "0", h twice
+    from "0", h from "1", h twice from "1" whose first iterate properly
+    extends its seed letter; every later iterate must extend the one before
+    it."""
+    if min_length < 1:
+        raise ValueError(f"min_length must be >= 1, got {min_length}")
+    for seed, power in (("0", 1), ("0", 2), ("1", 1), ("1", 2)):
+        def step(w):
+            for _ in range(power):
+                w = "".join(h.image1 if c == "1" else h.image0 for c in w)
+            return w
+        u = step(seed)
+        if not u.startswith(seed) or len(u) <= len(seed):
+            continue
+        while len(u) < min_length:
+            v = step(u)
+            assert v.startswith(u) and len(v) > len(u), (seed, power, len(u))
+            u = v
+        return u
+    raise PrefixStabilityError("no prefix-stable iteration from either letter")
+
+
+def sliding_factors(s, k):
+    """The length-k factors of ``s``, one window per position."""
+    return {s[i:i + k] for i in range(len(s) - k + 1)}
+
+
+def prefix_seeded_closure(h, k):
+    """The least set that holds the k-factors of ``limit_prefix(h, max(k, r*r))``
+    and the k-factors of h(u) for each u it holds: the fixed point that
+    ``factor_closure`` computes for k <= 2, seeded from an r^2-letter limit
+    prefix instead of one iterate."""
+    members = sliding_factors(limit_prefix(h, max(k, h.r * h.r)), k)
+    frontier = set(members)
+    while frontier:
+        found = set()
+        for u in frontier:
+            found |= sliding_factors(h.apply(u), k)
+        frontier = found - members
+        members |= frontier
+    return members
+
+
+def plain_decode(bits, n):
+    """The letters of the decoding of ``bits`` from the prefix 1..n-1, one
+    bit at a time from the definition: bit 0 repeats the letter n-1 places
+    back, bit 1 writes the letter of 1..n missing from the last n-1.  It
+    shares nothing with ``dejean.pansiot``."""
+    letters = list(range(1, n))
+    alphabet = set(range(1, n + 1))
+    for ch in bits:
+        if ch == "0":
+            letters.append(letters[1 - n])
+        else:
+            (missing,) = alphabet - set(letters[1 - n:])
+            letters.append(missing)
+    return letters
 
 
 def table_of(bits, n):

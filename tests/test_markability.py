@@ -5,9 +5,10 @@ import pytest
 from dejean.markability import (PhaseConflict, _phase_conflicts,
                                 check_all_length_r_factors_markable)
 from dejean.morphisms import (BUILTIN_SIZES, FactorSet, UniformMorphism,
-                              builtin, factor_closure, limit_prefix)
+                              builtin, factor_closure)
 
-from helpers import brute_is_2markable, brute_markability_report, load_perfbench_mutants
+from helpers import (brute_is_2markable, brute_markability_report, limit_prefix,
+                     load_perfbench_mutants)
 
 
 def is_2markable(v, h, U):

@@ -1,13 +1,17 @@
 import hashlib
 import importlib.resources
+from itertools import product
 
 import pytest
 
+import dejean.morphisms
 from dejean.morphisms import (BUILTIN_SIZES, MorphismFormatError,
                               PrefixStabilityError, UniformMorphism, builtin,
                               emit_morphism_file, factor_closure,
-                              iteration_bound, limit_prefix,
-                              parse_morphism_file)
+                              iteration_bound, parse_morphism_file)
+from dejean.words import find_repetitions_exceeding
+from helpers import (limit_prefix, load_perfbench_mutants, plain_decode,
+                     prefix_seeded_closure, sliding_factors)
 
 DATA_SHA256 = "de010d1cc7d2573fc027b7e01b763853368d6f11102e4c4ae1a4c2215f4b01e7"
 
@@ -73,8 +77,18 @@ class TestUniformMorphism:
         assert h.apply("01") == h.image0 + h.image1
         assert len(h.apply("0110")) == 4 * h.r
 
+    @pytest.mark.parametrize("word,symbol,position", [
+        ("2", "2", 0), (" 01", " ", 0), ("01 ", " ", 2), ("0a1", "a", 1),
+    ])
+    def test_apply_rejects_non_binary(self, word, symbol, position):
+        with pytest.raises(ValueError) as info:
+            builtin(15).apply(word)
+        assert str(info.value) == f"non-binary symbol {symbol!r} at position {position}"
+
 
 class TestLimitPrefix:
+    """The plain limit-prefix oracle of the tests' helpers."""
+
     def test_thue_morse_prefix(self):
         # image of 0 starts with 0, so iterates from "0" begin with it
         h = thue_morse_like()
@@ -99,18 +113,6 @@ class TestLimitPrefix:
         with pytest.raises(ValueError):
             limit_prefix(thue_morse_like(), 0)
 
-    def test_swap_morphism_raises(self):
-        # the length-1 swap has no growing iterate from either letter
-        h = UniformMorphism(3, "1", "0")
-        with pytest.raises(PrefixStabilityError):
-            limit_prefix(h, 4)
-
-    def test_swapped_images_still_stabilize(self):
-        # image of 0 starts with 1 and image of 1 with 0, so the doubled
-        # iterate from "0" is the scheme that applies
-        got = limit_prefix(UniformMorphism(3, "10", "01"), 8)
-        assert got.startswith("0110")
-
 
 class TestFactorClosure:
     @pytest.mark.parametrize("n", BUILTIN_SIZES)
@@ -127,6 +129,73 @@ class TestFactorClosure:
             closure = factor_closure(h, h.r)
             probe_factors = {probe[i:i + h.r] for i in range(len(probe) - h.r + 1)}
             assert closure.members == probe_factors
+
+    def test_swap_morphism_raises(self):
+        # the length-1 swap has no growing iterate from either letter
+        h = UniformMorphism(3, "1", "0")
+        for k in (1, 2, 3):
+            with pytest.raises(PrefixStabilityError, match="no prefix-stable iteration from either letter"):
+                factor_closure(h, k)
+
+    def test_swapped_images_still_stabilize(self, monkeypatch):
+        # image of 0 starts with 1 and image of 1 with 0, so the doubled
+        # iterate from "0", h(h(0)) = 0110, is the scheme that applies and
+        # the first word whose factors seed the fixed point
+        words = []
+        factors = dejean.morphisms._factors
+        monkeypatch.setattr(dejean.morphisms, "_factors",
+                            lambda s, k: words.append(s) or factors(s, k))
+        members = factor_closure(UniformMorphism(3, "10", "01"), 2).members
+        assert words[0] == "0110"
+        assert members == {"00", "01", "10", "11"}
+
+    @pytest.mark.parametrize("n", BUILTIN_SIZES)
+    def test_equals_factors_of_plain_prefix(self, n):
+        # the factors of the r^2-letter prefix h(h(a)) of the limit word
+        h = builtin(n)
+        text = limit_prefix(h, h.r * h.r)
+        for k in (3, 5, 8, 16):
+            assert factor_closure(h, k).members == sliding_factors(text, k), k
+
+    def test_equals_prefix_seeded_closure(self):
+        # seeding from one iterate reaches the fixed point that an
+        # r^2-letter limit prefix seeds, on the benchmark's mutants and on
+        # every n = 3 morphism with r <= 4
+        morphisms = [UniformMorphism(m.n, m.image0, m.image1)
+                     for seed in range(1, 6) for m in load_perfbench_mutants().generate(seed)]
+        assert len(morphisms) == 70
+        for r in range(1, 5):
+            images = ["".join(bits) for bits in product("01", repeat=r)]
+            morphisms += [UniformMorphism(3, a, b) for a in images for b in images]
+        assert len(morphisms) == 70 + 340
+        for h in morphisms:
+            for k in (1, 2):
+                try:
+                    expected = prefix_seeded_closure(h, k)
+                except PrefixStabilityError:
+                    with pytest.raises(PrefixStabilityError):
+                        factor_closure(h, k)
+                    continue
+                assert factor_closure(h, k).members == expected, (h, k)
+
+    def test_windows_of_eight_factors_are_power_free(self):
+        # every factor of the decoding of the limit word with at most
+        # 7r + n letters lies in the decoding of h(x), x an 8-factor,
+        # relabelled; none of those 192 windows holds a repetition above
+        # n/(n-1), whatever its period
+        windows = 0
+        for n in BUILTIN_SIZES:
+            h = builtin(n)
+            for x in factor_closure(h, 8):
+                letters = plain_decode(h.apply(x), n)
+                assert find_repetitions_exceeding(letters, n, n - 1) == [], (n, x)
+                windows += 1
+        assert windows == 192
+        # a planted bit flip leaves such a repetition in some window
+        m = load_perfbench_mutants().generate(1)[0]
+        h = UniformMorphism(m.n, m.image0, m.image1)
+        assert any(find_repetitions_exceeding(plain_decode(h.apply(x), h.n), h.n, h.n - 1)
+                   for x in factor_closure(h, 8))
 
     def test_closure_members_occur_in_limit_prefix(self):
         h = builtin(15)

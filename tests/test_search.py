@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from dejean import search
-from dejean.morphisms import UniformMorphism, _factors, builtin, limit_prefix
+from dejean.morphisms import UniformMorphism, _factors, builtin
 from dejean.pansiot import canonical_prefix, decode
 from dejean.perms import (Permutation, find_conjugator, h0_splices, h1_splices,
                           step0, step1, word_permutation)
@@ -14,7 +14,7 @@ from dejean.search import (_classify, _screen_pair, _walk, enumerate_legal,
 from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, run_check, verify
 from dejean.words import find_repetitions_exceeding, has_repetition_exceeding
 
-from helpers import all_words
+from helpers import all_words, limit_prefix
 
 
 def brute_legal(n, length):
