@@ -12,8 +12,8 @@ from .morphisms import (BUILTIN_SIZES, FactorSet, MorphismFormatError,
 from .markability import (MarkabilityReport, PhaseConflict,
                           check_all_length_r_factors_markable)
 from .pansiot import WindowDistinctnessError, canonical_prefix, decode, encode
-from .perms import (Permutation, PrefixPermutationTable, find_conjugator,
-                    is_kernel_word, step0, step1, word_permutation)
+from .perms import (PrefixPermutationTable, find_conjugator, is_kernel_word,
+                    word_permutation)
 from .search import enumerate_legal, legal_length_counts, search_convenient
 from .verifier import (Bounds, CheckResult, VerificationReport, compute_bounds,
                        find_kernel_repetitions, probe_encoding, probe_word,
@@ -23,7 +23,7 @@ from .words import (RepetitionOccurrence, SigmaWord, find_repetitions_exceeding,
 
 __all__ = [
     "BUILTIN_SIZES", "Bounds", "CheckResult", "FactorSet", "MarkabilityReport",
-    "MorphismFormatError", "Permutation", "PhaseConflict",
+    "MorphismFormatError", "PhaseConflict",
     "PrefixPermutationTable", "PrefixStabilityError", "RepetitionOccurrence",
     "SigmaWord", "UniformMorphism", "VerificationReport",
     "WindowDistinctnessError", "builtin", "canonical_prefix",
@@ -34,5 +34,5 @@ __all__ = [
     "find_repetitions_with_excess_at_least", "is_kernel_word",
     "iteration_bound", "legal_length_counts", "max_exponent",
     "parse_morphism_file", "probe_encoding", "probe_word", "run_check",
-    "search_convenient", "step0", "step1", "verify", "word_permutation",
+    "search_convenient", "verify", "word_permutation",
 ]

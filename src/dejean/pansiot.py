@@ -20,8 +20,8 @@ byte, so every decoding takes alphabets of at most 255 letters, and
 ``_letters``, which each one runs, rejects larger ones; ``encode`` decodes
 nothing and takes any n.
 ``decode_letters`` returns the letters unchecked, as ``bytes``; ``decode``
-wraps them in a checked ``SigmaWord``.  ``end_state`` reads the decoder
-state off the last n-1 letters of ``decode_letters``.
+wraps them in a checked ``SigmaWord``.  ``perms.word_permutation`` reads
+the decoder state off the last n-1 letters of ``decode_letters``.
 """
 
 from .words import SigmaWord, check_binary
@@ -79,13 +79,6 @@ def decode_letters(bits: str, n: int, images: tuple[str, str] = ("0", "1")) -> b
     never built.  The default images are the identity's, so raw bits
     decode themselves."""
     return _letters(bits, canonical_prefix(n).letters, n, images)
-
-
-def end_state(bits: str, n: int) -> tuple[int, ...]:
-    """The decoder state after ``bits`` from ``canonical_prefix(n)``: the
-    last n-1 letters of the decoding, then the missing letter."""
-    window = decode_letters(bits, n)[1 - n:]
-    return (*window, n * (n + 1) // 2 - sum(window))
 
 
 def _letters(bits: str, prefix: tuple[int, ...], missing: int,

@@ -1,81 +1,39 @@
 """Permutations of {1..n} and the bit homomorphism into the symmetric group.
 
-The two generators are the images of the codeword bits: bit 0 maps to the
-(n-1)-cycle fixing n, bit 1 to the full n-cycle.  Composition is left
-multiplication, (f * g)(i) = f(g(i)), and a word maps to the left-to-right
-product of its letters' generators, so word_permutation(u + v) equals
-word_permutation(u) * word_permutation(v).  This orientation is the one
-under which the codeword of a window-distinct word starting 1 2 ... n-1
-maps i to the i-th entry of (last n-1 letters, missing letter); the
-property suite pins it.  ``word_permutation`` and ``is_kernel_word`` read
-that state off the decoder one bit per step, and ``PrefixPermutationTable``,
-given the decoding of a word, groups its equal prefix permutations into
-classes of equal windows of the decoding.  The table hashes every key of
-the decoding once, into one dict, and compares whole windows only where
-keys repeat; neither composes a generator.  The decoding is ``bytes``, one
-byte a letter, so all three take n <= 255, as the decoder does.
+A permutation is ``bytes``, one byte a point: ``p[i-1]`` is the image of
+point i, so n <= 255, as the decoder takes.  The two generators are the
+images of the codeword bits: bit 0 maps to the (n-1)-cycle fixing n,
+1 -> 2 -> ... -> n-1 -> 1, and bit 1 to the full n-cycle
+1 -> 2 -> ... -> n -> 1.  Composition is left multiplication,
+(f g)(i) = f(g(i)), and a word maps to the left-to-right product of its
+letters' generators, so the image of u + v maps i to
+word_permutation(u)[word_permutation(v)[i-1] - 1].  This orientation is
+the one under which the codeword of a window-distinct word starting
+1 2 ... n-1 maps i to the i-th entry of (last n-1 letters, missing
+letter); the property suite pins it.  ``word_permutation`` and
+``is_kernel_word`` read that state off the decoder one bit per step, and
+``PrefixPermutationTable``, given the decoding of a word, groups its equal
+prefix permutations into classes of equal windows of the decoding.  The
+table hashes every key of the decoding once, into one dict, and compares
+whole windows only where keys repeat; neither composes a generator.  The
+decoding is ``bytes``, one byte a letter, so all three take n <= 255, as
+the decoder does.
 
-Simultaneous conjugacy onto (step0, step1) is defined once, by the splice
-lists of ``h0_splices`` and ``h1_splices``: ``find_conjugator`` and the
-search's pairing both read them.
+Simultaneous conjugacy onto the images of bits 0 and 1 is defined once, by
+the splice lists of ``h0_splices`` and ``h1_splices``: ``find_conjugator``
+and the search's pairing both read them.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
-from .pansiot import end_state
+from .pansiot import decode_letters
 from .words import _agreement
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1..n}; ``images[i-1]`` is the image of point i."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if n == 0 or sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """(self * other)(i) = self(other(i))."""
-        return Permutation(_compose(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_inverse(self.images))
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Sorted multiset of cycle lengths; sums to the degree."""
-        return _cycle_type(self.images)
-
-    def one_line(self) -> str:
-        """Report form: the image sequence, e.g. ``(2 3 1)``."""
-        return "(" + " ".join(str(v) for v in self.images) + ")"
-
-
-def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(f[g[i] - 1] for i in range(len(f)))
-
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-def _cycle_from(p, start: int) -> list[int]:
-    """The cycle through start of p (images of 1..n, tuple or bytes)."""
+def _cycle_from(p: bytes, start: int) -> list[int]:
+    """The cycle through start of p."""
     cyc = [start]
     point = p[start - 1]
     while point != start:
@@ -84,7 +42,8 @@ def _cycle_from(p, start: int) -> list[int]:
     return cyc
 
 
-def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+def _cycle_type(p: bytes) -> tuple[int, ...]:
+    """Sorted multiset of the cycle lengths of p; sums to the degree."""
     seen, lengths = set(), []
     for i in range(1, len(p) + 1):
         if i not in seen:
@@ -94,60 +53,58 @@ def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-@lru_cache(maxsize=None)
-def _step_images(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if n < 2:
-        raise ValueError(f"degree must be >= 2, got {n}")
-    s0 = tuple(list(range(2, n)) + [1, n])
-    s1 = tuple(list(range(2, n + 1)) + [1])
-    return s0, s1
+def conjugate(t: bytes, a: bytes) -> bytes:
+    """t a t^-1, which maps t(i) to t(a(i)): a with its points relabelled by t."""
+    out = bytearray(len(t))
+    for x, y in zip(t, a):
+        out[x - 1] = t[y - 1]
+    return bytes(out)
 
 
-def step0(n: int) -> Permutation:
-    """Image of bit 0: 1->2, ..., n-2 -> n-1, n-1 -> 1, and n fixed."""
-    return Permutation(_step_images(n)[0])
-
-
-def step1(n: int) -> Permutation:
-    """Image of bit 1: the n-cycle 1 -> 2 -> ... -> n -> 1."""
-    return Permutation(_step_images(n)[1])
-
-
-def word_permutation(bits: str, n: int) -> Permutation:
+def word_permutation(bits: str, n: int) -> bytes:
     """Homomorphic image of a binary word.  By the module identity it is the
-    decoder state the word leads to from 1 2 ... n-1, which
-    :func:`pansiot.end_state` reads one bit per step; no generator is
-    composed."""
-    return Permutation(end_state(bits, n))
+    decoder state the word leads to from ``canonical_prefix(n)``: the last
+    n-1 letters of ``decode_letters``, then the missing letter.  The decoder
+    reads it one bit per step; no generator is composed."""
+    window = decode_letters(bits, n)[1 - n:]
+    return window + bytes((n * (n + 1) // 2 - sum(window),))
 
 
 def is_kernel_word(bits: str, n: int) -> bool:
     """True when the word maps to the identity."""
-    return end_state(bits, n) == tuple(range(1, n + 1))
+    return word_permutation(bits, n) == bytes(range(1, n + 1))
 
 
-def find_conjugator(a0: Permutation, a1: Permutation, n: int) -> Permutation | None:
-    """A single t with t*a0*t^-1 = step0(n) and t*a1*t^-1 = step1(n), or None.
+def find_conjugator(a0: bytes, a1: bytes, n: int) -> bytes | None:
+    """A single t with t a0 t^-1 and t a1 t^-1 the images of bits 0 and 1,
+    or None.
 
-    Any such t must map the cycle of a1 onto the cycle of step1, so it is one
-    of the n alignments of :func:`h0_splices`, and alignment t satisfies the
-    a0 equation exactly when its splice is a0.  The least such alignment is
-    returned; its image of 1 is t + 1, so it is the lexicographically least
-    conjugator.
+    Any such t must map the cycle of a1 onto the cycle of the image of 1,
+    so it is one of the n alignments of :func:`h0_splices`, and alignment t
+    satisfies the a0 equation exactly when its splice is a0.  The least
+    such alignment is returned; its image of 1 is t + 1, so it is the
+    lexicographically least conjugator.  A degree outside 2..255, or an
+    argument that is not the ``bytes`` of a permutation of 1..n, raises
+    ``ValueError``.
     """
-    if a0.degree != n or a1.degree != n:
-        raise ValueError("degree mismatch")
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
-    cyc = _cycle_from(a1.images, 1)
-    splices = h0_splices(a1.images) if len(cyc) == n else []
-    if a0.images not in splices:
+    if n > 255:  # one byte a point
+        raise ValueError(f"alphabet size must be <= 255, got {n}")
+    for name, a in (("a0", a0), ("a1", a1)):
+        if len(a) != n:
+            raise ValueError(f"{name} has {len(a)} points, not n = {n}")
+        if type(a) is not bytes or sorted(a) != list(range(1, n + 1)):
+            raise ValueError(f"{name} is not the bytes of a permutation of 1..{n}: {a!r}")
+    cyc = _cycle_from(a1, 1)
+    splices = h0_splices(a1) if len(cyc) == n else []
+    if a0 not in splices:
         return None
-    t = splices.index(a0.images)
-    tau = [0] * n
+    t = splices.index(a0)
+    tau = bytearray(n)
     for k, x in enumerate(cyc):
         tau[x - 1] = (t + k) % n + 1
-    return Permutation(tuple(tau))
+    return bytes(tau)
 
 
 @lru_cache(maxsize=None)
@@ -158,28 +115,25 @@ def _swap_tables(n: int) -> list[list[bytes]]:
             for u in range(n + 1)]
 
 
-def h0_splices(a1):
+def h0_splices(a1: bytes) -> list[bytes]:
     """Permutations a0 for which some single tau conjugates (a0, a1) onto
-    (step0, step1), for an n-cycle a1 given as a pool key (``bytes``) or a
-    tuple of images; each a0 has the type of a1.
+    the images of bits 0 and 1, for an n-cycle a1; each a0 has the type of
+    a1.
 
-    tau ranges over the n alignments of a1's cycle cyc from 1 onto step1's,
-    alignment t being tau(cyc[k]) = (t + k) % n + 1; the list follows t
-    from 0.  step0 is step1 with n cut out of its cycle, so each a0 is a1
-    with the point x = tau^-1(n) cut out: x becomes fixed and a1^-1(x)
-    maps to a1(x).  In the image list that exchanges the values x and a1(x).
+    tau ranges over the n alignments of a1's cycle cyc from 1 onto the
+    image of 1, alignment t being tau(cyc[k]) = (t + k) % n + 1; the list
+    follows t from 0.  The image of 0 is the image of 1 with n cut out of
+    its cycle, so each a0 is a1 with the point x = tau^-1(n) cut out: x
+    becomes fixed and a1^-1(x) maps to a1(x).  In the image list that
+    exchanges the values x and a1(x).
     """
-    cyc = reversed(_cycle_from(a1, 1))
-    if isinstance(a1, bytes):
-        swaps = _swap_tables(len(a1))
-        return [a1.translate(swaps[x][a1[x - 1]]) for x in cyc]
-    return [tuple(v if y == x else x if y == v else y for y in a1)
-            for x in cyc for v in (a1[x - 1],)]
+    swaps = _swap_tables(len(a1))
+    return [a1.translate(swaps[x][a1[x - 1]]) for x in reversed(_cycle_from(a1, 1))]
 
 
 def h1_splices(a0: bytes) -> list[bytes]:
-    """Mirror image of :func:`h0_splices` for a0 of cycle type (n-1, 1),
-    given as ``bytes``: tau aligns a0's long cycle onto step0's and sends
+    """Mirror image of :func:`h0_splices` for a0 of cycle type (n-1, 1):
+    tau aligns a0's long cycle onto that of the image of 0 and sends
     its fixed point to n, so each alignment inserts the fixed point f after
     one point y of the long cycle, which exchanges the values f and a0(y)."""
     cyc = _cycle_from(a0, 2 if a0[0] == 1 else 1)

@@ -60,7 +60,8 @@ from .morphisms import UniformMorphism, builtin, factor_closure, iteration_bound
 # decode and find_repetitions_with_excess_at_least are not called here;
 # perfbench/tracer.py wraps them under this module, so they stay importable.
 from .pansiot import decode, decode_letters
-from .perms import PrefixPermutationTable, find_conjugator, step0, step1, word_permutation
+from .perms import (PrefixPermutationTable, _cycle_type, conjugate, find_conjugator,
+                    word_permutation)
 from .words import (RepetitionOccurrence, SigmaWord, _agreement, find_repetitions_exceeding,
                     find_repetitions_with_excess_at_least, has_repetition_exceeding)
 
@@ -374,10 +375,14 @@ def _check_algebraic(p: _Probe) -> tuple[bool, str]:
     tau = find_conjugator(a0, a1, h.n)
     if tau is None:
         return False, (f"no simultaneous conjugator; image cycle types "
-                       f"{a0.cycle_type()} and {a1.cycle_type()}")
-    if tau * a0 * tau.inverse() != step0(h.n) or tau * a1 * tau.inverse() != step1(h.n):
-        return False, f"conjugator {tau.one_line()} fails re-verification"
-    return True, f"conjugator {tau.one_line()}"
+                       f"{_cycle_type(a0)} and {_cycle_type(a1)}")
+    # Report form: the images of 1..n, e.g. (2 3 1).
+    tau_text = "(" + " ".join(map(str, tau)) + ")"
+    # The images of bit 0, (1 2 ... n-1) with n fixed, and of bit 1, (1 2 ... n).
+    generators = (bytes((*range(2, h.n), 1, h.n)), bytes((*range(2, h.n + 1), 1)))
+    if (conjugate(tau, a0), conjugate(tau, a1)) != generators:
+        return False, f"conjugator {tau_text} fails re-verification"
+    return True, f"conjugator {tau_text}"
 
 
 def _check_factor_set_2(p: _Probe) -> tuple[bool, str]:

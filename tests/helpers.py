@@ -14,7 +14,7 @@ import dejean.verifier
 from dejean.markability import MarkabilityReport, PhaseConflict
 from dejean.morphisms import PrefixStabilityError, factor_closure
 from dejean.pansiot import decode_letters
-from dejean.perms import Permutation, PrefixPermutationTable, step0, step1
+from dejean.perms import PrefixPermutationTable
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -36,6 +36,11 @@ def _load_perfbench(name):
 def load_perfbench_mutants():
     """The benchmark's mutant generator, ``perfbench/mutants.py``, as a module."""
     return _load_perfbench("mutants")
+
+
+def load_perfbench_gate():
+    """The benchmark's report checks, ``perfbench/gate.py``, as a module."""
+    return _load_perfbench("gate")
 
 
 def load_tracer_sites():
@@ -123,17 +128,69 @@ def brute_find_excess(w, min_excess):
     return sorted(found)
 
 
+def compose(f, g):
+    """The product f g of two permutations given as tuples of the images of
+    1..n: (f g)(i) = f(g(i)).  With :func:`inverse`, :func:`step0`,
+    :func:`step1` and :func:`conjugated`, the plain tuple algebra that the
+    ``bytes`` permutations of ``dejean.perms`` are tested against; it
+    shares nothing with that module."""
+    return tuple(f[x - 1] for x in g)
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p, 1):
+        inv[v - 1] = i
+    return tuple(inv)
+
+
+def step0(n):
+    """Image of bit 0: 1 -> 2 -> ... -> n-1 -> 1, and n fixed."""
+    return (*range(2, n), 1, n)
+
+
+def step1(n):
+    """Image of bit 1: the n-cycle 1 -> 2 -> ... -> n -> 1."""
+    return (*range(2, n + 1), 1)
+
+
+def conjugated(t, a):
+    """t a t^-1, by two products and an inverse."""
+    return compose(compose(t, a), inverse(t))
+
+
+def cycle_through(p, start):
+    """The cycle of p through start, read by plain indexing."""
+    cyc = [start]
+    while p[cyc[-1] - 1] != start:
+        cyc.append(p[cyc[-1] - 1])
+    return cyc
+
+
+def cycle_alignments(cyc, size, n, fixed=None):
+    """The size alignments tau of the cycle cyc onto 1 -> 2 -> ... -> size,
+    t = 1..size, sending cyc[k] to (t-1+k) mod size + 1 (and fixed to n),
+    as tuples."""
+    out = []
+    for t in range(1, size + 1):
+        images = {e: (t - 1 + k) % size + 1 for k, e in enumerate(cyc)}
+        if fixed is not None:
+            images[fixed] = n
+        out.append(tuple(images[i] for i in range(1, n + 1)))
+    return out
+
+
 def prefix_permutations(bits, n):
     """The image of every prefix of ``bits``, each the image of the previous
-    prefix times the generator of one more bit, ``step0`` or ``step1``: the
-    composition oracle of the decoder-state classes and of
-    ``word_permutation``.  It composes ``Permutation`` products and shares
-    nothing with the decoder."""
+    prefix times the generator of one more bit, :func:`step0` or
+    :func:`step1`: the composition oracle of the decoder-state classes and
+    of ``word_permutation``.  It composes tuples and shares nothing with
+    the decoder."""
     generators = {"0": step0(n), "1": step1(n)}
-    p = Permutation(tuple(range(1, n + 1)))
+    p = tuple(range(1, n + 1))
     out = [p]
     for ch in bits:
-        p = p * generators[ch]
+        p = compose(p, generators[ch])
         out.append(p)
     return out
 

@@ -11,12 +11,12 @@ from fractions import Fraction
 from dejean.markability import check_all_length_r_factors_markable
 from dejean.morphisms import BUILTIN_SIZES, builtin, factor_closure, iteration_bound
 from dejean.pansiot import canonical_prefix, decode, encode
-from dejean.perms import find_conjugator, step0, step1, word_permutation
+from dejean.perms import find_conjugator, word_permutation
 from dejean.search import enumerate_legal, legal_length_counts, search_convenient
 from dejean.verifier import compute_bounds, run_check, verify
 from dejean.words import SigmaWord, find_repetitions_exceeding, max_exponent
 
-from helpers import brute_has_period
+from helpers import brute_has_period, conjugated, step0, step1
 
 
 def report(number, name, passed, elapsed, detail=""):
@@ -48,9 +48,9 @@ def test_criterion_02_algebraic_condition():
         a1 = word_permutation(h.image1, n)
         tau = find_conjugator(a0, a1, n)
         ok &= tau is not None
-        if tau is not None:
-            ok &= tau * a0 * tau.inverse() == step0(n)
-            ok &= tau * a1 * tau.inverse() == step1(n)
+        if tau is not None:  # re-verified by the tests' tuple oracle
+            ok &= conjugated(tuple(tau), tuple(a0)) == step0(n)
+            ok &= conjugated(tuple(tau), tuple(a1)) == step1(n)
     elapsed = time.perf_counter() - started
     report(2, "algebraic condition", ok and elapsed < 1.0, elapsed)
 
@@ -158,7 +158,7 @@ def test_criterion_09_property_suites():
             m = len(v)
             window = v.letters[m - (n - 1):]
             missing = n * (n + 1) // 2 - sum(window)
-            assert word_permutation(bits, n).images == window + (missing,)
+            assert tuple(word_permutation(bits, n)) == window + (missing,)
 
     # max_exponent against the independent oracle on all binary words <= 16
     for length in range(1, 17):

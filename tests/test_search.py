@@ -7,14 +7,14 @@ import pytest
 from dejean import search
 from dejean.morphisms import UniformMorphism, _factors, builtin
 from dejean.pansiot import canonical_prefix, decode
-from dejean.perms import (Permutation, find_conjugator, h0_splices, h1_splices,
-                          step0, step1, word_permutation)
+from dejean.perms import _cycle_type, find_conjugator, h0_splices, h1_splices, word_permutation
 from dejean.search import (_classify, _screen_pair, _walk, enumerate_legal,
                            legal_length_counts, search_convenient)
 from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, run_check, verify
 from dejean.words import find_repetitions_exceeding, has_repetition_exceeding
 
-from helpers import all_words, limit_prefix
+from helpers import (all_words, conjugated, cycle_alignments, cycle_through, inverse,
+                     limit_prefix, step0, step1)
 
 
 def brute_legal(n, length):
@@ -178,25 +178,6 @@ def _random_h0_image(rng, n):
     return tuple(images[i] for i in range(1, n + 1))
 
 
-def _cycle_alignments(cyc, size, n, fixed=None):
-    """The size alignments tau of the cycle cyc onto 1 -> 2 -> ... -> size,
-    t = 1..size, sending cyc[k] to (t-1+k) mod size + 1 (and fixed to n)."""
-    out = []
-    for t in range(1, size + 1):
-        images = {e: (t - 1 + k) % size + 1 for k, e in enumerate(cyc)}
-        if fixed is not None:
-            images[fixed] = n
-        out.append(Permutation(tuple(images[i] for i in range(1, n + 1))))
-    return out
-
-
-def _cycle_through(p, start):
-    cyc = [start]
-    while p(cyc[-1]) != start:
-        cyc.append(p(cyc[-1]))
-    return cyc
-
-
 class TestHotPathIdentities:
     """The search's shortcuts against the permutation algebra they replace."""
 
@@ -204,34 +185,34 @@ class TestHotPathIdentities:
     def test_leaf_sig_is_word_permutation(self, n, max_length):
         for length in range(1, max_length + 1):
             for bits, sig in _leaves(n, length):
-                assert sig == word_permutation(bits, n).images, (n, bits)
+                assert sig == tuple(word_permutation(bits, n)), (n, bits)
 
     @pytest.mark.parametrize("n", range(3, 27))
     def test_splice_lists_match_conjugation(self, n):
         rng = random.Random(n)
         s0, s1 = step0(n), step1(n)
         for _ in range(8):
-            a1 = Permutation(_random_full_cycle(rng, n))
-            expected = [tau.inverse() * s0 * tau
-                        for tau in _cycle_alignments(_cycle_through(a1, 1), n, n)]
-            got = [tuple(key) for key in h0_splices(bytes(a1.images))]
-            assert got == [p.images for p in expected]
+            a1 = _random_full_cycle(rng, n)
+            expected = [conjugated(inverse(tau), s0)
+                        for tau in cycle_alignments(cycle_through(a1, 1), n, n)]
+            got = h0_splices(bytes(a1))
+            assert [tuple(key) for key in got] == expected
             for a0 in got:
-                assert find_conjugator(Permutation(a0), a1, n) is not None
+                assert find_conjugator(a0, bytes(a1), n) is not None
 
-            a0 = Permutation(_random_h0_image(rng, n))
-            fixed = next(i for i in range(1, n + 1) if a0(i) == i)
-            cyc = _cycle_through(a0, 2 if fixed == 1 else 1)
-            expected = [tau.inverse() * s1 * tau
-                        for tau in _cycle_alignments(cyc, n - 1, n, fixed)]
-            got = [tuple(key) for key in h1_splices(bytes(a0.images))]
-            assert got == [p.images for p in expected]
+            a0 = _random_h0_image(rng, n)
+            fixed = next(i for i in range(1, n + 1) if a0[i - 1] == i)
+            cyc = cycle_through(a0, 2 if fixed == 1 else 1)
+            expected = [conjugated(inverse(tau), s1)
+                        for tau in cycle_alignments(cyc, n - 1, n, fixed)]
+            got = h1_splices(bytes(a0))
+            assert [tuple(key) for key in got] == expected
             for a1 in got:
-                assert find_conjugator(a0, Permutation(a1), n) is not None
+                assert find_conjugator(bytes(a0), a1, n) is not None
 
     @staticmethod
     def _by_cycle_type(images, n):
-        ct = Permutation(images).cycle_type()
+        ct = _cycle_type(bytes(images))
         return "h1" if ct == (n,) else "h0" if ct == (1, n - 1) else "neither"
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -271,7 +252,7 @@ def _sign_by_count(bits, n):
 
 def _sign(images):
     """(-1)^(n - number of cycles), the cycles fixed points included."""
-    return (-1) ** (len(images) - len(Permutation(images).cycle_type()))
+    return (-1) ** (len(images) - len(_cycle_type(bytes(images))))
 
 
 class TestSignRule:
@@ -280,7 +261,7 @@ class TestSignRule:
         rng = random.Random(n)
         for _ in range(40):
             bits = "".join(rng.choice("01") for _ in range(rng.randrange(80)))
-            assert _sign(word_permutation(bits, n).images) == _sign_by_count(bits, n), (n, bits)
+            assert _sign(word_permutation(bits, n)) == _sign_by_count(bits, n), (n, bits)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_candidate_leaves_have_their_kind_sign(self, n):
@@ -301,7 +282,7 @@ class TestClassifyCandidate:
 
     @staticmethod
     def role(bits, n):
-        return _classify(word_permutation(bits, n).images, n)
+        return _classify(tuple(word_permutation(bits, n)), n)
 
     def test_builtin_images(self):
         h = builtin(15)
@@ -350,7 +331,7 @@ class TestSearchConvenient:
 def _spliced_h0_images(a1, n):
     """Reference for ``perms.h0_splices``: a1 with each point of its cycle
     cut out in turn, in the order of ``perms.find_conjugator``'s alignments."""
-    cyc = _cycle_through(Permutation(a1), 1)
+    cyc = cycle_through(a1, 1)
     out = []
     for k in range(n - 1, -1, -1):
         x = cyc[k]
@@ -365,7 +346,7 @@ def _spliced_h1_images(a0, n):
     """Reference for ``perms.h1_splices``: a0's fixed point inserted after
     each point of its long cycle in turn."""
     fix = next(i for i in range(1, n + 1) if a0[i - 1] == i)
-    cyc = _cycle_through(Permutation(a0), 2 if fix == 1 else 1)
+    cyc = cycle_through(a0, 2 if fix == 1 else 1)
     out = []
     for y in reversed(cyc):
         img = list(a0)

@@ -6,7 +6,7 @@ import pytest
 import dejean.pansiot
 import dejean.perms
 import dejean.verifier
-from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin
+from dejean.morphisms import BUILTIN_SIZES, UniformMorphism, builtin, parse_morphism_file
 from dejean.pansiot import canonical_prefix, decode, decode_letters
 from dejean.perms import word_permutation
 from dejean.verifier import (CHECK_NAMES, _collision_runs, _kernel_runs, _power_runs,
@@ -14,8 +14,9 @@ from dejean.verifier import (CHECK_NAMES, _collision_runs, _kernel_runs, _power_
                              find_kernel_repetitions, probe_encoding,
                              probe_word, run_check, verify)
 from dejean.words import find_repetitions_exceeding, find_repetitions_with_excess_at_least
-from helpers import (brute_kernel_repetitions, class_ids, classes_of, occ_triples, repeat_case,
-                     repeated_factor_starts, spy_power_bounds, table_of)
+from helpers import (brute_kernel_repetitions, class_ids, classes_of, load_perfbench_gate,
+                     load_perfbench_mutants, occ_triples, repeat_case, repeated_factor_starts,
+                     spy_power_bounds, table_of)
 
 
 class TestBounds:
@@ -76,7 +77,7 @@ class TestKernelScan:
         assert len(seen) == len(occs)
         for o in occs:
             # period word maps to the identity
-            assert word_permutation("1" * o.period, 2).images == (1, 2)
+            assert word_permutation("1" * o.period, 2) == bytes((1, 2))
 
     def test_matches_brute_force_oracle(self):
         """As full lists, against every maximal interval whose period word
@@ -360,6 +361,24 @@ class TestIndividualChecks:
     def test_boundary_strictness(self):
         # exactly the threshold is allowed: 010 over n=3 has exponent 3/2 = n/(n-1)
         assert find_repetitions_exceeding("010", 3, 2) == []
+
+
+class TestStoredReports:
+    """Real ``verify`` reports against the benchmark's stored ones, read
+    only, through its own comparison: every field but ``ms``, the
+    ``conjugator (...)`` witnesses included, is pinned."""
+
+    def test_builtins(self):
+        gate = load_perfbench_gate()
+        reports = [verify(n).to_json() for n in BUILTIN_SIZES]
+        assert gate.compare_reports(reports, gate.load_expected("verify-all.jsonl")) == []
+
+    def test_seed_one_mutants(self):
+        gate, mutants = load_perfbench_gate(), load_perfbench_mutants()
+        morphisms = parse_morphism_file(mutants.stanza_text(mutants.generate(1)))
+        assert len(morphisms) == 14
+        reports = [verify(h).to_json() for h in morphisms]
+        assert gate.compare_reports(reports, gate.load_expected("verify-mutants-seed1.jsonl")) == []
 
 
 class TestVerify:
