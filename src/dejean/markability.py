@@ -72,9 +72,15 @@ def check_all_length_r_factors_markable(h: UniformMorphism) -> MarkabilityReport
     word, so these are all length-r factors that occur at all.  Failures are
     listed in lexicographic factor order.
     """
+    return _markability_report(h, factor_closure(h, 2))
+
+
+def _markability_report(h: UniformMorphism, U: FactorSet) -> MarkabilityReport:
+    """:func:`check_all_length_r_factors_markable` given U, the length-2
+    factors of the limit word, which ``verify`` computes once."""
     r = h.r
     probe = h.apply("0110")
     factors = sorted({probe[i : i + r] for i in range(len(probe) - r + 1)})
-    conflicts = _phase_conflicts(h, factor_closure(h, 2), r)
+    conflicts = _phase_conflicts(h, U, r)
     failures = tuple((v, conflicts[v]) for v in factors if v in conflicts)
     return MarkabilityReport(len(factors), failures)

@@ -12,7 +12,13 @@ docstring states), but only for a leaf that might be pooled: a 0-led leaf
 is pooled only as an h(0) ending in 0 (the end-bit rule of
 :class:`_Pairing`), so a 0...1 leaf, and a 0...0 leaf whose image has the
 sign of an n-cycle, is dropped unread.  The image is classified by cycle
-type, (n-1,1) for h(0) and (n,) for h(1).  Candidates are pooled packed,
+type, (n-1,1) for h(0) and (n,) for h(1).  A candidate is then admitted
+only if it decodes legally before the image that follows it in the probe
+encoding (the admission rule of :class:`_Pairing`): :func:`_extends` runs
+the walk's legality test on past the leaf, over the leaf's own bits for
+an h(1) and over one 1 for an h(0), placing and indexing each letter in
+the walk's own buffers, stopping at the first illegal letter and undoing
+what it pushed.  Candidates are pooled packed,
 each as the ``int`` of its r bits under its last bit and its permutation
 image as ``bytes``, and paired through the simultaneous-conjugacy
 condition by splicing cycles (:func:`perms.h0_splices`), against the
@@ -29,10 +35,11 @@ lexicographic order.  Once the 1-led part is over no h(1) can arrive, so
 the pools that only an h(1) reads are dropped, and a 0-led h(0) pairs
 against the h(1) ending in 1 without being pooled.
 
-Each pair is screened by the suite's own ``structure``,
-``iteration_bound`` and ``factor_set_2`` checks, then by a power scan of
-the decoding of the probe encoding's first 4r bits, a prefix of the probe
-word; a pair is returned once the full verification suite passes.
+``iteration_bound`` is a fact of (n, r), so a length that fails it is not
+walked.  Each pair is screened by the suite's own ``structure`` and
+``factor_set_2`` checks, then by a power scan of the decoding of the probe
+encoding's first 4r bits, a prefix of the probe word; a pair is returned
+once the full verification suite passes.
 """
 
 from typing import Callable, Iterable
@@ -40,7 +47,7 @@ from typing import Callable, Iterable
 from .morphisms import UniformMorphism
 from .pansiot import decode_letters
 from .perms import h0_splices, h1_splices
-from .verifier import run_check, verify
+from .verifier import _iteration_fact, run_check, verify
 from .words import has_repetition_exceeding
 # Not called here; perfbench/tracer.py wraps these names under this module,
 # so they stay importable.
@@ -54,11 +61,14 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None, *, first=None) -> int
     """Depth-first traversal of legal encodings of the given length, in
     lexicographic order.
 
-    ``on_leaf(code, w, end)`` receives the walk's own buffers: the code
-    word as a ``bytearray`` of ASCII digits, and the decoding w, in which
+    ``on_leaf(code, w, end, after)`` receives the walk's own buffers: the
+    code word as a ``bytearray`` of ASCII digits, the decoding w, in which
     w[end - n:end] is the permutation image of the code word (its last
-    n - 1 letters, then the missing letter).  Both are overwritten once the
-    callback returns.  Returning False aborts the walk.
+    n - 1 letters, then the missing letter), and the occurrence index
+    ``after`` of every letter but the leaf's last, which :func:`_extends`
+    reads.  w has room for ``length`` more letters past the leaf.  All
+    three are overwritten once the callback returns.  Returning False
+    aborts the walk.
     ``depth_counts[d]``, when given, accumulates the number of legal words
     of each length d <= length.  ``first``, when given, restricts the walk
     to the words that start with that bit, and the empty word is not
@@ -75,7 +85,7 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None, *, first=None) -> int
     nm1 = n - 1
     twice = 2 * nm1
     leaf = nm1 + length - 1  # where a letter completes a leaf
-    w = list(range(1, n)) + [0] * (length + 1)
+    w = list(range(1, n)) + [0] * (2 * length)
     code = bytearray(length)
     # after[a][x]: the positions j > 0 of letter x with letter a at j - 1.
     after = [[[a] if x == a + 1 and 0 < a < n - 1 else [] for x in range(n + 1)]
@@ -149,11 +159,60 @@ def _walk(n: int, length: int, on_leaf, depth_counts=None, *, first=None) -> int
                 if on_leaf is not None:
                     w[M] = x
                     w[M + 1] = oldest if b else missing
-                    if on_leaf(code, w, M + 2) is False:
+                    if on_leaf(code, w, M + 2, after) is False:
                         return leaves
                 if M == stop:  # length 1: the leaf is the root's 0 child
                     return leaves
         b += 1
+
+
+def _extends(bits, w: list, end: int, after: list, n: int) -> bool:
+    """Whether the leaf that :func:`_walk` hands ``on_leaf`` (its decoding
+    ``w`` up to ``end`` and its index ``after``) stays legal when the ASCII
+    digits ``bits``, at most as many as the leaf has, follow it.
+
+    The walk's own legality test runs on past the leaf: each letter is
+    placed after it and indexed in ``after``, and the test stops at the
+    first illegal letter.  Every entry pushed is popped before returning,
+    and the leaf's missing letter at w[end - 1] is restored, so the walk
+    and a later call see their buffers as they were.  A module-level
+    function, so that the walk's locals stay plain locals."""
+    nm1 = n - 1
+    twice = 2 * nm1
+    leaf = M = end - 2  # the leaf's last letter, which the walk did not index
+    last = w[M]
+    missing = leaf_missing = w[end - 1]
+    after[w[M - 1]][last].append(M)
+    legal = True
+    for b in bits:
+        M += 1
+        oldest = w[M - nm1]
+        if b == 49:
+            x, missing = missing, oldest
+        else:
+            x = oldest
+        # _walk's test of x at M, inlined there for speed
+        js = after[last][x]
+        if js:
+            if js[-1] > M - twice:
+                legal = False
+                break
+            for j in js:
+                L = (M - j) // nm1
+                if (L <= j and w[j - 2] == w[M - 2]
+                        and (L == 2 or w[j - L:j - 2] == w[M - L:M - 2])):
+                    legal = False
+                    break
+            if not legal:
+                break
+        w[M] = x
+        js.append(M)
+        last = x
+    # the letters placed: the leaf's, then up to M (M itself only if legal)
+    for P in range(leaf, M + legal):
+        after[w[P - 1]][w[P]].pop()
+    w[end - 1] = leaf_missing
+    return legal
 
 
 def enumerate_legal(n: int, length: int, visitor: Callable[[str], object] | None = None) -> int:
@@ -164,7 +223,7 @@ def enumerate_legal(n: int, length: int, visitor: Callable[[str], object] | None
     the incremental suffix check, so a pruned prefix has no legal extension
     and every visited leaf decodes to a threshold-free word.
     """
-    on_leaf = None if visitor is None else lambda code, w, end: visitor(code.decode())
+    on_leaf = None if visitor is None else lambda code, w, end, after: visitor(code.decode())
     return _walk(n, length, on_leaf)
 
 
@@ -200,13 +259,15 @@ def _classify(sig: tuple, n: int) -> str:
 
 
 def _screen_pair(n: int, h0: str, h1: str) -> str | None:
-    """The first of the suite's cheap checks the pair fails, else
-    "power_free" when the decoding of h(h0[:4]) has a repetition above
-    n/(n-1), else None.  h(h0[:4]) is a prefix of the probe encoding
-    h(h(0110)), so its decoding is a prefix of the probe word.  Only an
-    accelerator: :func:`verify` alone decides what the search returns."""
+    """The first of the suite's cheap checks ``structure`` and
+    ``factor_set_2`` that the pair fails, else "power_free" when the
+    decoding of h(h0[:4]) has a repetition above n/(n-1), else None.
+    h(h0[:4]) is a prefix of the probe encoding h(h(0110)), so its decoding
+    is a prefix of the probe word.  ``iteration_bound``, a fact of (n, r),
+    is left to the caller.  Only an accelerator: :func:`verify` alone
+    decides what the search returns."""
     h = UniformMorphism(n, h0, h1)
-    for name in ("structure", "iteration_bound", "factor_set_2"):
+    for name in ("structure", "factor_set_2"):
         if not run_check(name, h).passed:
             return name
     head = decode_letters(h0[:4], n, (h0, h1))
@@ -229,6 +290,18 @@ class _Pairing:
     candidate is paired only against the opposite pool of the other last
     bit.  The pairs are those of the unfiltered pairing, in the same order,
     less pairs that fail either check; the screen still runs both checks.
+
+    Admission.  The search adds an h1 only if h1 h1 decodes legally, and
+    an h0 only if h0 followed by a 1 does (:func:`_extends`).  A pair that
+    passes ``structure`` and the end-bit rule has 11 and 01 as factors of
+    u = h(0110) = h0 h1 h1 h0: 11 at the h1|h1 junction when h1 ends in 1,
+    else inside the 110 of h1; 01 at the h0|h1 junction when h0 ends in 0,
+    else inside the 011 of h0.  So h1 h1 and h0 h1, whose prefix is h0
+    followed by 1 (h1 starts with 1), are factors of the probe encoding
+    h(u).  The decoder commutes with relabelling, so their decodings
+    appear relabelled in the probe word, and a repetition above n/(n-1) in
+    either fails ``power_free``.  The pairs formed are the others, in the
+    same order.
 
     The pools are packed: a candidate is the ``int`` of its r bits, a key
     is the permutation image as ``bytes`` (one byte per point), and each
@@ -303,8 +376,9 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
     then the 0-led ones, each part in lexicographic order, so runs are
     reproducible.  Returns verified morphisms, sorted by image pair when
     the enumeration was exhausted (discovery order when cut off by limit).
-    Images longer than 4n fail ``structure``, so such a length returns []
-    without a walk.
+    Images longer than 4n fail ``structure``, and ``iteration_bound`` is a
+    fact of (n, r), so a length that fails either returns [] without a
+    walk.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -313,13 +387,15 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
                          f"the pools key a permutation by one byte per point")
     if n >= 2 and length > 4 * n:
         return []  # `structure` fails every pair of images longer than 4n
+    if n >= 2 and length >= 2 and not _iteration_fact(n, length)[0]:
+        return []  # `iteration_bound`, a fact of (n, r), fails every pair
     pairing = _Pairing(length)
     found: list[UniformMorphism] = []
     leaves = 0
 
     note = progress if progress is not None else (lambda msg: None)
 
-    def on_leaf(code, w, end):
+    def on_leaf(code, w, end, after):
         nonlocal leaves
         leaves += 1
         if leaves % 200_000 == 0:
@@ -335,6 +411,10 @@ def search_convenient(n: int, length: int, limit: int = 1, *,
         sig = w[end - n:end]
         kind = _classify(sig, n)
         if kind == "neither":
+            return None
+        # The admission rule (_Pairing): h1 h1, or h0 and the 1 that starts
+        # an h1, must decode legally.
+        if not _extends(code if kind == "h1" else b"1", w, end, after, n):
             return None
         for h0, h1 in pairing.add(int(code, 2), bytes(sig), kind):
             if _screen_pair(n, h0, h1) is not None:

@@ -55,8 +55,10 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from .markability import check_all_length_r_factors_markable
-from .morphisms import UniformMorphism, builtin, factor_closure, iteration_bound
+# check_all_length_r_factors_markable is not called here; perfbench/tracer.py
+# wraps it under this module, so it stays importable.
+from .markability import _markability_report, check_all_length_r_factors_markable
+from .morphisms import FactorSet, UniformMorphism, builtin, factor_closure, iteration_bound
 # decode and find_repetitions_with_excess_at_least are not called here;
 # perfbench/tracer.py wraps them under this module, so they stay importable.
 from .pansiot import decode, decode_letters
@@ -277,11 +279,11 @@ def _power_runs(v: SigmaWord, n: int, runs: list[RepetitionOccurrence],
 
 class _Probe:
     """The morphism under test and what its checks read, each built on
-    first use: the blocks u = h(0110) of the probe encoding h(u), its
-    table (the decoding of h(u), block by block; the classes of equal
-    decoder states and the repeat fact), the runs they give, and the
-    verdicts of the checks run on it.  The probe encoding itself, 4r^2
-    bits, is never built."""
+    first use: the length-2 factors of the limit word, the blocks
+    u = h(0110) of the probe encoding h(u), its table (the decoding of
+    h(u), block by block; the classes of equal decoder states and the
+    repeat fact), the runs they give, and the verdicts of the checks run
+    on it.  The probe encoding itself, 4r^2 bits, is never built."""
 
     def __init__(self, h: UniformMorphism):
         self.h = h
@@ -292,6 +294,12 @@ class _Probe:
         if name not in self.verdicts:
             _run(name, dict(_CHECKS)[name], self)
         return self.verdicts[name]
+
+    @cached_property
+    def factors_2(self) -> FactorSet:
+        """The length-2 factors of the limit word: ``factor_set_2`` and
+        ``markability_r`` read one set."""
+        return factor_closure(self.h, 2)
 
     @cached_property
     def blocks(self) -> str:
@@ -386,7 +394,7 @@ def _check_algebraic(p: _Probe) -> tuple[bool, str]:
 
 
 def _check_factor_set_2(p: _Probe) -> tuple[bool, str]:
-    members = factor_closure(p.h, 2).members
+    members = p.factors_2.members
     expected = {"01", "10", "11"}
     if members != expected:
         return False, f"length-2 factors {sorted(members)} != {sorted(expected)}"
@@ -394,15 +402,21 @@ def _check_factor_set_2(p: _Probe) -> tuple[bool, str]:
 
 
 def _check_markability(p: _Probe) -> tuple[bool, str]:
-    report = check_all_length_r_factors_markable(p.h)
+    report = _markability_report(p.h, p.factors_2)
     return report.passed, report.describe()
 
 
 def _check_iteration_bound(p: _Probe) -> tuple[bool, str]:
-    bounds = compute_bounds(p.h.n)
-    value = iteration_bound(bounds.kernel_bound, p.h.r)
+    return _iteration_fact(p.h.n, p.h.r)
+
+
+def _iteration_fact(n: int, r: int) -> tuple[bool, str]:
+    """The ``iteration_bound`` verdict and witness, a fact of (n, r) alone:
+    the search decides it once, before its walk."""
+    bounds = compute_bounds(n)
+    value = iteration_bound(bounds.kernel_bound, r)
     ok = value == 2 and bounds.short_bound < bounds.kernel_bound
-    return ok, (f"I({bounds.kernel_bound}, {p.h.r}) = {value}; "
+    return ok, (f"I({bounds.kernel_bound}, {r}) = {value}; "
                 f"short bound {bounds.short_bound} < {bounds.kernel_bound}")
 
 

@@ -8,6 +8,7 @@ import importlib.util
 import re
 from fractions import Fraction
 from itertools import product
+from operator import eq
 from pathlib import Path
 
 import dejean.verifier
@@ -319,6 +320,19 @@ def plain_decode(bits, n):
             (missing,) = alphabet - set(letters[1 - n:])
             letters.append(missing)
     return letters
+
+
+def brute_exceeds(letters, n):
+    """Whether ``letters`` has a factor of period q and more than qn/(n-1)
+    letters, from the definition: the shortest such factor has
+    k = q//(n-1) + 1 letters more than q, so k letters in a row equal the
+    letters q places on."""
+    s = bytes(letters)
+    for q in range(1, len(s)):
+        k = q // (n - 1) + 1
+        if b"\1" * k in bytes(map(eq, s, s[q:])):
+            return True
+    return False
 
 
 def table_of(bits, n):

@@ -12,6 +12,7 @@ from dejean.markability import check_all_length_r_factors_markable
 from dejean.morphisms import BUILTIN_SIZES, builtin, factor_closure, iteration_bound
 from dejean.pansiot import canonical_prefix, decode, encode
 from dejean.perms import find_conjugator, word_permutation
+from dejean import search
 from dejean.search import enumerate_legal, legal_length_counts, search_convenient
 from dejean.verifier import compute_bounds, run_check, verify
 from dejean.words import SigmaWord, find_repetitions_exceeding, max_exponent
@@ -109,13 +110,19 @@ REDISCOVERED_15 = ("10101010110110101011011010101101101010101011011010110110",
                    "10101011010110101011010110101101101011011011011010110101")
 
 
-def test_criterion_08_search_rediscovery():
+def test_criterion_08_search_rediscovery(monkeypatch):
     started = time.perf_counter()
     lines = []
     found = search_convenient(15, 56, limit=1, progress=lines.append)
     ok = (len(found) == 1 and verify(found[0]).overall
           and (found[0].image0, found[0].image1) == REDISCOVERED_15
-          and lines[-1] == "verified pair #1 after 63431 words, 327 pairs tried")
+          and lines[-1] == "verified pair #1 after 63431 words, 1 pairs tried")
+    # With the admission rule off (every candidate admitted), the same find
+    # after the same leaves, and 326 more pairs.
+    monkeypatch.setattr(search, "_extends", lambda *args: True)
+    lines = []
+    ok &= (search_convenient(15, 56, limit=1, progress=lines.append) == found
+           and lines[-1] == "verified pair #1 after 63431 words, 327 pairs tried")
     elapsed = time.perf_counter() - started
     detail = f"target < 7200s; found h0={found[0].image0[:16]}..." if found else "none found"
     report(8, "search rediscovery", ok, elapsed, detail=detail)

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from itertools import permutations
@@ -6,15 +7,16 @@ import pytest
 
 from dejean import search
 from dejean.morphisms import UniformMorphism, _factors, builtin
-from dejean.pansiot import canonical_prefix, decode
+from dejean.pansiot import canonical_prefix, decode, decode_letters
 from dejean.perms import _cycle_type, find_conjugator, h0_splices, h1_splices, word_permutation
-from dejean.search import (_classify, _screen_pair, _walk, enumerate_legal,
+from dejean.search import (_classify, _extends, _screen_pair, _walk, enumerate_legal,
                            legal_length_counts, search_convenient)
 from dejean.verifier import CHECK_NAMES, probe_encoding, probe_word, run_check, verify
 from dejean.words import find_repetitions_exceeding, has_repetition_exceeding
 
-from helpers import (all_words, conjugated, cycle_alignments, cycle_through, inverse,
-                     limit_prefix, step0, step1)
+from helpers import (all_words, brute_exceeds, brute_find_exceeding, conjugated,
+                     cycle_alignments, cycle_through, inverse, limit_prefix, plain_decode,
+                     step0, step1)
 
 
 def brute_legal(n, length):
@@ -82,6 +84,16 @@ class TestEnumerateLegal:
             v = decode(bits, canonical_prefix(15))
             assert find_repetitions_exceeding(v, 15, 14) == []
 
+    @pytest.mark.parametrize("n,length", [(4, 14), (5, 16), (15, 24), (15, 30)])
+    def test_closed_under_reversal(self, n, length):
+        # Bit i of the code of w^R compares the same two letters as bit
+        # L-n-i of w's, so encode(w^R) = encode(w)^R: reversing a legal word
+        # gives a legal word.
+        words = []
+        enumerate_legal(n, length, words.append)
+        assert any(w != w[::-1] for w in words)
+        assert {w[::-1] for w in words} == set(words)
+
     def test_bad_length(self):
         with pytest.raises(ValueError):
             enumerate_legal(15, 0)
@@ -128,7 +140,7 @@ class TestLegalLengthCounts:
 def _leaves(n, length, first=None):
     """(bits, sig) of every leaf, as a string and a tuple."""
     out = []
-    _walk(n, length, lambda code, w, end: out.append((code.decode(), tuple(w[end - n:end]))),
+    _walk(n, length, lambda code, w, end, after: out.append((code.decode(), tuple(w[end - n:end]))),
           first=first)
     return out
 
@@ -157,6 +169,47 @@ class TestSplitWalk:
         _walk(n, length, None, depth_counts=zeros, first=0)
         assert [a + b for a, b in zip(ones, zeros)] == [0] + full[1:]
         assert full[0] == 1 and full == legal_length_counts(n, length)
+
+
+class TestExtends:
+    """``_extends`` runs the walk's legality test past a leaf, in its buffers."""
+
+    @staticmethod
+    def _agree(n, length, limit=None):
+        """Check every leaf, or the first ``limit``, under the four
+        extensions; return the verdicts seen."""
+        verdicts, leaves = set(), 0
+
+        def on_leaf(code, w, end, after):
+            nonlocal leaves
+            leaves += 1
+            bits, decoding = code.decode(), w[:end]
+            index = [[list(js) for js in row] for row in after]
+            for ext in (bits, "1", "0", "10"):
+                legal = not has_repetition_exceeding(decode_letters(bits + ext, n), n, n - 1)
+                assert _extends(ext.encode(), w, end, after, n) == legal, (n, bits, ext)
+                assert after == index and w[:end] == decoding, (n, bits, ext)
+                verdicts.add(legal)
+            return leaves != limit
+
+        _walk(n, length, on_leaf)
+        assert leaves == (limit or _walk(n, length, None))
+        return verdicts
+
+    @pytest.mark.parametrize("n,length", [(4, 12), (5, 20), (6, 22), (8, 30)])
+    def test_agrees_with_a_scan_of_the_extended_word(self, n, length):
+        assert self._agree(n, length) == {False, True}
+
+    def test_agrees_on_a_prefix_of_the_walk_at_15(self):
+        assert self._agree(15, 40, limit=5000) == {False, True}
+
+    def test_brute_oracle_matches_the_repetition_oracle(self):
+        # the admission oracle of the tests below, against helpers' triples
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            w = [rng.randint(1, n) for _ in range(rng.randint(1, 24))]
+            assert brute_exceeds(w, n) == bool(brute_find_exceeding(w, n, n - 1)), (w, n)
 
 
 def _random_cycle(rng, points):
@@ -313,19 +366,69 @@ class TestSearchConvenient:
         with pytest.raises(ValueError):
             search_convenient(15, 8, limit=0)
 
+    def test_iteration_bound_is_decided_before_the_walk(self, monkeypatch):
+        # I(9n^2-6n+1, r) = 2 first holds at n = 15 for r = 44
+        walks, lines = [], []
+        monkeypatch.setattr(search, "_walk", lambda n, length, on_leaf, **kw:
+                            walks.append((n, length, kw)) or 0)
+        assert not run_check("iteration_bound", UniformMorphism(15, "0" * 43, "1" * 43)).passed
+        assert search_convenient(15, 43, progress=lines.append) == []
+        assert walks == [] and lines == []
+        assert run_check("iteration_bound", UniformMorphism(15, "0" * 44, "1" * 44)).passed
+        assert search_convenient(15, 44) == []
+        assert walks == [(15, 44, {"first": 1}), (15, 44, {"first": 0})]
+
     @pytest.mark.parametrize("n,length", [(5, 20), (6, 24), (7, 28)])
     def test_each_pair_is_screened_once(self, monkeypatch, n, length):
-        # every leaf is pooled once, so no pair is screened twice
-        screened = []
-        monkeypatch.setattr(search, "_screen_pair",
-                            lambda n, a, b: screened.append((a, b)) or "structure")
-        assert search_convenient(n, length) == []
-        assert screened and len(screened) == len(set(screened))
+        # every leaf is pooled once, so no pair is screened twice, with the
+        # admission rule and without it (at n = 5 and 6 it admits no pair)
+        for admit in (_extends, lambda *args: True):
+            screened = []
+            monkeypatch.setattr(search, "_extends", admit)
+            monkeypatch.setattr(search, "_screen_pair",
+                                lambda n, a, b: screened.append((a, b)) or "structure")
+            assert search_convenient(n, length) == []
+            assert len(screened) == len(set(screened))
+        assert screened
 
     def test_results_verify(self):
         # tiny synthetic space: no convenient morphism exists at this length,
         # and the search must terminate cleanly
         assert search_convenient(5, 6, limit=2) == []
+
+
+class TestAdmission:
+    """The admission rule against its oracle mode, ``_extends`` admitting
+    every candidate: it drops only pairs that fail ``power_free``."""
+
+    @pytest.mark.parametrize("n,length", [(5, 20), (6, 24), (7, 28), (8, 30)])
+    def test_admission_drops_no_certificate(self, monkeypatch, n, length):
+        screen = search._screen_pair
+
+        def run(admit):
+            screened = []
+            monkeypatch.setattr(search, "_extends", admit)
+            monkeypatch.setattr(search, "_screen_pair",
+                                lambda n, a, b: screened.append((a, b)) or screen(n, a, b))
+            return search_convenient(n, length, limit=10**6), screened
+
+        found, screened = run(_extends)
+        every_found, every_screened = run(lambda *args: True)
+        assert found == every_found
+        dropped = set(every_screened) - set(screened)
+        assert dropped and screened == [pair for pair in every_screened if pair not in dropped]
+        for h0, h1 in dropped:
+            assert not run_check("power_free", UniformMorphism(n, h0, h1)).passed, (h0, h1)
+
+    def test_every_morphism_at_the_least_r_of_15(self):
+        # r = 3n + 4 = 49 is the least r at which n = 15 has a morphism
+        # passing the suite; all 14, and their reversals
+        images = {(h.image0, h.image1) for h in search_convenient(15, 49, limit=10**6)}
+        assert len(images) == 14
+        assert {(h0[::-1], h1[::-1]) for h0, h1 in images} == images
+
+    def test_none_at_r_50_of_15(self):
+        assert search_convenient(15, 50, limit=10**6) == []
 
 
 def _spliced_h0_images(a1, n):
@@ -390,7 +493,7 @@ def _candidate_leaves(n, length):
     sig a list, so that packing either way makes new objects."""
     out = []
 
-    def on_leaf(code, w, end):
+    def on_leaf(code, w, end, after):
         sig = w[end - n:end]
         kind = _classify(sig, n)
         if kind != "neither":
@@ -421,16 +524,38 @@ def _admitted(bits, kind):
     return bits[0] == "1" if kind == "h1" else not (bits[0] == "0" and bits[-1] == "1")
 
 
-def _live_pools(leaves):
+@functools.cache
+def _legal(bits, n):
+    """Whether ``bits`` decodes below n/(n-1), by ``helpers``' oracles."""
+    return not brute_exceeds(plain_decode(bits, n), n)
+
+
+def _passes_admission(bits, kind, n):
+    """The admission rule, as ``search._Pairing``'s docstring states it: an
+    h1 followed by itself, an h0 followed by the 1 that starts an h1, must
+    decode legally."""
+    bits = "".join(bits)
+    return _legal(bits + (bits if kind == "h1" else "1"), n)
+
+
+def _pair_passes_admission(pair, n):
+    h0, h1 = pair
+    return _passes_admission(h1, "h1", n) and _passes_admission(h0, "h0", n)
+
+
+def _live_pools(leaves, admits=lambda bits, kind: True):
     """The (h0, h1) pool sizes ``search_convenient`` holds once it has
     pooled ``leaves``, (bits, kind) pairs in its order: every admitted
     candidate while the leaves are 1-led; once a 0-led leaf has come, no
-    h1 can, and only the h1 ending in 1 stay pooled."""
+    h1 can, and only the h1 ending in 1 stay pooled.  ``admits(bits,
+    kind)``, asked only of a candidate that the end-bit rule keeps, adds
+    the admission rule."""
     admitted = [(bits, kind) for bits, kind in leaves
                 if kind != "neither" and _admitted(bits, kind)]
     if any(bits[0] == "0" for bits, _ in leaves):
-        return 0, sum(kind == "h1" and bits[-1] == "1" for bits, kind in admitted)
-    kinds = [kind for _, kind in admitted]
+        return 0, sum(kind == "h1" and bits[-1] == "1" and admits(bits, kind)
+                      for bits, kind in admitted)
+    kinds = [kind for bits, kind in admitted if admits(bits, kind)]
     return kinds.count("h0"), kinds.count("h1")
 
 
@@ -520,32 +645,41 @@ class TestPackedPairing:
 class TestSearchLeafPath:
     """``search_convenient``'s own leaf callback, every pair rejected by a
     stubbed screen: its end-bit and sign filters drop no pair and no pooled
-    candidate of the reference pairing."""
+    candidate of the reference pairing, and its admission rule drops what
+    the oracle of ``_passes_admission`` does."""
 
     @staticmethod
-    def _search(monkeypatch, n, length):
+    def _search(monkeypatch, n, length, admission=True):
         screened, pairings, lines = [], [], []
+        with monkeypatch.context() as m:
+            class Recording(search._Pairing):
+                def __init__(self, r):
+                    super().__init__(r)
+                    pairings.append(self)
 
-        class Recording(search._Pairing):
-            def __init__(self, r):
-                super().__init__(r)
-                pairings.append(self)
-
-        monkeypatch.setattr(search, "_Pairing", Recording)
-        monkeypatch.setattr(search, "_screen_pair",
-                            lambda n, a, b: screened.append((a, b)) or "structure")
-        assert search_convenient(n, length, progress=lines.append) == []
+            m.setattr(search, "_Pairing", Recording)
+            m.setattr(search, "_screen_pair",
+                      lambda n, a, b: screened.append((a, b)) or "structure")
+            if not admission:
+                m.setattr(search, "_extends", lambda *args: True)
+            assert search_convenient(n, length, progress=lines.append) == []
         return screened, pairings[0], lines
 
     @pytest.mark.parametrize("n,length", [(5, 20), (6, 24), (7, 28), (8, 30)])
     def test_screens_the_reference_pairs(self, monkeypatch, n, length):
         leaves, _, _, expected = _both_pairings(n, length, _search_order)
-        screened, pairing, lines = self._search(monkeypatch, n, length)
-        assert screened == [pair for pair in expected if _end_bits_can_pass(*pair)]
+        kinds = [(bits, kind) for bits, _, kind in leaves]
+        by_end_bits = [pair for pair in expected if _end_bits_can_pass(*pair)]
         # the exhaustive run ends in the 0-led pass, which pools no h0
-        live = _live_pools([(bits, kind) for bits, _, kind in leaves])
+        screened, pairing, lines = self._search(monkeypatch, n, length, admission=False)
+        assert screened == by_end_bits
+        live = _live_pools(kinds)
         assert pairing.pool_sizes() == live and live[1]
         assert screened and lines == []
+        screened, pairing, lines = self._search(monkeypatch, n, length)
+        assert screened == [pair for pair in by_end_bits if _pair_passes_admission(pair, n)]
+        admits = functools.partial(_passes_admission, n=n)
+        assert pairing.pool_sizes() == _live_pools(kinds, admits) and lines == []
         # the sign rule has 0...0 leaves to drop here
         assert any(bits[0] == bits[-1] == "0" and _sign_by_count(bits, n) != (-1) ** n
                    for bits, _ in _leaves(n, length))
@@ -554,9 +688,12 @@ class TestSearchLeafPath:
     def test_exhaustive_run_screens_the_walk_orders_pairs(self, monkeypatch, n, length):
         # pairing all leaves in plain walk order forms the same pairs
         _, _, _, expected = _both_pairings(n, length)
-        screened, _, _ = self._search(monkeypatch, n, length)
-        assert len(screened) == len(set(screened))
-        assert set(screened) == {pair for pair in expected if _end_bits_can_pass(*pair)}
+        by_end_bits = {pair for pair in expected if _end_bits_can_pass(*pair)}
+        for admission in (False, True):
+            screened, _, _ = self._search(monkeypatch, n, length, admission)
+            assert len(screened) == len(set(screened))
+            assert set(screened) == {pair for pair in by_end_bits
+                                     if not admission or _pair_passes_admission(pair, n)}
 
     def test_progress_line(self, monkeypatch):
         # 244,378 leaves: one line, before the 200,000th leaf is pooled
@@ -564,7 +701,7 @@ class TestSearchLeafPath:
         leaves = []
 
         def keep(lead):
-            def on_leaf(code, w, end):
+            def on_leaf(code, w, end, after):
                 if code[0] == lead:
                     leaves.append((code.decode(), tuple(w[end - n:end])))
                 return len(leaves) < 199_999
@@ -576,10 +713,12 @@ class TestSearchLeafPath:
         reference, kinds, pairs = _ListPairing(n), [], 0
         for bits, sig in leaves:
             kinds.append(_classify(sig, n))
-            pairs += sum(_end_bits_can_pass(*pair) for pair in reference.add(bits, sig, kinds[-1]))
+            pairs += sum(_end_bits_can_pass(*pair) and _pair_passes_admission(pair, n)
+                         for pair in reference.add(bits, sig, kinds[-1]))
         # the 200,000th leaf is 0-led (141,147 are 1-led): the live pools
-        # hold no h0 and only the h1 ending in 1
-        h0, h1 = _live_pools([(bits, kind) for (bits, _), kind in zip(leaves, kinds)])
+        # hold no h0 and only the admitted h1 ending in 1
+        h0, h1 = _live_pools([(bits, kind) for (bits, _), kind in zip(leaves, kinds)],
+                             functools.partial(_passes_admission, n=n))
         _, _, lines = self._search(monkeypatch, n, length)
         assert leaves[-1][0][0] == "0" and h0 == 0 and h1 and pairs
         assert lines == [f"200000 words visited, pools h0={h0} h1={h1}, {pairs} pairs tried"]
@@ -658,7 +797,9 @@ def _screen_sample():
 
 
 class TestScreen:
-    CHEAP = ("structure", "iteration_bound", "factor_set_2")
+    # iteration_bound is a fact of (n, r), which search_convenient decides
+    # before its walk; every pair of the sample passes it
+    CHEAP = ("structure", "factor_set_2")
 
     def test_screen_rejects_only_by_failing_checks(self, monkeypatch):
         scanned = []

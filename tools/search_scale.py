@@ -1,7 +1,9 @@
 """Rediscovery at scale: time and measure ``search_convenient(n, r, limit=1)``
-at the builtin r of each n.
+at the builtin r of each n, or with ``--least-r`` at r = 3n + 4, the least r
+at which n = 15..22 have a morphism that passes the suite.
 
     python3 tools/search_scale.py --label "packed pools"
+    python3 tools/search_scale.py --label "packed pools" --least-r --sizes 15 16 17
 
 Run from the root of a checkout.  Each run is one fresh interpreter that
 imports ``dejean`` from ``--src`` (default: ``src/`` of this checkout), so
@@ -19,7 +21,8 @@ it records:
 The runs are written to ``--out`` (default ``BENCH_search-scale.json``)
 after each run, with the core count and the Python version.  A run
 replaces the one in that file with the same label and n; the others are
-kept, so one file compares two programs.
+kept, so one file compares two programs.  Runs at the builtin r and at
+3n + 4 are kept apart by their ``r``.
 """
 
 import argparse
@@ -35,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _one(n: int) -> dict:
+def _one(n: int, least_r: bool) -> dict:
     """Run one search in this process and describe it."""
     import resource
 
@@ -44,7 +47,7 @@ def _one(n: int) -> dict:
     from dejean.verifier import verify
 
     target = builtin(n)
-    r = len(target.image0)
+    r = 3 * n + 4 if least_r else target.r
     lines: list[str] = []
     start, start_cpu = time.perf_counter(), time.process_time()
     found = search_convenient(n, r, limit=1, progress=lines.append)
@@ -66,14 +69,20 @@ def _one(n: int) -> dict:
     return run
 
 
-def _measure(label: str, n: int, src: Path) -> dict:
+def _measure(label: str, n: int, src: Path, least_r: bool) -> dict:
     """Run one search in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--label", label, "--one", str(n)],
-                          capture_output=True, text=True, env=env)
+    argv = [sys.executable, __file__, "--label", label, "--one", str(n)]
+    if least_r:
+        argv.append("--least-r")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"n={n} exited {proc.returncode}: {proc.stderr[-500:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _key(run: dict) -> tuple:
+    return run["label"], run["n"], run["r"]
 
 
 def main(argv=None) -> int:
@@ -82,23 +91,25 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the program measured")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_search-scale.json")
+    parser.add_argument("--least-r", action="store_true", help="search at r = 3n + 4")
     parser.add_argument("--one", type=int, metavar="N", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.one:
-        print(json.dumps(_one(args.one)))
+        print(json.dumps(_one(args.one, args.least_r)))
         return 0
 
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     for n in args.sizes:
-        run = {"label": args.label, **_measure(args.label, n, args.src.resolve())}
+        run = {"label": args.label, **_measure(args.label, n, args.src.resolve(), args.least_r)}
         print(json.dumps({k: v for k, v in run.items() if k != "found"}), flush=True)
-        runs = [old for old in runs if (old["label"], old["n"]) != (args.label, n)]
+        runs = [old for old in runs if _key(old) != _key(run)]
         runs.append(run)
         report = {
-            "what": "search_convenient(n, builtin r, limit=1), one fresh process per run",
+            "what": "search_convenient(n, r, limit=1), r the builtin's or 3n + 4,"
+                    " one fresh process per run",
             "cores": os.cpu_count(),
             "python": platform.python_version(),
-            "runs": sorted(runs, key=lambda run: (run["label"], run["n"])),
+            "runs": sorted(runs, key=_key),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
