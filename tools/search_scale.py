@@ -22,7 +22,8 @@ The runs are written to ``--out`` (default ``BENCH_search-scale.json``)
 after each run, with the core count and the Python version.  A run
 replaces the one in that file with the same label and n; the others are
 kept, so one file compares two programs.  Runs at the builtin r and at
-3n + 4 are kept apart by their ``r``.
+3n + 4 are kept apart by their ``r``, and the file's other top-level keys
+are kept too.
 """
 
 import argparse
@@ -98,13 +99,16 @@ def main(argv=None) -> int:
         print(json.dumps(_one(args.one, args.least_r)))
         return 0
 
-    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
+    # other top-level keys of an existing file (another benchmark's record) are kept
+    kept = json.loads(args.out.read_text()) if args.out.exists() else {}
+    runs = kept.get("runs", [])
     for n in args.sizes:
         run = {"label": args.label, **_measure(args.label, n, args.src.resolve(), args.least_r)}
         print(json.dumps({k: v for k, v in run.items() if k != "found"}), flush=True)
         runs = [old for old in runs if _key(old) != _key(run)]
         runs.append(run)
         report = {
+            **kept,
             "what": "search_convenient(n, r, limit=1), r the builtin's or 3n + 4,"
                     " one fresh process per run",
             "cores": os.cpu_count(),
